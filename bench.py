@@ -79,9 +79,9 @@ def run_headline() -> dict:
 
 
 def run_core() -> dict:
-    """Core KG flow only (extract -> link -> canonicalize), fixed-size actor
-    pool — the scaling-criterion workload (the north_star names exactly these
-    stages + the one canonicalization shuffle)."""
+    """Core KG flow only (extract -> link -> canonicalize), fixed link-task
+    concurrency — the scaling-criterion workload (the north_star names
+    exactly these stages + the one canonicalization shuffle)."""
     import ray
 
     from clangd_to_neo4j_ray.sources.fixtures import alias_lookup, make_entities
@@ -93,31 +93,34 @@ def run_core() -> dict:
     ray.data.read_parquet(pages_dir).count()  # warm page cache
 
     # Fused composition: extract + link + per-batch partial dedup run as ONE
-    # actor call; only pre-aggregated partials reach the single bucketed
-    # exchange.  Pool sizing 3/4 of the CPUs (leaves room for the read tasks
-    # and the merge).  Rounds 1-2 tried smaller pools to fix sub-linear
-    # scaling, but the true thief was the bucketed exchange: the old
-    # byte-expanding `_stable_hash64` plus Ray's per-row-Python HASH_SHUFFLE
-    # partitioner burned more CPU than the linker itself (563 s vs 129 s
-    # per-stage remote time, measured r2).  With the sampled-window hash and
-    # the sort-based exchange the actors run the kernel at pure-process
-    # speed (~3.7k pages/s/actor at the all-core frequency envelope).
+    # task call; only pre-aggregated partials reach the single bucketed
+    # exchange.  Link-task concurrency 3/4 of the CPUs (leaves room for the
+    # read tasks and the merge).  Rounds 1-2 tried smaller pools to fix
+    # sub-linear scaling, but the true thief was the bucketed exchange: the
+    # old byte-expanding `_stable_hash64` plus Ray's per-row-Python
+    # HASH_SHUFFLE partitioner burned more CPU than the linker itself (563 s
+    # vs 129 s per-stage remote time, measured r2).  With the sampled-window
+    # hash and the sort-based exchange the link tasks run the kernel at
+    # pure-process speed (~3.7k pages/s per worker at the all-core frequency
+    # envelope).
     pool = max(1, NUM_CPUS * 3 // 4)
     strategy = os.environ.get("BENCH_STRATEGY")  # None -> linking default
-    # Warm the worker processes (imports + actor spin-up) with a tiny run of
-    # the same stage before timing: a cold 24-actor pool costs ~5 s of pure
-    # process-fork + import latency (measured r2), a fixed job-setup cost a
-    # long-lived cluster pays once — not part of steady-state throughput.
+    # Warm the worker processes (imports + the per-process linker memo) with
+    # a tiny run of the same stage before timing: cold workers cost ~5 s of
+    # pure process-fork + import latency at 24-way concurrency (measured r2),
+    # a fixed job-setup cost a long-lived cluster pays once — not part of
+    # steady-state throughput.
     warm = ray.data.from_items(
         [{"url": f"w{i}", "text": "Warmup."} for i in range(pool)]
     )
+    lut_ref = ray.put(lut)
     fused_link_partial_stage(
-        warm, ray.put(lut), concurrency=pool, batch_size=1, strategy=strategy
+        warm, lut_ref, concurrency=pool, batch_size=1, strategy=strategy
     ).count()
     t0 = time.perf_counter()
     pages = ray.data.read_parquet(pages_dir)
     partials = fused_link_partial_stage(
-        pages, ray.put(lut), concurrency=pool, batch_size=2048, strategy=strategy
+        pages, lut_ref, concurrency=pool, batch_size=2048, strategy=strategy
     )
     n_triples = merge_partial_triples(partials).count()
     wall = time.perf_counter() - t0

@@ -154,7 +154,8 @@ def default_pool_size() -> tuple[int, int]:
     r2 sweep once the exchange stopped stealing CPU (bench.py run_core):
     larger pools slow the overlapped combine/exchange more than they speed
     the scan.  The reference sizes its pools the same way: parse workers
-    default to ceil(cpu/2), not cpu (``input_params.py:16-24``).
+    default to ceil(cpu/2), not cpu (``input_params.py:16-24``).  The
+    task-based link stages cap their concurrency at the upper bound.
     """
     try:
         cpus = int(ray.cluster_resources().get("CPU", 4))

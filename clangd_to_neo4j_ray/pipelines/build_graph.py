@@ -5,19 +5,23 @@ The Ray-Data re-expression of the reference's full build
 
     read_parquet(pages)                        Pass 0/1: sources (S1-S6)
       -> extract_stage (map_batches)           byte-identical text per url
-      -> link_scan_stage (actor pool, 1 pass)  Passes 2+6: spans + calls (J2-J4)
+      -> link_scan_stage (task map, 1 pass)    Passes 2+6: spans + calls (J2-J4)
       -> canonicalize_triples (bucketed        Pass 4 + D1/D5: MERGE dedup
          two-phase groupby)
       -> entity/hierarchy nodes + edges        Passes 3-5: paths/symbols/includes
       -> write_graph (Parquet + Neo4j CSV +    K1/K2/K4 sinks + cache manifest
          manifest)
 
-One linear dataflow, streaming end-to-end; the only all-to-all exchanges are
-the bucketed canonicalization/dedup shuffles (stages/shuffle.py).
+One linear dataflow, streaming end-to-end, with exactly three all-to-all
+exchanges per build, all bucketed (stages/shuffle.py): the triple
+canonicalization, the hierarchy distinct (DOMAIN/FOLDER rows keyed by node
+id) and the entity/mention distinct (keyed by entity id).  The Neo4j CSV
+sink sorts per block, not globally.
 """
 
 from __future__ import annotations
 
+import polars as pl
 import pyarrow as pa
 import ray
 import ray.data
@@ -26,14 +30,62 @@ from ..functions.textops import prefixed
 from ..sources.fixtures import EntityRecord
 from ..stages.canonicalize import canonicalize_triples
 from ..stages.extract import extract_stage
-from ..stages.hierarchy import (
-    domain_dataset,
-    folder_dataset,
-    hierarchy_edges,
-    hierarchy_nodes,
-)
+from ..stages.hierarchy import hierarchy_dataset, hierarchy_edges, hierarchy_nodes
 from ..stages.linking import link_scan_stage, split_link_scan
-from ..stages.shuffle import distinct
+from ..stages.shuffle import (
+    _bucketed_polars,
+    _compat,
+    auto_num_buckets,
+    drop_empty_blocks,
+)
+
+NODE_SCHEMA = pa.schema(
+    [("node_id", pa.string()), ("label", pa.string()), ("name", pa.string())]
+)
+EDGE_SCHEMA = pa.schema(
+    [("src", pa.string()), ("type", pa.string()), ("dst", pa.string())]
+)
+
+
+def _partial_pairs(batch: pa.Table) -> pa.Table:
+    """Per batch: distinct (entity_id, url) mention pairs."""
+    return (
+        batch.select(["entity_id", "url"])
+        .group_by(["entity_id", "url"])
+        .aggregate([])
+    )
+
+
+def _pairs_bucket(batch: pa.Table) -> pa.Table:
+    """One entity bucket: its distinct (entity_id, url) pairs, the first
+    row of each entity flagged (that row becomes the ENTITY node)."""
+    df = pl.from_arrow(batch).drop("__bucket").unique(maintain_order=False)
+    return _compat(
+        df.with_columns(pl.col("entity_id").is_first_distinct().alias("first"))
+        .to_arrow()
+    )
+
+
+def entity_mention_pairs(mentions: ray.data.Dataset) -> ray.data.Dataset:
+    """Distinct (entity_id, url, first) rows: ONE bucketed exchange keyed by
+    entity_id alone feeds both the ENTITY nodes (``first`` rows: orphan
+    cleanup by construction, A8) and the MENTIONS edges (all rows)."""
+    partials = mentions.map_batches(
+        _partial_pairs, batch_format="pyarrow", batch_size=65536
+    )
+    return drop_empty_blocks(
+        _bucketed_polars(
+            partials, ["entity_id"], _pairs_bucket, auto_num_buckets(partials)
+        )
+    )
+
+
+def _derive(src: ray.data.Dataset, fn, schema: pa.Schema) -> ray.data.Dataset:
+    """``fn`` mapped over a materialized ``src``; a typed empty dataset when
+    ``src`` has no rows (Ray never calls a map UDF on a 0-row block)."""
+    if src.count():
+        return src.map_batches(fn, batch_format="pyarrow")
+    return ray.data.from_arrow(schema.empty_table())
 
 
 def graph_nodes_edges(
@@ -46,74 +98,47 @@ def graph_nodes_edges(
 
     Shared by the in-memory full build and the checkpointed incremental
     build.  ``pages_urls`` needs only a ``url`` column; ``mentions`` needs
-    (url, entity_id); ``triples`` is the canonicalized triple set."""
+    (url, entity_id); ``triples`` is the canonicalized triple set.  Runs
+    two exchanges: the hierarchy and the entity/mention distinct."""
     names_ref = ray.put(entity_names)
 
-    def _partial_entities(batch: pa.Table) -> pa.Table:
-        return pa.table({"entity_id": pa.compute.unique(batch["entity_id"])})
-
-    def _entity_rows(batch: pa.Table) -> pa.Table:
+    def entity_rows(t: pa.Table) -> pa.Table:
         names = ray.get(names_ref)
-        ids = batch["entity_id"].to_pylist()
+        ids = t.filter(t["first"])["entity_id"].to_pylist()
         return pa.table(
-            {
-                "node_id": pa.array([f"entity:{i}" for i in ids], type=pa.string()),
-                "label": pa.repeat(pa.scalar("ENTITY"), len(ids)),
-                "name": pa.array([names.get(i, i) for i in ids], type=pa.string()),
-            }
+            [
+                pa.array([f"entity:{i}" for i in ids], type=pa.string()),
+                pa.repeat(pa.scalar("ENTITY"), len(ids)),
+                pa.array([names.get(i, i) for i in ids], type=pa.string()),
+            ],
+            schema=NODE_SCHEMA,
         )
 
-    # ENTITY nodes: distinct mentioned entities (orphan cleanup by
-    # construction, A8) — per-batch partial distinct + bucketed distinct.
-    entity_nodes = distinct(
-        mentions.map_batches(_partial_entities, batch_format="pyarrow"),
-        ["entity_id"],
-    ).map_batches(_entity_rows, batch_format="pyarrow")
-
-    domains = domain_dataset(pages_urls).materialize()  # small, shared
-    folders = folder_dataset(pages_urls).materialize()  # small, shared
-    nodes = hierarchy_nodes(pages_urls, domains, folders).union(entity_nodes)
-
-    triple_edges = triples.map_batches(
-        lambda t: pa.table(
-            {
-                "src": prefixed(t["subj"], "entity:"),
-                "type": t["pred"],
-                "dst": prefixed(t["obj"], "entity:"),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-
-    # MENTIONS edges: page -> entity, deduped (per-batch partial distinct +
-    # bucketed distinct)
-    def _partial_mention_edges(batch: pa.Table) -> pa.Table:
-        t = pa.table(
-            {
-                "src": prefixed(batch["url"], "page:"),
-                "dst": prefixed(batch["entity_id"], "entity:"),
-            }
+    def mention_edges(t: pa.Table) -> pa.Table:
+        return pa.table(
+            [
+                prefixed(t["url"], "page:"),
+                pa.repeat(pa.scalar("MENTIONS"), len(t)),
+                prefixed(t["entity_id"], "entity:"),
+            ],
+            schema=EDGE_SCHEMA,
         )
-        return t.group_by(["src", "dst"]).aggregate([]).rename_columns(["src", "dst"])
 
-    mention_edges = distinct(
-        mentions.map_batches(_partial_mention_edges, batch_format="pyarrow"),
-        ["src", "dst"],
-    ).map_batches(
-        lambda t: pa.table(
-            {
-                "src": t["src"],
-                "type": pa.repeat(pa.scalar("MENTIONS"), len(t)),
-                "dst": t["dst"],
-            }
-        ),
-        batch_format="pyarrow",
+    def triple_edges(t: pa.Table) -> pa.Table:
+        return pa.table(
+            [prefixed(t["subj"], "entity:"), t["pred"], prefixed(t["obj"], "entity:")],
+            schema=EDGE_SCHEMA,
+        )
+
+    hierarchy = hierarchy_dataset(pages_urls)
+    pairs = entity_mention_pairs(mentions)
+    nodes = hierarchy_nodes(pages_urls, hierarchy).union(
+        _derive(pairs, entity_rows, NODE_SCHEMA)
     )
-
     edges = (
-        hierarchy_edges(pages_urls, domains, folders)
-        .union(mention_edges)
-        .union(triple_edges)
+        hierarchy_edges(pages_urls, hierarchy)
+        .union(_derive(pairs, mention_edges, EDGE_SCHEMA))
+        .union(_derive(drop_empty_blocks(triples), triple_edges, EDGE_SCHEMA))
     )
     return nodes, edges
 
@@ -123,7 +148,7 @@ def build_graph_datasets(
     alias_lut: dict[str, str],
     entity_names: dict[str, str],
     *,
-    concurrency: int | tuple[int, int] | None = None,
+    concurrency: int | None = None,
 ):
     """Run the full build, returning (triples, mentions, nodes, edges)
     Datasets.
@@ -153,7 +178,7 @@ def build_graph(
     entities: list[EntityRecord],
     out_dir: str,
     *,
-    concurrency: int | tuple[int, int] | None = None,
+    concurrency: int | None = None,
     write_neo4j_csv: bool = True,
     source_format: str = "parquet",
 ) -> dict:

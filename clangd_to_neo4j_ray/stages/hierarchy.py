@@ -11,23 +11,23 @@ corpus shape byte-identical.  Unlike the reference we need no topological
 insert order (O1) — the Parquet sink has no FK constraints, so parent rows
 are emitted independently.
 
-``domain_dataset`` computes the distinct-domain table once (per-batch
-partial distinct + bucketed distinct); callers materialize it and share it
-between the node and edge builders.  Folder nodes/edges follow the same
-plan: per-batch partial distinct of prefix rows, then one bucketed
-distinct — the exchange is bounded by the number of distinct folders,
-never by page count.
+``hierarchy_dataset`` computes the DOMAIN and FOLDER rows once as one table
+(node_id, parent, label, name): large-batch partial distincts, then ONE
+bucketed distinct on node_id — the exchange is bounded by the number of
+distinct containers, never by page count.  Callers share the materialized
+table between the node and edge builders.
 """
 
 from __future__ import annotations
 
 from urllib.parse import urlparse
 
+import polars as pl
 import pyarrow as pa
 import ray.data
 
 from ..functions.textops import prefixed
-from .shuffle import distinct
+from .shuffle import _bucketed_polars, _compat, auto_num_buckets, drop_empty_blocks
 
 PROJECT_NODE_ID = "project:root"
 
@@ -57,76 +57,68 @@ def page_parent_id(url: str) -> str:
     return f"folder:{prefixes[-1]}" if prefixes else f"domain:{domain}"
 
 
-def _with_domain(batch: pa.Table) -> pa.Table:
-    urls = batch["url"].to_pylist()
-    return pa.table(
-        {
-            "url": batch["url"],
-            "domain": pa.array([domain_of(u) for u in urls], type=pa.string()),
-        }
-    )
+HIERARCHY_SCHEMA = pa.schema(
+    [
+        ("node_id", pa.string()),
+        ("parent", pa.string()),
+        ("label", pa.string()),
+        ("name", pa.string()),
+    ]
+)
 
 
-def domain_dataset(pages: ray.data.Dataset) -> ray.data.Dataset:
-    """Distinct domains of the corpus (small; callers materialize)."""
-    partials = pages.select_columns(["url"]).map_batches(
-        lambda b: pa.table(
-            {
-                "domain": pa.compute.unique(
-                    pa.array(
-                        [domain_of(u) for u in b["url"].to_pylist()],
-                        type=pa.string(),
-                    )
-                )
-            }
-        ),
-        batch_format="pyarrow",
-    )
-    return distinct(partials, ["domain"])
-
-
-def _folder_partials(batch: pa.Table) -> pa.Table:
-    """Per batch: distinct (folder prefix, parent node id, depth) rows."""
-    seen: dict[str, tuple[str, int]] = {}
+def _hierarchy_partial(batch: pa.Table) -> pa.Table:
+    """Per batch: distinct DOMAIN and FOLDER rows (node_id, parent, label,
+    name) — every path-segment ancestor of every page."""
+    seen: dict[str, tuple[str, str, str]] = {}
     for u in batch["url"].to_pylist():
         domain, prefixes = page_ancestry(u)
         parent = f"domain:{domain}"
-        for depth, pref in enumerate(prefixes, start=1):
-            if pref not in seen:
-                seen[pref] = (parent, depth)
-            parent = f"folder:{pref}"
-    items = sorted(seen.items())
+        seen.setdefault(parent, (PROJECT_NODE_ID, "DOMAIN", domain))
+        for pref in prefixes:
+            node_id = f"folder:{pref}"
+            seen.setdefault(node_id, (parent, "FOLDER", pref))
+            parent = node_id
+    rows = list(seen.values())
     return pa.table(
-        {
-            "folder": pa.array([k for k, _ in items], type=pa.string()),
-            "parent": pa.array([v[0] for _, v in items], type=pa.string()),
-            "depth": pa.array([v[1] for _, v in items], type=pa.int64()),
-        }
+        [
+            pa.array(list(seen), type=pa.string()),
+            pa.array([r[0] for r in rows], type=pa.string()),
+            pa.array([r[1] for r in rows], type=pa.string()),
+            pa.array([r[2] for r in rows], type=pa.string()),
+        ],
+        schema=HIERARCHY_SCHEMA,
     )
 
 
-def folder_dataset(pages: ray.data.Dataset) -> ray.data.Dataset:
-    """Distinct (folder, parent, depth) rows of the corpus — all path-
-    segment ancestors of every page (parent/depth are functions of the
-    folder string, so the three-column distinct equals a folder distinct)."""
+def hierarchy_dataset(pages: ray.data.Dataset) -> ray.data.Dataset:
+    """Distinct DOMAIN + FOLDER rows (node_id, parent, label, name) of the
+    corpus, materialized (small; shared by the node and edge builders).
+
+    Large-batch partials, then ONE bucketed distinct on ``node_id`` —
+    parent, label and name are functions of the node id, so any row of a
+    node id is its row."""
     partials = pages.select_columns(["url"]).map_batches(
-        _folder_partials, batch_format="pyarrow"
+        _hierarchy_partial, batch_format="pyarrow", batch_size=65536
     )
-    return distinct(partials, ["folder", "parent", "depth"])
+
+    def per_bucket(batch: pa.Table) -> pa.Table:
+        df = pl.from_arrow(batch).drop("__bucket")
+        return _compat(
+            df.unique(subset=["node_id"], keep="any", maintain_order=False).to_arrow()
+        )
+
+    return drop_empty_blocks(
+        _bucketed_polars(partials, ["node_id"], per_bucket, auto_num_buckets(partials))
+    )
 
 
 def hierarchy_edges(
-    pages: ray.data.Dataset,
-    domains: ray.data.Dataset | None = None,
-    folders: ray.data.Dataset | None = None,
+    pages: ray.data.Dataset, hierarchy: ray.data.Dataset
 ) -> ray.data.Dataset:
-    """CONTAINS edges for the full chain: project->domain (distinct),
-    domain->folder / folder->folder per level (distinct), and
+    """CONTAINS edges for the full chain: project->domain, domain->folder
+    and folder->folder (one per ``hierarchy_dataset`` row), and
     parent->page (deepest folder, else domain) per page."""
-    if domains is None:
-        domains = domain_dataset(pages)
-    if folders is None:
-        folders = folder_dataset(pages)
 
     def page_edges(batch: pa.Table) -> pa.Table:
         urls = batch["url"].to_pylist()
@@ -140,22 +132,12 @@ def hierarchy_edges(
             }
         )
 
-    domain_edges = domains.map_batches(
-        lambda b: pa.table(
-            {
-                "src": pa.repeat(pa.scalar(PROJECT_NODE_ID), len(b)),
-                "type": pa.repeat(pa.scalar("CONTAINS"), len(b)),
-                "dst": prefixed(b["domain"], "domain:"),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-    folder_edges = folders.map_batches(
+    container_edges = hierarchy.map_batches(
         lambda b: pa.table(
             {
                 "src": b["parent"],
                 "type": pa.repeat(pa.scalar("CONTAINS"), len(b)),
-                "dst": prefixed(b["folder"], "folder:"),
+                "dst": b["node_id"],
             }
         ),
         batch_format="pyarrow",
@@ -163,21 +145,15 @@ def hierarchy_edges(
     return (
         pages.select_columns(["url"])
         .map_batches(page_edges, batch_format="pyarrow")
-        .union(domain_edges)
-        .union(folder_edges)
+        .union(container_edges)
     )
 
 
 def hierarchy_nodes(
-    pages: ray.data.Dataset,
-    domains: ray.data.Dataset | None = None,
-    folders: ray.data.Dataset | None = None,
+    pages: ray.data.Dataset, hierarchy: ray.data.Dataset
 ) -> ray.data.Dataset:
-    """PROJECT + DOMAIN + FOLDER + PAGE node rows (unique on node_id)."""
-    if domains is None:
-        domains = domain_dataset(pages)
-    if folders is None:
-        folders = folder_dataset(pages)
+    """PROJECT + DOMAIN + FOLDER + PAGE node rows (unique on node_id);
+    ``hierarchy`` is the ``hierarchy_dataset`` of ``pages``."""
 
     page_nodes = pages.select_columns(["url"]).map_batches(
         lambda b: pa.table(
@@ -189,26 +165,7 @@ def hierarchy_nodes(
         ),
         batch_format="pyarrow",
     )
-    domain_nodes = domains.map_batches(
-        lambda b: pa.table(
-            {
-                "node_id": prefixed(b["domain"], "domain:"),
-                "label": pa.repeat(pa.scalar("DOMAIN"), len(b)),
-                "name": b["domain"],
-            }
-        ),
-        batch_format="pyarrow",
-    )
-    folder_nodes = folders.map_batches(
-        lambda b: pa.table(
-            {
-                "node_id": prefixed(b["folder"], "folder:"),
-                "label": pa.repeat(pa.scalar("FOLDER"), len(b)),
-                "name": b["folder"],
-            }
-        ),
-        batch_format="pyarrow",
-    )
+    container_nodes = hierarchy.select_columns(["node_id", "label", "name"])
     project_node = ray.data.from_arrow(
         pa.table(
             {
@@ -218,6 +175,4 @@ def hierarchy_nodes(
             }
         )
     )
-    return (
-        page_nodes.union(domain_nodes).union(folder_nodes).union(project_node)
-    )
+    return page_nodes.union(container_nodes).union(project_node)

@@ -1,4 +1,4 @@
-"""Stages M+L: mention detection and entity linking (stateful actor pool).
+"""Stages M+L: mention detection and entity linking (task-based map stages).
 
 The analog of the reference's reference-scan + caller-resolution passes:
 
@@ -34,11 +34,14 @@ surface analog, ``compilation_manager.py:113-123``):
   dominates), but its automaton scan cost is independent of alias count —
   the strategy of record for very large dictionaries.
 
-The linker is a callable CLASS: the dictionary index is built once per actor
-from a broadcast object ref (``ray.put`` once on the driver), mirroring the
-reference's per-process ``_worker_impl_instance`` initializer (T1,
-``compilation_parser.py:161-187``).  Unresolvable pronoun sentences become
-dead-letter rows (pred='__dead_letter__'), not silent drops — SURVEY §7.5.
+The linker is a callable CLASS; the Ray stages run it from a module-level
+task function that keeps a one-entry per-process memo keyed by the broadcast
+alias object ref (``ray.put`` once on the driver).  ``ray.get`` and the token
+index build therefore run once per worker process per dictionary, mirroring
+the reference's per-process ``_worker_impl_instance`` initializer (T1,
+``compilation_parser.py:161-187``) without starting a dedicated actor
+process on every build.  Unresolvable pronoun sentences become dead-letter
+rows (pred='__dead_letter__'), not silent drops — SURVEY §7.5.
 """
 
 from __future__ import annotations
@@ -138,14 +141,13 @@ def _tag_union(cand: pa.Table, ment: pa.Table) -> pa.Table:
 
 
 class EntityLinker:
-    """Actor-pool stage: text -> (mentions, candidate triples) per batch.
+    """Link stage state: text -> (mentions, candidate triples) per batch.
 
-    ``alias_ref`` is a ``ray.ObjectRef`` to the alias->entity_id dict
-    (broadcast side input; no shuffle join for the small side, SURVEY §7.4).
+    ``lut`` is the alias->entity_id dict; the Ray stages broadcast it once
+    as an object ref (no shuffle join for the small side, SURVEY §7.4).
     """
 
-    def __init__(self, alias_ref, strategy: str = "token"):
-        lut = ray.get(alias_ref) if isinstance(alias_ref, ray.ObjectRef) else alias_ref
+    def __init__(self, lut: dict, strategy: str = "token"):
         self.lut: dict[str, str] = lut
         self.strategy = strategy
         if strategy == "regex":
@@ -325,12 +327,12 @@ class LinkScan(EntityLinker):
 
 class FusedExtractLinkPartial(EntityLinker):
     """Operator fusion for the hot path: extract (when html is present) +
-    link + within-batch partial triple dedup, all inside one actor call.
+    link + within-batch partial triple dedup, all inside one task call.
 
-    Keeps the expensive work on the scalable actor pool and leaves only the
+    Keeps the expensive work in the parallel map stage and leaves only the
     final low-cardinality bucket merge outside it — the key to linear
-    scaling of the core extract->link->canonicalize flow (the non-pool CPUs
-    otherwise serialize the canonicalization tail)."""
+    scaling of the core extract->link->canonicalize flow (otherwise the
+    canonicalization tail serializes behind the scan)."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         from .extract import extract_batch
@@ -347,7 +349,7 @@ class FusedExtractLinkPartial(EntityLinker):
         )
 
 
-# Default scan strategy for the pool stages.  "token" and "vector" are
+# Default scan strategy for the link stages.  "token" and "vector" are
 # byte-identical (tests/test_linking_vec.py); the choice is a performance
 # policy — overridable per call or via LINK_STRATEGY (the --source-parser
 # strategy-flag analog, ``input_params.py:37-42``).
@@ -378,73 +380,81 @@ def _resolve_cls(cls, strategy: str):
     return cls
 
 
-def _pool_stage(cls, extracted, alias_ref, concurrency, batch_size, strategy):
+# One-entry per-process linker memo: ((alias ref hex, class, strategy),
+# linker).  Keyed by the ref's id, not the ref itself, so a worker never
+# pins an old dictionary in the object store; a new ``ray.put`` (a new
+# dictionary or a new build) is a new key, so a memo hit is never stale.
+_LINKER_MEMO: tuple | None = None
+
+
+def _memo_linker(cls, alias_ref: ray.ObjectRef, strategy: str):
+    global _LINKER_MEMO
+    key = (alias_ref.hex(), cls, strategy)
+    if _LINKER_MEMO is None or _LINKER_MEMO[0] != key:
+        _LINKER_MEMO = (key, cls(ray.get(alias_ref), strategy))
+    return _LINKER_MEMO[1]
+
+
+def _link_batch(batch: pa.Table, cls, alias_ref, strategy: str) -> pa.Table:
+    return _memo_linker(cls, alias_ref, strategy)(batch)
+
+
+def _link_map(cls, ds, columns, alias_ref, concurrency, batch_size, strategy):
+    """Task-based ``map_batches`` of linker ``cls`` over ``ds[columns]``;
+    concurrency defaults to the ``default_pool_size`` upper bound."""
     strategy = strategy or DEFAULT_STRATEGY
-    return extracted.select_columns(["url", "text"]).map_batches(
-        _resolve_cls(cls, strategy),
-        fn_constructor_args=(alias_ref, strategy),
+    return ds.select_columns(columns).map_batches(
+        _link_batch,
+        fn_args=(_resolve_cls(cls, strategy), alias_ref, strategy),
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency or default_pool_size(),
+        concurrency=concurrency or default_pool_size()[1],
     )
-
-
-def link_stage(
-    extracted: ray.data.Dataset,
-    alias_ref,
-    *,
-    concurrency: int | tuple[int, int] | None = None,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    strategy: str | None = None,
-) -> ray.data.Dataset:
-    """extracted(url, text) -> candidate triples (actor pool)."""
-    return _pool_stage(EntityLinker, extracted, alias_ref, concurrency, batch_size, strategy)
 
 
 def mention_stage(
     extracted: ray.data.Dataset,
     alias_ref,
     *,
-    concurrency: int | tuple[int, int] | None = None,
+    concurrency: int | None = None,
     batch_size: int = DEFAULT_BATCH_SIZE,
     strategy: str | None = None,
 ) -> ray.data.Dataset:
-    return _pool_stage(MentionScanner, extracted, alias_ref, concurrency, batch_size, strategy)
+    return _link_map(
+        MentionScanner, extracted, ["url", "text"], alias_ref, concurrency, batch_size, strategy
+    )
 
 
 def link_scan_stage(
     extracted: ray.data.Dataset,
     alias_ref,
     *,
-    concurrency: int | tuple[int, int] | None = None,
+    concurrency: int | None = None,
     batch_size: int = DEFAULT_BATCH_SIZE,
     strategy: str | None = None,
 ) -> ray.data.Dataset:
     """One-pass combined stage (preferred in full builds)."""
-    return _pool_stage(LinkScan, extracted, alias_ref, concurrency, batch_size, strategy)
+    return _link_map(
+        LinkScan, extracted, ["url", "text"], alias_ref, concurrency, batch_size, strategy
+    )
 
 
 def fused_link_partial_stage(
     pages: ray.data.Dataset,
     alias_ref,
     *,
-    concurrency: int | tuple[int, int] | None = None,
+    concurrency: int | None = None,
     batch_size: int = DEFAULT_BATCH_SIZE,
     strategy: str | None = None,
 ) -> ray.data.Dataset:
     """pages(url, html|text) -> per-batch partial triples
     (subj, pred, obj, evidence_url, n) — extract + link + partial dedup
-    fused in ONE actor call (dead letters dropped).  Compose with
+    fused in ONE task call (dead letters dropped).  Compose with
     ``canonicalize.merge_partial_triples`` for the canonical triple set:
     the exchange then moves pre-aggregated partials, not candidate rows."""
-    strategy = strategy or DEFAULT_STRATEGY
     cols = [c for c in ("url", "html", "text") if c in pages.schema().names]
-    return pages.select_columns(cols).map_batches(
-        _resolve_cls(FusedExtractLinkPartial, strategy),
-        fn_constructor_args=(alias_ref, strategy),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency or default_pool_size(),
+    return _link_map(
+        FusedExtractLinkPartial, pages, cols, alias_ref, concurrency, batch_size, strategy
     )
 
 

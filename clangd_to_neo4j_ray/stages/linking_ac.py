@@ -32,7 +32,6 @@ from bisect import bisect_right
 
 import polars as pl
 import pyarrow as pa
-import ray
 
 from .linking import _SENTENCE_SPLIT, EntityLinker, _assemble, _tag_union
 
@@ -43,8 +42,7 @@ class AcLinker(EntityLinker):
     """EntityLinker with a batch-level Aho-Corasick scan
     (candidate-triples output)."""
 
-    def __init__(self, alias_ref, strategy: str = "ac"):
-        lut = ray.get(alias_ref) if isinstance(alias_ref, ray.ObjectRef) else alias_ref
+    def __init__(self, lut: dict, strategy: str = "ac"):
         super().__init__(lut, strategy="regex")  # exact fallback scanner
         self.strategy = "ac"
         # List-typed (imploded) patterns: the flat-series form is deprecated

@@ -23,7 +23,6 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray
 
 from .linking import _EDGE_PUNCT, EntityLinker, _assemble, _tag_union
 
@@ -47,8 +46,7 @@ def _shift_eq(arr: np.ndarray, j: int) -> np.ndarray:
 class VectorLinker(EntityLinker):
     """EntityLinker with a batch-vectorized scan (candidate-triples output)."""
 
-    def __init__(self, alias_ref, strategy: str = "vector"):
-        lut = ray.get(alias_ref) if isinstance(alias_ref, ray.ObjectRef) else alias_ref
+    def __init__(self, lut: dict, strategy: str = "vector"):
         super().__init__(lut, strategy="token")  # python paths still usable
         self.strategy = "vector"
         self.ngram_sets = _build_ngram_sets(lut.keys())

@@ -28,6 +28,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from ..context import DEFAULT_BATCH_SIZE
+
 NEO4J_NODE_HEADER = {"node_id": "node_id:ID", "label": ":LABEL", "name": "name"}
 NEO4J_EDGE_HEADER = {"src": ":START_ID", "type": ":TYPE", "dst": ":END_ID"}
 
@@ -83,9 +85,7 @@ def write_graph(
         tmp_csv = neo4j_dir + ".tmp"
         shutil.rmtree(tmp_csv, ignore_errors=True)
         csv_files = write_neo4j_bulk_csv(
-            ray.data.read_parquet(nodes_dir),
-            ray.data.read_parquet(edges_dir),
-            tmp_csv,
+            _read_parquet_per_file(nodes_dir), _read_parquet_per_file(edges_dir), tmp_csv
         )
         shutil.rmtree(neo4j_dir, ignore_errors=True)
         os.replace(tmp_csv, neo4j_dir)
@@ -130,6 +130,16 @@ def write_graph(
     return manifest
 
 
+def _read_parquet_per_file(path: str) -> ray.data.Dataset:
+    """Read a Parquet directory as one block per file: the default read
+    parallelism splits small files, leaving 0-row blocks that every map
+    downstream passes on column-less (Ray's schema-drift warning)."""
+    import glob
+
+    n_files = len(glob.glob(os.path.join(path, "*.parquet")))
+    return ray.data.read_parquet(path, override_num_blocks=max(1, n_files))
+
+
 def _count_parquet_dir(path: str) -> int:
     """Metadata-only row count of a Parquet directory (no data read)."""
     import glob
@@ -143,22 +153,25 @@ def _count_parquet_dir(path: str) -> int:
 
 
 class _PartitionedCsvWriter:
-    """map_batches task: append each batch's per-key runs as headerless CSV
-    part files under ``csv_dir/<prefix>_<KEY>/part-*.csv``.
+    """map_batches task: sort each batch by (key, ...sort cols), then write
+    its per-key runs as headerless CSV part files under
+    ``csv_dir/<prefix>_<KEY>/part-*.csv``.
 
-    The input dataset is distributed-sorted by (key, ...sort cols) first, so
-    each batch holds one or a few contiguous key runs and every part file is
-    internally sorted.  Multiple part files per key is the bulk-import
+    Every part file is internally sorted and holds one label/type; no global
+    sort is needed.  Multiple part files per key is the bulk-import
     contract: ``neo4j-admin database import`` takes a header file plus any
     number of data files per label/type, so no stage ever concatenates a
     whole partition — the old driver-side concat (``_resolve_arrow_refs``
     per label) was the repo's worst scale-killer (VERDICT r1 #3).
     """
 
-    def __init__(self, csv_dir: str, prefix: str, key_col: str, header: dict):
+    def __init__(
+        self, csv_dir: str, prefix: str, key_col: str, sort_cols: list[str], header: dict
+    ):
         self.csv_dir = csv_dir
         self.prefix = prefix
         self.key_col = key_col
+        self.sort_keys = [(c, "ascending") for c in [key_col, *sort_cols]]
         self.header = header
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -166,6 +179,7 @@ class _PartitionedCsvWriter:
 
         paths, keys, rows = [], [], []
         if batch.num_rows:
+            batch = batch.sort_by(self.sort_keys)
             opts = pacsv.WriteOptions(include_header=False)
             for key_tbl in _key_slices(batch, self.key_col):
                 key = key_tbl[self.key_col][0].as_py()
@@ -214,13 +228,15 @@ def _write_partitioned_csv(
     sort_cols: list[str],
     header: dict,
 ) -> list[str]:
-    """ONE distributed sort by (key, sort cols), then streaming per-run part
-    writes.  Returns the written part paths (collected as tiny manifest rows,
-    not data)."""
-    ordered = ds.sort([key_col] + sort_cols)
-    manifest = ordered.map_batches(
-        _PartitionedCsvWriter(csv_dir, prefix, key_col, header),
+    """Streaming per-batch writes, each batch sorted by (key, sort cols) —
+    no exchange.  Batches of ``DEFAULT_BATCH_SIZE`` rows bound a writer's
+    memory and coalesce the many small blocks of a graph union, so a label
+    gets a few part files, not one per block.  Returns the written part
+    paths (collected as tiny manifest rows, not data)."""
+    manifest = ds.map_batches(
+        _PartitionedCsvWriter(csv_dir, prefix, key_col, sort_cols, header),
         batch_format="pyarrow",
+        batch_size=DEFAULT_BATCH_SIZE,
     )
     return sorted(r["path"] for r in manifest.take_all())
 
@@ -407,9 +423,9 @@ def write_neo4j_bulk_csv(
     The three ingest strategies mirror the reference's K2 surface
     (``clangd_symbol_nodes_builder.py:126-146``, ``input_params.py:46-51``):
 
-    - ``batched-parallel`` (default): one distributed sort per table, then
-      streaming per-part writers — many sorted part files per partition, no
-      driver-side materialization at ANY size;
+    - ``batched-parallel`` (default): streaming per-block writers, each
+      block sorted locally — many sorted part files per partition, no
+      exchange and no driver-side materialization at ANY size;
     - ``isolated-parallel``: one writer owns each label/type partition
       (single file per partition, partition must fit a worker);
     - ``unwind-sequential``: one driver-side writer over the globally

@@ -62,8 +62,8 @@ def sample_weighted(sf_dir: str) -> ray.data.Dataset:
     quality/length-upsampling draw a data-mixing pipeline runs, vs the
     uniform per-stratum draw of ``sample_stratified``.  Seeded md5 makes
     the draw stable across runs, machines, and repartitioning; the keep
-    decision is a lexicographic hex compare against a per-doc integer
-    threshold, so the oracle reproduces every row.
+    decision is an integer compare of the md5 prefix (24 bits, parsed from
+    hex) against a per-doc threshold, so the oracle reproduces every row.
 
     Output: (doc_id, n_tokens, p_permille) for kept docs.  Pure
     projection + filter — zero exchanges."""

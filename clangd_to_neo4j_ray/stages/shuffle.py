@@ -258,6 +258,31 @@ def _bucketed_polars(
     )
 
 
+def drop_empty_blocks(ds: ray.data.Dataset) -> ray.data.Dataset:
+    """Materialize ``ds`` without its 0-row blocks.
+
+    A bucketed exchange leaves one 0-row, column-less block per empty sort
+    partition, and Ray Data never calls a map UDF on a 0-row block: every
+    map downstream passes it on column-less, which Ray logs as schema drift
+    ("RefBundle with a different schema").  Dropping those blocks once, at
+    the materialization point, keeps every derived block typed.  A dataset
+    whose blocks are all empty is returned as is."""
+    from ray.data._internal.logical.interfaces import LogicalPlan
+    from ray.data._internal.logical.operators.input_data_operator import InputData
+    from ray.data._internal.plan import ExecutionPlan
+    from ray.data.dataset import MaterializedDataset
+
+    mat = ds.materialize()
+    bundles = mat._logical_plan.dag.output_data()
+    kept = [b for b in bundles if b.num_rows()]
+    if not kept or len(kept) == len(bundles):
+        return mat
+    return MaterializedDataset(
+        ExecutionPlan(mat._plan.stats(), data_context=mat.context),
+        LogicalPlan(InputData(input_data=kept), mat.context),
+    )
+
+
 _POLARS_AGGS = {
     "sum": lambda c: pl.col(c).sum(),
     "min": lambda c: pl.col(c).min(),

@@ -1,0 +1,159 @@
+"""Shape of the pages->KG build plan: typed part files, the exchange count,
+and the per-process linker memo of the task-based link stages."""
+
+from __future__ import annotations
+
+import glob
+import logging
+import os
+
+import pyarrow as pa
+import pyarrow.parquet as pq
+import ray
+import ray.data
+
+from clangd_to_neo4j_ray.pipelines.build_graph import build_graph
+from clangd_to_neo4j_ray.sources.fixtures import (
+    alias_lookup,
+    generate_pages,
+    write_pages_fixture,
+)
+from clangd_to_neo4j_ray.stages.linking import LinkScan, link_scan_stage
+from clangd_to_neo4j_ray.stages.materialize import validate_graph
+
+
+def _flat_corpus_with_silent_page(tmp_path, n_pages: int = 120):
+    """The F1 fixture (flat urls: no FOLDER nodes) plus one page whose text
+    mentions no entity."""
+    fx = generate_pages(n_pages)
+    silent = fx.pages.slice(0, 1).to_pylist()[0]
+    silent["url"] = "https://d00.example.com/silent"
+    silent["html"] = b"<html><body><p>Nothing to link here.</p></body></html>"
+    silent["text"] = "Nothing to link here."
+    fx.pages = pa.concat_tables(
+        [fx.pages, pa.Table.from_pylist([silent], schema=fx.pages.schema)]
+    )
+    path = str(tmp_path / "pages")
+    write_pages_fixture(fx, path, num_files=6)
+    return fx, path
+
+
+def test_part_file_schemas_identical(tmp_path):
+    fx, path = _flat_corpus_with_silent_page(tmp_path)
+    out = str(tmp_path / "graph")
+    build_graph(path, fx.entities, out)
+    for table, cols in (("nodes", ["node_id", "label", "name"]),
+                        ("edges", ["src", "type", "dst"])):
+        files = sorted(glob.glob(os.path.join(out, table, "*.parquet")))
+        assert files
+        schemas = {pq.read_schema(f).remove_metadata() for f in files}
+        expected = pa.schema([(c, pa.string()) for c in cols])
+        assert schemas == {expected}, (table, schemas)
+    nodes = pq.read_table(os.path.join(out, "nodes"))
+    assert "FOLDER" not in set(nodes["label"].to_pylist())
+    assert "page:https://d00.example.com/silent" in set(nodes["node_id"].to_pylist())
+    v = validate_graph(out)
+    assert v == {"duplicate_node_ids": 0, "dangling_edges": 0, "orphan_nodes": 0}
+
+
+class _SchemaDriftLog(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.hits: list[str] = []
+
+    def emit(self, record):
+        msg = record.getMessage()
+        if "different schema" in msg:
+            self.hits.append(msg)
+
+
+def test_build_logs_no_schema_drift(tmp_path):
+    """Exchange outputs lose their 0-row, column-less blocks before any map
+    runs over them, so no operator of a build reports schema drift."""
+    fx, path = _flat_corpus_with_silent_page(tmp_path)
+    handler = _SchemaDriftLog()
+    logger = logging.getLogger("ray.data")
+    logger.addHandler(handler)
+    try:
+        build_graph(path, fx.entities, str(tmp_path / "graph"))
+    finally:
+        logger.removeHandler(handler)
+    assert handler.hits == []
+
+
+def test_build_runs_three_exchanges_and_no_actor_pool(tmp_path, monkeypatch):
+    """One build_graph (Neo4j CSV included) runs exactly three exchanges —
+    canonicalize, hierarchy, entity/mention — and starts no actor pool."""
+    from ray.data import Dataset
+    from ray.data.grouped_data import GroupedData
+
+    fx, path = _flat_corpus_with_silent_page(tmp_path)
+    exchanges: list[str] = []
+    actor_stages: list[str] = []
+    inside_groupby = [0]
+
+    def count_exchange(name, orig):
+        def wrapper(self, *args, **kwargs):
+            if not inside_groupby[0]:
+                exchanges.append(name)
+            return orig(self, *args, **kwargs)
+
+        return wrapper
+
+    def grouped(orig):
+        # map_groups/aggregate sort internally: part of the counted groupby
+        def wrapper(self, *args, **kwargs):
+            inside_groupby[0] += 1
+            try:
+                return orig(self, *args, **kwargs)
+            finally:
+                inside_groupby[0] -= 1
+
+        return wrapper
+
+    def mapping(name, orig):
+        def wrapper(self, fn, *args, **kwargs):
+            if isinstance(fn, type) or isinstance(kwargs.get("concurrency"), tuple):
+                actor_stages.append(f"{name}({getattr(fn, '__name__', fn)})")
+            return orig(self, fn, *args, **kwargs)
+
+        return wrapper
+
+    for name in ("groupby", "sort", "repartition", "random_shuffle", "unique", "join"):
+        monkeypatch.setattr(Dataset, name, count_exchange(name, getattr(Dataset, name)))
+    for name in ("map_groups", "aggregate"):
+        monkeypatch.setattr(GroupedData, name, grouped(getattr(GroupedData, name)))
+    for name in ("map_batches", "map", "flat_map", "filter"):
+        monkeypatch.setattr(Dataset, name, mapping(name, getattr(Dataset, name)))
+
+    build_graph(path, fx.entities, str(tmp_path / "graph"))
+    assert exchanges == ["groupby"] * 3
+    assert actor_stages == []
+
+
+def _link_rows(tbl: pa.Table) -> set[tuple]:
+    return set(zip(*(tbl[c].to_pylist() for c in tbl.column_names)))
+
+
+def test_link_scan_memo_is_per_dictionary():
+    """Two link_scan_stage runs in one session with different dictionaries
+    each see their own dictionary (no stale per-process linker), and the
+    task-map output equals the in-process LinkScan as a row set."""
+    from clangd_to_neo4j_ray.stages.extract import extract_batch
+
+    fx = generate_pages(80)
+    batch = extract_batch(fx.pages).select(["url", "text"])
+    lut_a = alias_lookup(fx.entities)
+    # same surfaces, every entity id renamed: any stale linker shows up
+    lut_b = {
+        alias: ("b-" + v if isinstance(v, str) else [("b-" + e, c) for e, c in v])
+        for alias, v in lut_a.items()
+    }
+    pages = ray.data.from_arrow(batch).repartition(4)
+    for lut in (lut_a, lut_b, lut_a):
+        got = link_scan_stage(pages, ray.put(lut), batch_size=16).to_arrow_refs()
+        got = pa.concat_tables(
+            [t for t in ray.get(got) if t.num_rows], promote_options="default"
+        )
+        want = LinkScan(lut)(batch)
+        assert _link_rows(got.select(want.column_names)) == _link_rows(want)

@@ -21,7 +21,7 @@ from clangd_to_neo4j_ray.pipelines.enrich import (
     rollup_hierarchy,
 )
 from clangd_to_neo4j_ray.stages.hierarchy import (
-    folder_dataset,
+    hierarchy_dataset,
     hierarchy_edges,
     hierarchy_nodes,
     page_ancestry,
@@ -56,8 +56,9 @@ def test_page_ancestry_all_prefixes():
 
 def test_hierarchy_nodes_edges_three_deep():
     pages = ray.data.from_arrow(_pages_table())
-    nodes = hierarchy_nodes(pages).to_pandas()
-    edges = hierarchy_edges(pages).to_pandas()
+    hier = hierarchy_dataset(pages)
+    nodes = hierarchy_nodes(pages, hier).to_pandas()
+    edges = hierarchy_edges(pages, hier).to_pandas()
 
     folders = set(nodes[nodes["label"] == "FOLDER"]["name"])
     # every prefix level exists (a-level AND a/b-level)
@@ -87,7 +88,8 @@ def test_hierarchy_nodes_edges_three_deep():
         pa.table({"url": pa.array(
             ["https://x.com/p1", "https://x.com/p2"], type=pa.string())})
     )
-    assert folder_dataset(flat).count() == 0
+    flat_hier = hierarchy_dataset(flat).to_pandas()
+    assert (flat_hier["label"] == "FOLDER").sum() == 0
 
 
 def _write_partitions(table: pa.Table, out_dir: str, n_files: int) -> None:

@@ -149,17 +149,23 @@ def test_url_frontier_excludes_crawled_pages(ray_session):
     df = to_pandas(lg.url_frontier(SF))
     doc_refs = df[df["url"].str.contains("/doc/")]
     con = duckdb.connect()
-    n = con.sql(
-        "SELECT count(*) FROM read_parquet"
-        "('/root/testdata/sf0.001/documents.parquet')"
-    ).fetchone()[0]
+    docs = f"read_parquet('{SF}/documents.parquet')"
+    n = con.sql(f"SELECT count(*) FROM {docs}").fetchone()[0]
+    corpus_urls = {
+        u
+        for (u,) in con.sql(
+            "SELECT 'https://' || source || '.example.com/doc/' "
+            f"|| CAST(doc_id AS VARCHAR) FROM {docs}"
+        ).fetchall()
+    }
     con.close()
     assert len(doc_refs) == 20  # the last 20 docs' next links dangle
     # every dangling ref points past the corpus
     ids = doc_refs["url"].str.extract(r"/doc/(\d+)$")[0].astype(int)
     assert (ids >= n).all()
     # no frontier URL is a corpus page
-    assert not df["url"].str.contains("/doc/").all() or len(df) > 20
+    assert len(corpus_urls) == n
+    assert not set(df["url"]) & corpus_urls
 
 
 def test_host_profiles_matches_oracle(ray_session):

@@ -239,7 +239,7 @@ def test_csv_sink_streams_multipart(tmp_path):
         with open(p) as f:
             rows += [line.split(",")[0].strip('"') for line in f if line.strip()]
     assert sorted(rows) == [f"n{i:05d}" for i in range(n - 5)]
-    # each part is internally sorted (distributed sort upstream)
+    # each part is internally sorted (per-block sort in the writer)
     with open(sorted(page_parts)[0]) as f:
         ids = [line.split(",")[0] for line in f]
     assert ids == sorted(ids)
