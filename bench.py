@@ -104,23 +104,21 @@ def run_core() -> dict:
     # pure-process speed (~3.7k pages/s per worker at the all-core frequency
     # envelope).
     pool = max(1, NUM_CPUS * 3 // 4)
-    strategy = os.environ.get("BENCH_STRATEGY")  # None -> linking default
-    # Warm the worker processes (imports + the per-process linker memo) with
-    # a tiny run of the same stage before timing: cold workers cost ~5 s of
-    # pure process-fork + import latency at 24-way concurrency (measured r2),
-    # a fixed job-setup cost a long-lived cluster pays once — not part of
+    # Warm the worker processes (imports, and the per-process linker memo
+    # with its token index) with a tiny run of the same stage, sharing one
+    # alias ref, before timing: cold workers cost ~5 s of pure process-fork
+    # + import latency at 24-way concurrency (measured r2), a fixed
+    # job-setup cost a long-lived cluster pays once — not part of
     # steady-state throughput.
     warm = ray.data.from_items(
         [{"url": f"w{i}", "text": "Warmup."} for i in range(pool)]
     )
     lut_ref = ray.put(lut)
-    fused_link_partial_stage(
-        warm, lut_ref, concurrency=pool, batch_size=1, strategy=strategy
-    ).count()
+    fused_link_partial_stage(warm, lut_ref, concurrency=pool, batch_size=1).count()
     t0 = time.perf_counter()
     pages = ray.data.read_parquet(pages_dir)
     partials = fused_link_partial_stage(
-        pages, lut_ref, concurrency=pool, batch_size=2048, strategy=strategy
+        pages, lut_ref, concurrency=pool, batch_size=2048
     )
     n_triples = merge_partial_triples(partials).count()
     wall = time.perf_counter() - t0

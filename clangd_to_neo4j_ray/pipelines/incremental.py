@@ -27,7 +27,7 @@ import ray.data
 from ..sources.fixtures import EntityRecord, alias_lookup
 from ..stages.canonicalize import canonicalize_triples
 from ..stages.extract import extract_batch
-from ..stages.linking import LinkScan
+from ..stages.linking import LinkScan, split_link_scan
 from ..state.checkpoint import StageCheckpoint
 
 
@@ -64,20 +64,9 @@ def incremental_build(
     ckpt = StageCheckpoint(work_dir, "link")
     stage1 = ckpt.run(pages_dir, _link_partition(lut))
 
-    tagged = ckpt.output_dataset()
-    candidates = tagged.map_batches(
-        lambda t: t.filter(pa.compute.equal(t["kind"], "triple")).select(
-            ["subj", "pred", "obj", "evidence_url"]
-        ),
-        batch_format="pyarrow",
-    )
+    candidates, mentions = split_link_scan(ckpt.output_dataset())
     triples = canonicalize_triples(candidates).materialize()
-    mentions = tagged.map_batches(
-        lambda t: t.filter(pa.compute.equal(t["kind"], "mention")).select(
-            ["url", "entity_id"]
-        ),
-        batch_format="pyarrow",
-    ).materialize()
+    mentions = mentions.materialize()
 
     # nodes/edges from the checkpointed intermediates (same construction as
     # the in-memory build — shared via graph_nodes_edges)

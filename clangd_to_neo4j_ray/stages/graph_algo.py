@@ -402,6 +402,9 @@ pairs AS (
 )"""
 
 
+_NO_SEED_IN_GRAPH = "personalized pagerank: no seed of {} is a node of the graph"
+
+
 def _pagerank_engine(
     edges: ray.data.Dataset,
     *,
@@ -502,9 +505,10 @@ def _pagerank_engine(
             pr = np.full(n_nodes, init, dtype=np.int64)
             tele_vec = np.full(n_nodes, tele, dtype=np.int64)
         else:
-            is_seed = np.array(
-                [n in set(seed_sorted) for n in node_list], dtype=bool
-            )
+            seed_set = set(seed_sorted)
+            is_seed = np.array([n in seed_set for n in node_list], dtype=bool)
+            if not is_seed.any():
+                raise ValueError(_NO_SEED_IN_GRAPH.format(seed_sorted))
             pr = np.where(is_seed, init, 0).astype(np.int64)
             tele_vec = np.where(is_seed, tele, 0).astype(np.int64)
         for _ in range(iters):
@@ -521,6 +525,11 @@ def _pagerank_engine(
             )
         )
 
+    if seed_arr is not None and not nodes.map_batches(
+        lambda t: t.filter(pc.is_in(t["node"], value_set=seed_arr)),
+        batch_format="pyarrow",
+    ).count():
+        raise ValueError(_NO_SEED_IN_GRAPH.format(seed_sorted))
     deg = grouped_agg(pairs, ["src"], {"wsum": ("w", "sum")})
     pairs_deg = bucketed_join(pairs, deg, on="src", how="inner").materialize()
     # bound the rank state's block count per round (see the block-growth
@@ -675,7 +684,8 @@ def pagerank_personalized_ds(
     ``code_graph_rag_generator.py`` J5, generalized to a damped
     multi-hop).  init = scale // |seeds| on seeds else 0; teleport only
     on seeds.  Output: (node, pr_scaled); nodes unreachable from the
-    seeds rank 0."""
+    seeds rank 0.  Raises ``ValueError`` when no seed is a node of the
+    graph (the ranking would be all zeros)."""
     return _pagerank_engine(
         edges,
         src_col=src_col,

@@ -14,31 +14,30 @@ The analog of the reference's reference-scan + caller-resolution passes:
   first-match-in-document-order, the parallel-safe replacement for the
   reference's sorted-span linear scan with ``break``.
 
-Four scan strategies (the ``--source-parser {clang,treesitter}`` strategy
-surface analog, ``compilation_manager.py:113-123``):
+One scan kernel, plus the spec it is tested against (the reference's
+``--source-parser {clang,treesitter}`` pair, ``compilation_manager.py:113-123``,
+is likewise one fast parser and one slow one):
 
-- ``token`` (default): token-anchored dictionary scan — aliases are token
-  sequences; a first-token hash lookup prunes almost every position, then
-  candidates are verified longest-first.  ~10x faster than the regex path
-  (CPython ``re`` alternation tries each branch per position).  Assumes
-  dictionary surfaces are whole-token sequences with only edge punctuation
-  (true for natural-language entity aliases).
-- ``regex``: single longest-first alternation with hard non-alnum
-  boundaries — the reference semantics the oracle implements; used by the
-  P/R tests to prove the token path equivalent on the fixture.
-- ``vector`` (linking_vec.py): Arrow/numpy batch-vectorized token scan.
-- ``ac`` (linking_ac.py): polars Rust Aho-Corasick over the whole batch,
-  regex-exact boundaries/greedy (covers punctuation the token scan's
-  whole-token assumption does not).  Measured ~15% slower than ``token``
-  at the bench dictionary size (post-filtering overlapping hits in Python
-  dominates), but its automaton scan cost is independent of alias count —
-  the strategy of record for very large dictionaries.
+- ``token``: the kernel every stage runs.  Aliases are token sequences; a
+  first-token hash lookup prunes almost every position, then candidates are
+  verified longest-first.  About 3x faster than the regex scan (CPython
+  ``re`` alternation tries each branch per position).  It assumes dictionary
+  surfaces are whole space-separated tokens with punctuation only at token
+  edges (``_EDGE_PUNCT``), which holds for natural-language entity aliases.
+  Punctuation inside a token hides an alias: in ``Alpha-Beta`` or
+  ``Google's`` the regex spec finds ``Alpha`` / ``Google``, the token scan
+  finds nothing.
+- ``regex`` (``EntityLinker(lut, strategy="regex")``): one longest-first
+  alternation with hard non-alnum boundaries, the reference semantics the
+  oracle implements.  No stage selects it; the property tests pin the token
+  scan to it on whole-token text.
 
-The linker is a callable CLASS; the Ray stages run it from a module-level
-task function that keeps a one-entry per-process memo keyed by the broadcast
-alias object ref (``ray.put`` once on the driver).  ``ray.get`` and the token
-index build therefore run once per worker process per dictionary, mirroring
-the reference's per-process ``_worker_impl_instance`` initializer (T1,
+The stage linkers (``LinkScan``, ``FusedExtractLinkPartial``) are callable
+classes; the Ray stages run them from a module-level task function that
+keeps a one-entry per-process memo keyed by the broadcast alias object ref
+(``ray.put`` once on the driver).  ``ray.get`` and the token index build
+therefore run once per worker process per dictionary, mirroring the
+reference's per-process ``_worker_impl_instance`` initializer (T1,
 ``compilation_parser.py:161-187``) without starting a dedicated actor
 process on every build.  Unresolvable pronoun sentences become dead-letter
 rows (pred='__dead_letter__'), not silent drops — SURVEY §7.5.
@@ -145,6 +144,7 @@ class EntityLinker:
 
     ``lut`` is the alias->entity_id dict; the Ray stages broadcast it once
     as an object ref (no shuffle join for the small side, SURVEY §7.4).
+    ``strategy`` is ``"token"`` (the kernel) or ``"regex"`` (the spec).
     """
 
     def __init__(self, lut: dict, strategy: str = "token"):
@@ -302,18 +302,6 @@ class EntityLinker:
             all_m.extend(mentions)
         return _assemble(all_t, all_m)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        cand_tbl, _ = self._tables(batch, want_mentions=False)
-        return cand_tbl
-
-
-class MentionScanner(EntityLinker):
-    """Same state, mention-rows output (the F3 intermediate)."""
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        _, ment_tbl = self._tables(batch)
-        return ment_tbl
-
 
 class LinkScan(EntityLinker):
     """Combined one-pass output: tagged union of candidate-triple rows and
@@ -349,79 +337,34 @@ class FusedExtractLinkPartial(EntityLinker):
         )
 
 
-# Default scan strategy for the link stages.  "token" and "vector" are
-# byte-identical (tests/test_linking_vec.py); the choice is a performance
-# policy — overridable per call or via LINK_STRATEGY (the --source-parser
-# strategy-flag analog, ``input_params.py:37-42``).
-import os as _os
-
-DEFAULT_STRATEGY = _os.environ.get("LINK_STRATEGY", "token")
-
-
-def _resolve_cls(cls, strategy: str):
-    if strategy == "vector":
-        from . import linking_vec as lv
-
-        return {
-            "EntityLinker": lv.VectorLinker,
-            "MentionScanner": lv.VectorMentionScanner,
-            "LinkScan": lv.VectorLinkScan,
-            "FusedExtractLinkPartial": lv.VectorFusedExtractLinkPartial,
-        }[cls.__name__]
-    if strategy == "ac":
-        from . import linking_ac as la
-
-        return {
-            "EntityLinker": la.AcLinker,
-            "MentionScanner": la.AcMentionScanner,
-            "LinkScan": la.AcLinkScan,
-            "FusedExtractLinkPartial": la.AcFusedExtractLinkPartial,
-        }[cls.__name__]
-    return cls
-
-
-# One-entry per-process linker memo: ((alias ref hex, class, strategy),
-# linker).  Keyed by the ref's id, not the ref itself, so a worker never
-# pins an old dictionary in the object store; a new ``ray.put`` (a new
-# dictionary or a new build) is a new key, so a memo hit is never stale.
+# One-entry per-process linker memo: ((alias ref hex, class), linker).
+# Keyed by the ref's id, not the ref itself, so a worker never pins an old
+# dictionary in the object store; a new ``ray.put`` (a new dictionary or a
+# new build) is a new key, so a memo hit is never stale.
 _LINKER_MEMO: tuple | None = None
 
 
-def _memo_linker(cls, alias_ref: ray.ObjectRef, strategy: str):
+def _memo_linker(cls, alias_ref: ray.ObjectRef):
     global _LINKER_MEMO
-    key = (alias_ref.hex(), cls, strategy)
+    key = (alias_ref.hex(), cls)
     if _LINKER_MEMO is None or _LINKER_MEMO[0] != key:
-        _LINKER_MEMO = (key, cls(ray.get(alias_ref), strategy))
+        _LINKER_MEMO = (key, cls(ray.get(alias_ref)))
     return _LINKER_MEMO[1]
 
 
-def _link_batch(batch: pa.Table, cls, alias_ref, strategy: str) -> pa.Table:
-    return _memo_linker(cls, alias_ref, strategy)(batch)
+def _link_batch(batch: pa.Table, cls, alias_ref) -> pa.Table:
+    return _memo_linker(cls, alias_ref)(batch)
 
 
-def _link_map(cls, ds, columns, alias_ref, concurrency, batch_size, strategy):
+def _link_map(cls, ds, columns, alias_ref, concurrency, batch_size):
     """Task-based ``map_batches`` of linker ``cls`` over ``ds[columns]``;
     concurrency defaults to the ``default_pool_size`` upper bound."""
-    strategy = strategy or DEFAULT_STRATEGY
     return ds.select_columns(columns).map_batches(
         _link_batch,
-        fn_args=(_resolve_cls(cls, strategy), alias_ref, strategy),
+        fn_args=(cls, alias_ref),
         batch_format="pyarrow",
         batch_size=batch_size,
         concurrency=concurrency or default_pool_size()[1],
-    )
-
-
-def mention_stage(
-    extracted: ray.data.Dataset,
-    alias_ref,
-    *,
-    concurrency: int | None = None,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    strategy: str | None = None,
-) -> ray.data.Dataset:
-    return _link_map(
-        MentionScanner, extracted, ["url", "text"], alias_ref, concurrency, batch_size, strategy
     )
 
 
@@ -431,11 +374,10 @@ def link_scan_stage(
     *,
     concurrency: int | None = None,
     batch_size: int = DEFAULT_BATCH_SIZE,
-    strategy: str | None = None,
 ) -> ray.data.Dataset:
     """One-pass combined stage (preferred in full builds)."""
     return _link_map(
-        LinkScan, extracted, ["url", "text"], alias_ref, concurrency, batch_size, strategy
+        LinkScan, extracted, ["url", "text"], alias_ref, concurrency, batch_size
     )
 
 
@@ -445,7 +387,6 @@ def fused_link_partial_stage(
     *,
     concurrency: int | None = None,
     batch_size: int = DEFAULT_BATCH_SIZE,
-    strategy: str | None = None,
 ) -> ray.data.Dataset:
     """pages(url, html|text) -> per-batch partial triples
     (subj, pred, obj, evidence_url, n) — extract + link + partial dedup
@@ -454,7 +395,7 @@ def fused_link_partial_stage(
     the exchange then moves pre-aggregated partials, not candidate rows."""
     cols = [c for c in ("url", "html", "text") if c in pages.schema().names]
     return _link_map(
-        FusedExtractLinkPartial, pages, cols, alias_ref, concurrency, batch_size, strategy
+        FusedExtractLinkPartial, pages, cols, alias_ref, concurrency, batch_size
     )
 
 

@@ -4,6 +4,7 @@ dead-letter accounting."""
 from __future__ import annotations
 
 import pyarrow as pa
+import pytest
 import ray.data
 
 from clangd_to_neo4j_ray.stages.graph_algo import (
@@ -416,3 +417,14 @@ def test_personalized_pagerank_both_paths_and_reachability():
     assert drv == dist
     assert drv["s"] > drv["a"] > drv["b"] > 0
     assert drv["x"] == 0 and drv["y"] == 0  # not reachable from the seed
+
+
+def test_personalized_pagerank_rejects_seeds_outside_graph():
+    """No seed in the graph raises on the driver kernel and on the
+    distributed path alike, instead of returning an all-zero ranking."""
+    from clangd_to_neo4j_ray.stages.graph_algo import pagerank_personalized_ds
+
+    ds = ray.data.from_arrow(pa.table({"src": ["s", "a"], "dst": ["a", "b"]}))
+    for threshold in ({}, {"broadcast_threshold": 0}):
+        with pytest.raises(ValueError, match="no seed"):
+            pagerank_personalized_ds(ds, ["nope", "zz"], **threshold).take_all()

@@ -51,12 +51,11 @@ def test_documents_adapter_routes_through_extract():
 
 def test_mention_spans_match_planted(fixture):
     fx, path = fixture
-    from clangd_to_neo4j_ray.stages.linking import mention_stage
-    import ray as _ray
+    from clangd_to_neo4j_ray.stages.linking import link_scan_stage, split_link_scan
 
     pages = ray.data.read_parquet(path)
     lut = alias_lookup(fx.entities)
-    ds = mention_stage(extract_stage(pages), _ray.put(lut))
+    _, ds = split_link_scan(link_scan_stage(extract_stage(pages), ray.put(lut)))
     got = {
         (r["url"], r["entity_id"], r["surface"], r["start"], r["end"])
         for r in ds.take_all()

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import pandas as pd
 import ray.data
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from clangd_to_neo4j_ray.stages.shuffle import distinct, grouped_agg, grouped_sum
@@ -193,20 +193,52 @@ def test_stable_hash_slice_and_chunk_invariant():
     assert list(_stable_hash64(chunked)) == full
 
 
+# whole tokens with edge punctuation, pronoun subjects, relation phrases and
+# sentence ends: the inputs on which the token scan must equal the regex spec
 WORDS = st.sampled_from(
-    ["Alpha", "Beta", "Alpha Beta", "Gamma", "it", "works", "for", "x9", "The Alpha"]
+    [
+        "Alpha", "Beta", "Alpha Beta", "Gamma", "The Alpha", "it", "It",
+        "works", "for", "for.", "x9", "x.", "links", "to", "(Gamma)",
+        '"Alpha"', "Alpha.", "The", "works for", "Alpha,", "Alpha;", "The,",
+        '"Alpha', "New", "New,", "York", "New York", "links to",
+    ]
 )
 
 
-@given(tokens=st.lists(WORDS, min_size=1, max_size=30))
-@settings(max_examples=50, deadline=None)
-def test_token_scan_equals_regex_scan(tokens):
-    """For any space-joined token sequence, the fast token scanner and the
-    reference regex scanner find identical (start, end, surface) spans."""
+@given(
+    sentences=st.lists(
+        st.lists(WORDS, min_size=1, max_size=6), min_size=1, max_size=6
+    )
+)
+@example(sentences=[["New,", "York", "is", "big"]])
+@example(
+    sentences=[
+        ["It", "links to", "Gamma"],
+        ["The,", "Alpha", "links to", "New York"],
+        ['"Alpha', "links", "to", "(Gamma)"],
+        ["(Gamma)", "links", "to", "Alpha;"],
+        ["It", "links to", "Alpha;"],
+    ]
+)
+@settings(max_examples=60, deadline=None)
+def test_token_scan_equals_regex_scan(sentences):
+    """For any document of space-joined token sentences, the fast token
+    scanner and the reference regex scanner find identical (start, end,
+    surface) spans, and ``link_text`` built on each yields identical mention
+    and triple rows (anchored, pronoun and dead-letter relations)."""
     from clangd_to_neo4j_ray.stages.linking import EntityLinker
 
-    lut = {"Alpha": "e1", "Alpha Beta": "e2", "Gamma": "e3", "The Alpha": "e4"}
-    text = " ".join(tokens) + "."
+    lut = {
+        "Alpha": "e1",
+        "Alpha Beta": "e2",
+        "Gamma": "e3",
+        "The Alpha": "e4",
+        "works": "e5",
+        "New York": "e6",
+        "York": "e7",
+    }
+    text = " ".join(" ".join(words) + "." for words in sentences)
     tok = EntityLinker(lut, strategy="token")
     rex = EntityLinker(lut, strategy="regex")
     assert tok.scan(text, 0) == rex.scan(text, 0), text
+    assert tok.link_text("u", text) == rex.link_text("u", text), text
