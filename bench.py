@@ -11,9 +11,10 @@ Prints ONE JSON line:
   {"metric": ..., "value": <headline sec>, "unit": "sec",
    "queries": {...}, "sf": ..., "num_cpus": N, "triples_per_sec": ...}
 
---scaling: runs the headline twice in fresh processes (num_cpus=8 and 32 by
-default) on the same input and reports both throughputs + scaling
-efficiency (the sandbox stand-in for the N vs 4N cluster criterion).
+--scaling: runs the headline build (one pass, no queries) in fresh processes
+at two CPU counts (num_cpus=8 and 32 by default) on the same dense input and
+reports both throughputs + scaling efficiency (the single-host stand-in for
+the N vs 4N cluster criterion).
 """
 
 from __future__ import annotations
@@ -78,59 +79,6 @@ def run_headline() -> dict:
     }
 
 
-def run_core() -> dict:
-    """Core KG flow only (extract -> link -> canonicalize), fixed link-task
-    concurrency — the scaling-criterion workload (the north_star names
-    exactly these stages + the one canonicalization shuffle)."""
-    import ray
-
-    from clangd_to_neo4j_ray.sources.fixtures import alias_lookup, make_entities
-    from clangd_to_neo4j_ray.stages.canonicalize import merge_partial_triples
-    from clangd_to_neo4j_ray.stages.linking import fused_link_partial_stage
-
-    pages_dir = ensure_pages_corpus()
-    lut = alias_lookup(make_entities())
-    ray.data.read_parquet(pages_dir).count()  # warm page cache
-
-    # Fused composition: extract + link + per-batch partial dedup run as ONE
-    # task call; only pre-aggregated partials reach the single bucketed
-    # exchange.  Link-task concurrency 3/4 of the CPUs (leaves room for the
-    # read tasks and the merge).  Rounds 1-2 tried smaller pools to fix
-    # sub-linear scaling, but the true thief was the bucketed exchange: the
-    # old byte-expanding `_stable_hash64` plus Ray's per-row-Python
-    # HASH_SHUFFLE partitioner burned more CPU than the linker itself (563 s
-    # vs 129 s per-stage remote time, measured r2).  With the sampled-window
-    # hash and the sort-based exchange the link tasks run the kernel at
-    # pure-process speed (~3.7k pages/s per worker at the all-core frequency
-    # envelope).
-    pool = max(1, NUM_CPUS * 3 // 4)
-    # Warm the worker processes (imports, and the per-process linker memo
-    # with its token index) with a tiny run of the same stage, sharing one
-    # alias ref, before timing: cold workers cost ~5 s of pure process-fork
-    # + import latency at 24-way concurrency (measured r2), a fixed
-    # job-setup cost a long-lived cluster pays once — not part of
-    # steady-state throughput.
-    warm = ray.data.from_items(
-        [{"url": f"w{i}", "text": "Warmup."} for i in range(pool)]
-    )
-    lut_ref = ray.put(lut)
-    fused_link_partial_stage(warm, lut_ref, concurrency=pool, batch_size=1).count()
-    t0 = time.perf_counter()
-    pages = ray.data.read_parquet(pages_dir)
-    partials = fused_link_partial_stage(
-        pages, lut_ref, concurrency=pool, batch_size=2048
-    )
-    n_triples = merge_partial_triples(partials).count()
-    wall = time.perf_counter() - t0
-    return {
-        "headline_sec": round(wall, 3),
-        "n_pages": BENCH_PAGES,
-        "n_triples": n_triples,
-        "triples_per_sec": round(n_triples / wall, 1),
-        "pages_per_sec": round(BENCH_PAGES / wall, 1),
-    }
-
-
 QUERY_PASSES = int(os.environ.get("BENCH_QUERY_PASSES", "2"))
 HEADLINE_PASSES = int(os.environ.get("BENCH_HEADLINE_PASSES", "2"))
 # Soft wall-clock budget for the query passes: pass k+1 only starts if the
@@ -163,8 +111,11 @@ def run_queries() -> tuple[dict[str, float], dict[str, list[float]]]:
     return {name: min(v) for name, v in runs.items()}, runs
 
 
-def main() -> None:
+def init_ray() -> None:
+    """Local Ray session with ``NUM_CPUS`` CPUs and the repo's DataContext."""
     import ray
+
+    from clangd_to_neo4j_ray.context import tune_data_context
 
     ray.init(
         address="local",
@@ -178,9 +129,13 @@ def main() -> None:
         runtime_env={"env_vars": {"POLARS_MAX_THREADS": "1",
                                   "OMP_NUM_THREADS": "1"}},
     )
-    from clangd_to_neo4j_ray.context import tune_data_context
-
     tune_data_context()
+
+
+def main() -> None:
+    import ray
+
+    init_ray()
 
     # headline min-of-N too (same rationale as the query passes)
     hl_runs = [run_headline() for _ in range(max(1, HEADLINE_PASSES))]
@@ -209,8 +164,9 @@ def scaling(
     lo: int = int(os.environ.get("SCALE_LO", "8")),
     hi: int = int(os.environ.get("SCALE_HI", "32")),
 ) -> None:
-    """Same core KG job, fresh processes at two parallelism levels — the
-    sandbox stand-in for the N vs 4N cluster-size criterion.
+    """The headline build (``run_headline``), fresh processes at two
+    parallelism levels — the single-host stand-in for the N vs 4N
+    cluster-size criterion.
 
     The low leg is measured two ways:
 
@@ -234,7 +190,6 @@ def scaling(
             os.environ,
             RAY_GRAFT_CPUS=str(ncpu),
             BENCH_SKIP_QUERIES="1",
-            BENCH_CORE="1",
             BENCH_PAGES=scale_pages,
             BENCH_DENSE="1",
         )
@@ -302,19 +257,8 @@ if __name__ == "__main__":
             # scaling mode: headline only
             import ray
 
-            ray.init(
-                address="local",
-                num_cpus=NUM_CPUS,
-                include_dashboard=False,
-                ignore_reinit_error=True,
-                logging_level="ERROR",
-                runtime_env={"env_vars": {"POLARS_MAX_THREADS": "1",
-                                          "OMP_NUM_THREADS": "1"}},
-            )
-            from clangd_to_neo4j_ray.context import tune_data_context
-
-            tune_data_context()
-            headline = run_core() if os.environ.get("BENCH_CORE") else run_headline()
+            init_ray()
+            headline = run_headline()
             ray.shutdown()
             print(
                 json.dumps(

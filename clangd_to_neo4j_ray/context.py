@@ -91,57 +91,28 @@ def _pin_fsspec_http_stub() -> None:
 _pin_fsspec_http_stub()
 
 
-def tune_data_context(
-    *,
-    target_max_block_size: int | None = 128 * 1024 * 1024,
-    preserve_order: bool = False,
-    quiet: bool = True,
-    hash_shuffle: bool = False,
-) -> None:
+def tune_data_context() -> None:
     """Apply standard DataContext settings.
 
-    ``preserve_order=False`` lets the streaming executor consume blocks in
-    completion order (the analog of the reference's ``as_completed``
-    consumption, ``compilation_parser.py:222``) — all our canonicalization
-    semantics are order-independent by design (SURVEY §7.5), so order
-    preservation is never required for correctness.
+    128 MiB target blocks; no progress bars.  ``preserve_order=False`` lets
+    the streaming executor consume blocks in completion order (the analog
+    of the reference's ``as_completed`` consumption,
+    ``compilation_parser.py:222``) — all our canonicalization semantics are
+    order-independent by design (SURVEY §7.5), so order preservation is
+    never required for correctness.  The shuffle strategy stays Ray's
+    sort-based default: every build exchange is bucketed on an int64
+    ``__bucket`` column (stages/shuffle.py), which the sort path
+    range-partitions with vectorized pyarrow kernels, while this Ray
+    version's hash shuffle hashes rows in a Python loop.
     """
     ctx = ray.data.DataContext.get_current()
-    if target_max_block_size is not None:
-        ctx.target_max_block_size = target_max_block_size
-    ctx.execution_options.preserve_order = preserve_order
-    # Hash-partitioned shuffle is OFF by default and should stay off for
-    # large exchanges on this Ray version: the operator's map side
-    # (`hash_partition`, ray/data/_internal/arrow_ops/transform_pyarrow.py)
-    # hashes `tuple(col[i] ...)` in a per-row Python loop with pyarrow
-    # scalars — measured r2 at 1.4-4.3 s per 66k-row block, which made the
-    # exchange the most expensive stage of the core flow.  The sort-based
-    # default range-partitions our int64 `__bucket` column with vectorized
-    # pyarrow kernels instead.  Kept as an opt-in for small exchanges only.
-    if hash_shuffle:
-        try:
-            from ray.data.context import ShuffleStrategy
-
-            cpus = (
-                int(ray.cluster_resources().get("CPU", 4))
-                if ray.is_initialized()
-                else 4
-            )
-            ctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
-            # aggregators must scale with the cluster or the exchange is the
-            # serial tail (measured r2: 1 aggregator at 8 cpus vs 4 at 32
-            # capped core-flow scaling); cpus//4 with the pool at cpus//2
-            # leaves cpus//4 for read/driver
-            ctx.max_hash_shuffle_aggregators = max(1, cpus // 4)
-            ctx.default_hash_shuffle_parallelism = max(4, cpus)
-        except ImportError:
-            pass
-    if quiet:
-        ctx.enable_progress_bars = False
-        try:
-            ctx.execution_options.verbose_progress = False
-        except AttributeError:
-            pass
+    ctx.target_max_block_size = 128 * 1024 * 1024
+    ctx.execution_options.preserve_order = False
+    ctx.enable_progress_bars = False
+    try:
+        ctx.execution_options.verbose_progress = False
+    except AttributeError:
+        pass
 
 
 def default_pool_size() -> tuple[int, int]:
@@ -151,11 +122,12 @@ def default_pool_size() -> tuple[int, int]:
     A pool that reserves every CPU starves the task operators feeding it and
     the pipeline deadlocks (observed with concurrency=4 on a 4-CPU local
     cluster).  The upper bound is 3/4 of the CPUs — the best point of the
-    r2 sweep once the exchange stopped stealing CPU (bench.py run_core):
-    larger pools slow the overlapped combine/exchange more than they speed
-    the scan.  The reference sizes its pools the same way: parse workers
-    default to ceil(cpu/2), not cpu (``input_params.py:16-24``).  The
-    task-based link stages cap their concurrency at the upper bound.
+    r2 link-pool sweep on the extract+link+canonicalize core flow, once the
+    exchange stopped stealing CPU: larger pools slow the overlapped
+    combine/exchange more than they speed the scan.  The reference sizes
+    its pools the same way: parse workers default to ceil(cpu/2), not cpu
+    (``input_params.py:16-24``).  The task-based link stage caps its
+    concurrency at the upper bound.
     """
     try:
         cpus = int(ray.cluster_resources().get("CPU", 4))

@@ -147,8 +147,6 @@ def build_graph_datasets(
     pages: ray.data.Dataset,
     alias_lut: dict[str, str],
     entity_names: dict[str, str],
-    *,
-    concurrency: int | None = None,
 ):
     """Run the full build, returning (triples, mentions, nodes, edges)
     Datasets.
@@ -164,7 +162,7 @@ def build_graph_datasets(
     extracted = extract_stage(pages).materialize()
 
     # one-pass link+mention scan (the hot dictionary stage runs exactly once)
-    tagged = link_scan_stage(extracted, alias_ref, concurrency=concurrency).materialize()
+    tagged = link_scan_stage(extracted, alias_ref).materialize()
     candidates, mentions = split_link_scan(tagged)
     triples = canonicalize_triples(candidates).materialize()
     mentions = mentions.materialize()
@@ -178,7 +176,6 @@ def build_graph(
     entities: list[EntityRecord],
     out_dir: str,
     *,
-    concurrency: int | None = None,
     write_neo4j_csv: bool = True,
     source_format: str = "parquet",
 ) -> dict:
@@ -198,9 +195,7 @@ def build_graph(
         pages = ray.data.read_parquet(pages_path)
     lut = alias_lookup(entities)
     names = {e.entity_id: e.canonical_name for e in entities}
-    triples, mentions, nodes, edges = build_graph_datasets(
-        pages, lut, names, concurrency=concurrency
-    )
+    triples, mentions, nodes, edges = build_graph_datasets(pages, lut, names)
     manifest = write_graph(
         nodes,
         edges,

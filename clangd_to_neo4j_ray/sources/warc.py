@@ -19,6 +19,9 @@ cross-record state, wide rows projected away by the extract stage.
 
 Only ``WARC-Type: response`` records are ingested; request/metadata
 records (present in real crawls) are skipped by type, never by position.
+A payload that starts with an HTTP status line (``HTTP/1.1 200 OK``, as in
+real Common Crawl records) has its HTTP header block stripped, so ``html``
+is the response body alone.
 """
 
 from __future__ import annotations
@@ -94,6 +97,10 @@ def parse_warc_bytes(buf: bytes) -> pa.Table:
         pos = body_start + length + len(_HDR_END)
         if fields.get("warc-type") != "response":
             continue
+        if body.startswith(b"HTTP/"):
+            http_end = body.find(_HDR_END)
+            if http_end >= 0:
+                body = body[http_end + len(_HDR_END) :]
         urls.append(fields["warc-target-uri"])
         tss.append(_parse_warc_date(fields["warc-date"]))
         htmls.append(body)

@@ -9,9 +9,8 @@ SURVEY §7.5 order-dependence note).
 Skew handling (north_rule "salted groupby"): aggregation is **two-phase** —
 a per-batch partial combine inside ``map_batches`` (phase 1; the batch is an
 implicit salt, so a head key like a popular entity contributes at most one
-row per block to the shuffle) followed by the global ``groupby`` (phase 2).
-``salt_probe`` exposes the explicit A4-style key-count probe
-(``clangd_symbol_nodes_builder.py:290-307``) for diagnosing residual skew.
+row per block to the shuffle) followed by the global bucketed exchange
+(phase 2).  The A4-style head-key probe is ``graph_algo.kg_head_entities``.
 """
 
 from __future__ import annotations
@@ -30,24 +29,20 @@ def _partial_dedup(batch: pa.Table) -> pa.Table:
     return out.rename_columns(["subj", "pred", "obj", "evidence_url", "n"])
 
 
-def canonicalize_triples(
-    candidates: ray.data.Dataset, *, keep_dead_letters: bool = False
-) -> ray.data.Dataset:
+def canonicalize_triples(candidates: ray.data.Dataset) -> ray.data.Dataset:
     """Candidate triples -> canonical deduped triples.
 
     Output: (subj, pred, obj, evidence_url, n_occurrences), unique on
     (subj, pred, obj), evidence = lexicographic min url (deterministic
-    witness).  Dead-letter rows are filtered here (with their count kept in
-    the returned dataset when ``keep_dead_letters``).
+    witness).  Dead-letter rows are filtered here; ``dead_letter_stats``
+    counts them.
     """
     from .shuffle import grouped_agg
 
-    cands = candidates
-    if not keep_dead_letters:
-        cands = cands.map_batches(
-            lambda t: t.filter(pa.compute.not_equal(t["pred"], DEAD_LETTER)),
-            batch_format="pyarrow",
-        )
+    cands = candidates.map_batches(
+        lambda t: t.filter(pa.compute.not_equal(t["pred"], DEAD_LETTER)),
+        batch_format="pyarrow",
+    )
     # large partial batches: better key reduction before the shuffle (a
     # 4k batch dedups ~0%, a 64k batch ~40% on the bench corpus)
     partials = cands.select_columns(["subj", "pred", "obj", "evidence_url"]).map_batches(
@@ -72,49 +67,3 @@ def dead_letter_stats(candidates: ray.data.Dataset) -> pa.Table:
     )
     n = dl.count()
     return pa.table({"pred": pa.array([DEAD_LETTER]), "n": pa.array([n], type=pa.int64())})
-
-
-def merge_partial_triples(partials: ray.data.Dataset) -> ray.data.Dataset:
-    """Final merge for pre-partialed (subj, pred, obj, evidence_url, n) rows
-    (e.g. from FusedExtractLinkPartial): one bucketed low-cardinality
-    exchange.
-
-    A second-level combine over LARGE (1M-row) re-batches runs first: the
-    fused stage's partials are per-2k-page batches, so re-combining across
-    ~500 of them shrinks the exchange several-fold for near-free
-    (task-parallel, no shuffle).  1M-row batches measured best in the
-    OVERLAPPED flow (two back-to-back A/B pairs at 1.2M pages/32 CPUs:
-    20.8/21.3 s vs 22.1/26.4 s for 256k): fewer mid-run combine tasks
-    steal less CPU from the link actor pool, which outweighs the longer
-    one-task tail after the last link output."""
-    from .shuffle import grouped_agg
-
-    def recombine(batch: pa.Table) -> pa.Table:
-        out = batch.group_by(["subj", "pred", "obj"]).aggregate(
-            [("evidence_url", "min"), ("n", "sum")]
-        )
-        return out.rename_columns(["subj", "pred", "obj", "evidence_url", "n"])
-
-    combined = partials.map_batches(
-        recombine, batch_format="pyarrow", batch_size=1 << 20
-    )
-    return grouped_agg(
-        combined,
-        ["subj", "pred", "obj"],
-        {
-            "evidence_url": ("evidence_url", "min"),
-            "n_occurrences": ("n", "sum"),
-        },
-    )
-
-
-def salt_probe(ds: ray.data.Dataset, key: str, top_k: int = 20):
-    """A4-analog skew probe: per-key counts, descending — feeds the choice of
-    explicit salts / repartitioning for head keys at scale.  Runs on the
-    bucketed exchange (the VERDICT r3 native-groupby sweep, What's-wrong
-    #5 / next-round item #2: the native Ray groupby sort-shuffles the raw
-    key per-row in Python on this Ray version)."""
-    from .shuffle import grouped_agg
-
-    counts = grouped_agg(ds, [key], {"n": (key, "size")})
-    return counts.sort("n", descending=True).limit(top_k)

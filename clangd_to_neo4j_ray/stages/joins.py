@@ -1,11 +1,8 @@
 """Join / lookup toolkit (SURVEY §2.4 J1-J9 analogs).
 
-Three physical strategies, chosen by side size — the explicit version of the
+Physical strategies chosen by side size — the explicit version of the
 reference's joins (all of which are driver-side dict lookups):
 
-- ``broadcast_join``: small side shipped once via ``ray.put``, pandas merge
-  per batch inside ``map_batches`` (J2's build-lookup-dict semantics).  No
-  shuffle.
 - ``broadcast_semi_join`` / ``broadcast_anti_join``: key set broadcast,
   vectorized ``is_in`` mask (J5 subset builder / A8 orphan anti-join).
 - large-large: ``Dataset.join`` (Ray's hash-partitioned shuffle join), used
@@ -14,33 +11,10 @@ reference's joins (all of which are driver-side dict lookups):
 
 from __future__ import annotations
 
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data
-
-
-def broadcast_join(
-    left: ray.data.Dataset,
-    right_df: pd.DataFrame,
-    on: list[str] | str,
-    *,
-    how: str = "inner",
-) -> ray.data.Dataset:
-    """Join a Dataset against a small pandas side (broadcast once)."""
-    ref = ray.put(right_df)
-
-    class Joiner:
-        def __init__(self, r):
-            self.right = ray.get(r) if isinstance(r, ray.ObjectRef) else r
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            return batch.merge(self.right, on=on, how=how)
-
-    return left.map_batches(
-        Joiner, fn_constructor_args=(ref,), batch_format="pandas", concurrency=(1, 4)
-    )
 
 
 def _key_set_ref(keys) -> ray.ObjectRef:

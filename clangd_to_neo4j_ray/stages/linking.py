@@ -32,15 +32,15 @@ is likewise one fast parser and one slow one):
   oracle implements.  No stage selects it; the property tests pin the token
   scan to it on whole-token text.
 
-The stage linkers (``LinkScan``, ``FusedExtractLinkPartial``) are callable
-classes; the Ray stages run them from a module-level task function that
-keeps a one-entry per-process memo keyed by the broadcast alias object ref
-(``ray.put`` once on the driver).  ``ray.get`` and the token index build
-therefore run once per worker process per dictionary, mirroring the
-reference's per-process ``_worker_impl_instance`` initializer (T1,
-``compilation_parser.py:161-187``) without starting a dedicated actor
-process on every build.  Unresolvable pronoun sentences become dead-letter
-rows (pred='__dead_letter__'), not silent drops — SURVEY §7.5.
+The stage linker ``LinkScan`` is a callable class; ``link_scan_stage`` runs
+it from a module-level task function that keeps a one-entry per-process
+memo keyed by the broadcast alias object ref (``ray.put`` once on the
+driver).  ``ray.get`` and the token index build therefore run once per
+worker process per dictionary, mirroring the reference's per-process
+``_worker_impl_instance`` initializer (T1, ``compilation_parser.py:161-187``)
+without starting a dedicated actor process on every build.  Unresolvable
+pronoun sentences become dead-letter rows (pred='__dead_letter__'), not
+silent drops — SURVEY §7.5.
 """
 
 from __future__ import annotations
@@ -219,14 +219,14 @@ class EntityLinker:
 
     # -- per-document link pass: one scan, both outputs --
 
-    def link_text(self, url: str, text: str, want_mentions: bool = True):
+    def link_text(self, url: str, text: str):
         """Returns (mention_rows, triple_rows) for one document."""
         sentence_founds = []
         offset = 0
         for sent in _SENTENCE_SPLIT.split(text):
             sentence_founds.append((offset, self.scan(sent, offset)))
             offset += len(sent) + 1  # +1 for the split space
-        return self.doc_relations(url, text, sentence_founds, want_mentions)
+        return self.doc_relations(url, text, sentence_founds)
 
     def resolve(self, alias: str, doc_eids: set[str]) -> str:
         """Dictionary + context-scored entity resolution.
@@ -245,14 +245,12 @@ class EntityLinker:
                 return eid
         return v[0][0]
 
-    def doc_relations(self, url: str, text: str, sentence_founds, want_mentions=True):
+    def doc_relations(self, url: str, text: str, sentence_founds):
         """Shared relation logic given per-sentence mention spans.
 
         ``sentence_founds``: [(sent_start_char, [(start, end, alias), ...])]
         in document order.  Spans are absolute char offsets into ``text``.
-        Sentences without mentions may be omitted (they affect nothing).
-        ``want_mentions=False`` skips mention-row assembly (the
-        candidates-only hot path: mention rows are ~10x the triple rows)."""
+        Sentences without mentions may be omitted (they affect nothing)."""
         # pass 1: page-context entity set from unambiguous mentions
         doc_eids = {
             v
@@ -285,19 +283,18 @@ class EntityLinker:
                     else:
                         # dead-letter: unresolvable context (drop-vs-error)
                         triples.append((None, DEAD_LETTER, obj, url, s1, e1))
-            if want_mentions:
-                for k, (s, e, a) in enumerate(found):
-                    mentions.append(
-                        (url, self.resolve(a, doc_eids), a, s, e, k == anchored_idx)
-                    )
+            for k, (s, e, a) in enumerate(found):
+                mentions.append(
+                    (url, self.resolve(a, doc_eids), a, s, e, k == anchored_idx)
+                )
         return mentions, triples
 
-    def _tables(self, batch: pa.Table, want_mentions: bool = True):
+    def _tables(self, batch: pa.Table):
         urls = batch["url"].to_pylist()
         texts = batch["text"].to_pylist()
         all_m, all_t = [], []
         for url, text in zip(urls, texts):
-            mentions, triples = self.link_text(url, text, want_mentions)
+            mentions, triples = self.link_text(url, text)
             all_t.extend(triples)
             all_m.extend(mentions)
         return _assemble(all_t, all_m)
@@ -313,89 +310,36 @@ class LinkScan(EntityLinker):
         return _tag_union(cand, ment)
 
 
-class FusedExtractLinkPartial(EntityLinker):
-    """Operator fusion for the hot path: extract (when html is present) +
-    link + within-batch partial triple dedup, all inside one task call.
-
-    Keeps the expensive work in the parallel map stage and leaves only the
-    final low-cardinality bucket merge outside it — the key to linear
-    scaling of the core extract->link->canonicalize flow (otherwise the
-    canonicalization tail serializes behind the scan)."""
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from .extract import extract_batch
-
-        if "html" in batch.column_names:
-            batch = extract_batch(batch)
-        cand, _ = self._tables(batch, want_mentions=False)
-        cand = cand.filter(pa.compute.not_equal(cand["pred"], DEAD_LETTER))
-        out = cand.select(["subj", "pred", "obj", "evidence_url"])
-        return (
-            out.group_by(["subj", "pred", "obj"])
-            .aggregate([("evidence_url", "min"), ([], "count_all")])
-            .rename_columns(["subj", "pred", "obj", "evidence_url", "n"])
-        )
-
-
-# One-entry per-process linker memo: ((alias ref hex, class), linker).
-# Keyed by the ref's id, not the ref itself, so a worker never pins an old
+# One-entry per-process linker memo: (alias ref hex, LinkScan).  Keyed by
+# the ref's id, not the ref itself, so a worker never pins an old
 # dictionary in the object store; a new ``ray.put`` (a new dictionary or a
 # new build) is a new key, so a memo hit is never stale.
 _LINKER_MEMO: tuple | None = None
 
 
-def _memo_linker(cls, alias_ref: ray.ObjectRef):
+def _link_batch(batch: pa.Table, alias_ref: ray.ObjectRef) -> pa.Table:
     global _LINKER_MEMO
-    key = (alias_ref.hex(), cls)
+    key = alias_ref.hex()
     if _LINKER_MEMO is None or _LINKER_MEMO[0] != key:
-        _LINKER_MEMO = (key, cls(ray.get(alias_ref)))
-    return _LINKER_MEMO[1]
-
-
-def _link_batch(batch: pa.Table, cls, alias_ref) -> pa.Table:
-    return _memo_linker(cls, alias_ref)(batch)
-
-
-def _link_map(cls, ds, columns, alias_ref, concurrency, batch_size):
-    """Task-based ``map_batches`` of linker ``cls`` over ``ds[columns]``;
-    concurrency defaults to the ``default_pool_size`` upper bound."""
-    return ds.select_columns(columns).map_batches(
-        _link_batch,
-        fn_args=(cls, alias_ref),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency or default_pool_size()[1],
-    )
+        _LINKER_MEMO = (key, LinkScan(ray.get(alias_ref)))
+    return _LINKER_MEMO[1](batch)
 
 
 def link_scan_stage(
     extracted: ray.data.Dataset,
     alias_ref,
     *,
-    concurrency: int | None = None,
     batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> ray.data.Dataset:
-    """One-pass combined stage (preferred in full builds)."""
-    return _link_map(
-        LinkScan, extracted, ["url", "text"], alias_ref, concurrency, batch_size
-    )
-
-
-def fused_link_partial_stage(
-    pages: ray.data.Dataset,
-    alias_ref,
-    *,
-    concurrency: int | None = None,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-) -> ray.data.Dataset:
-    """pages(url, html|text) -> per-batch partial triples
-    (subj, pred, obj, evidence_url, n) — extract + link + partial dedup
-    fused in ONE task call (dead letters dropped).  Compose with
-    ``canonicalize.merge_partial_triples`` for the canonical triple set:
-    the exchange then moves pre-aggregated partials, not candidate rows."""
-    cols = [c for c in ("url", "html", "text") if c in pages.schema().names]
-    return _link_map(
-        FusedExtractLinkPartial, pages, cols, alias_ref, concurrency, batch_size
+    """extracted(url, text) -> tagged union of candidate-triple and mention
+    rows: a task-based ``map_batches`` of ``LinkScan``, concurrency capped
+    at the ``default_pool_size`` upper bound."""
+    return extracted.select_columns(["url", "text"]).map_batches(
+        _link_batch,
+        fn_args=(alias_ref,),
+        batch_format="pyarrow",
+        batch_size=batch_size,
+        concurrency=default_pool_size()[1],
     )
 
 

@@ -6,9 +6,10 @@ The sink family replacing the reference's live-Neo4j ingest (K1/K2/K4,
 - ``nodes/`` and ``edges/`` Parquet directories (partitioned part files —
   resumable layout, never one giant file);
 - Neo4j **bulk-import** CSVs with ``:ID/:LABEL`` and ``:START_ID/:TYPE/:END_ID``
-  headers (``neo4j-admin database import`` format) — MERGE idempotency is
-  guaranteed upstream by canonicalization, so the offline bulk path needs no
-  live DB;
+  headers (``neo4j-admin database import`` format), written by one
+  streaming per-batch writer (several sorted part files per label/type) —
+  MERGE idempotency is guaranteed upstream by canonicalization, so the
+  offline bulk path needs no live DB;
 - ``manifest.json`` per run: lineage (input fingerprint) + per-stage metrics,
   the pickle-cache/commit-stamp analog (S3/S8,
   ``clangd_index_yaml_parser.py:136-192``, ``compilation_manager.py:27-94``).
@@ -25,7 +26,6 @@ import time
 import uuid
 
 import pyarrow as pa
-import pyarrow.compute as pc
 import ray.data
 
 from ..context import DEFAULT_BATCH_SIZE
@@ -241,77 +241,6 @@ def _write_partitioned_csv(
     return sorted(r["path"] for r in manifest.take_all())
 
 
-def _write_isolated_csv(
-    ds: ray.data.Dataset,
-    csv_dir: str,
-    prefix: str,
-    key_col: str,
-    sort_cols: list[str],
-    header: dict,
-) -> list[str]:
-    """ONE writer per key partition (whole partition in one task): the
-    direct isolated-parallel analog.  Right when each partition fits a
-    worker; the batched strategy is the unbounded-size path."""
-
-    def write_group(g: pa.Table) -> pa.Table:
-        import pyarrow.csv as pacsv
-
-        key = g[key_col][0].as_py()
-        g = g.sort_by([(c, "ascending") for c in sort_cols])
-        safe = _safe_key(key)
-        d = os.path.join(csv_dir, f"{prefix}_{safe}")
-        os.makedirs(d, exist_ok=True)
-        cols = [header.get(c, c) for c in g.column_names]
-        with open(os.path.join(d, "header.csv"), "w") as f:
-            f.write(",".join(f'"{c}"' for c in cols) + "\n")
-        path = os.path.join(d, "part-00000.csv")
-        pacsv.write_csv(
-            g, path + ".tmp", write_options=pacsv.WriteOptions(include_header=False)
-        )
-        os.replace(path + ".tmp", path)
-        return pa.table({"path": pa.array([path], type=pa.string())})
-
-    manifest = ds.groupby(key_col).map_groups(write_group, batch_format="pyarrow")
-    return sorted(r["path"] for r in manifest.take_all())
-
-
-def _write_sequential_csv(
-    ds: ray.data.Dataset,
-    csv_dir: str,
-    prefix: str,
-    key_col: str,
-    sort_cols: list[str],
-    header: dict,
-) -> list[str]:
-    """ONE sequential writer consuming the globally sorted stream on the
-    driver (bounded memory, total order preserved): the unwind-sequential
-    analog — by definition not parallel, for ordered single-file dumps."""
-    import pyarrow.csv as pacsv
-
-    ordered = ds.sort([key_col] + sort_cols)
-    opts = pacsv.WriteOptions(include_header=False)
-    handles: dict[str, object] = {}
-    paths: list[str] = []
-    try:
-        for batch in ordered.iter_batches(batch_format="pyarrow"):
-            for key_tbl in _key_slices(batch, key_col):
-                key = _safe_key(key_tbl[key_col][0].as_py())
-                if key not in handles:
-                    d = os.path.join(csv_dir, f"{prefix}_{key}")
-                    os.makedirs(d, exist_ok=True)
-                    cols = [header.get(c, c) for c in batch.column_names]
-                    with open(os.path.join(d, "header.csv"), "w") as f:
-                        f.write(",".join(f'"{c}"' for c in cols) + "\n")
-                    path = os.path.join(d, "part-00000.csv")
-                    handles[key] = pa.OSFile(path, "wb")
-                    paths.append(path)
-                pacsv.write_csv(key_tbl, handles[key], write_options=opts)
-    finally:
-        for h in handles.values():
-            h.close()
-    return sorted(paths)
-
-
 def _safe_key(key) -> str:
     """Injective filesystem encoding of a partition key: percent-escape
     '%' then '/' so distinct keys (e.g. 'FOO/BAR' vs 'FOO_BAR') can never
@@ -404,15 +333,8 @@ def _write_import_artifacts(csv_dir: str, written: list[str]) -> list[str]:
     return [schema_path, import_path]
 
 
-INGEST_STRATEGIES = ("batched-parallel", "isolated-parallel", "unwind-sequential")
-
-
 def write_neo4j_bulk_csv(
-    nodes: ray.data.Dataset,
-    edges: ray.data.Dataset,
-    csv_dir: str,
-    *,
-    strategy: str = "batched-parallel",
+    nodes: ray.data.Dataset, edges: ray.data.Dataset, csv_dir: str
 ) -> list[str]:
     """Per-label node CSV partitions + per-type edge CSV partitions in
     ``neo4j-admin database import`` layout: one directory per label/type
@@ -420,29 +342,16 @@ def write_neo4j_bulk_csv(
     plus sorted part files (O4 stable-dump analog,
     ``compilation_parser.py:258-264``).
 
-    The three ingest strategies mirror the reference's K2 surface
-    (``clangd_symbol_nodes_builder.py:126-146``, ``input_params.py:46-51``):
-
-    - ``batched-parallel`` (default): streaming per-block writers, each
-      block sorted locally — many sorted part files per partition, no
-      exchange and no driver-side materialization at ANY size;
-    - ``isolated-parallel``: one writer owns each label/type partition
-      (single file per partition, partition must fit a worker);
-    - ``unwind-sequential``: one driver-side writer over the globally
-      sorted stream (bounded memory, total order, single file).
+    One writer (the reference's ``batched-parallel`` K2 strategy,
+    ``clangd_symbol_nodes_builder.py:126-146``): streaming per-batch
+    writers, each batch sorted locally — many sorted part files per
+    partition, no exchange and no driver-side materialization at any size.
     """
-    if strategy not in INGEST_STRATEGIES:
-        raise ValueError(f"unknown ingest strategy: {strategy}")
     os.makedirs(csv_dir, exist_ok=True)
-    writer = {
-        "batched-parallel": _write_partitioned_csv,
-        "isolated-parallel": _write_isolated_csv,
-        "unwind-sequential": _write_sequential_csv,
-    }[strategy]
-    written = writer(
+    written = _write_partitioned_csv(
         nodes, csv_dir, "nodes", "label", ["node_id"], NEO4J_NODE_HEADER
     )
-    written += writer(
+    written += _write_partitioned_csv(
         edges, csv_dir, "edges", "type", ["src", "dst"], NEO4J_EDGE_HEADER
     )
     _write_import_artifacts(csv_dir, written)

@@ -1,9 +1,9 @@
 #!/usr/bin/env python
 """Kernel-level scaling evidence for BASELINE.md (no Ray).
 
-Runs the fused extract+link+partial-dedup kernel in N concurrent OS
-processes over an in-memory dense-page batch and reports per-process
-throughput.  Two effects are separable:
+Runs the link-scan kernel (``LinkScan``, the build's link stage linker) in
+N concurrent OS processes over an in-memory dense-page batch and reports
+per-process throughput.  Two effects are separable:
 
 - concurrency scaling: per-proc pages/s at N=1 vs N=6 vs N=24 — flat
   per-proc rates mean no hardware wall and no serial stage;
@@ -40,9 +40,9 @@ def worker(q) -> None:
 
     from clangd_to_neo4j_ray.sources.fixtures import (
         alias_lookup, generate_pages, make_entities)
-    from clangd_to_neo4j_ray.stages.linking import FusedExtractLinkPartial
+    from clangd_to_neo4j_ray.stages.linking import LinkScan
 
-    linker = FusedExtractLinkPartial(alias_lookup(make_entities()), "token")
+    linker = LinkScan(alias_lookup(make_entities()))
     fx = generate_pages(BATCH, sent_range=(20, 40))
     batch = pa.table({"url": fx.pages["url"], "text": fx.pages["text"]})
     linker(batch)  # warmup

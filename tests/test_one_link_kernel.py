@@ -1,8 +1,9 @@
-"""Guard: the link stages run one scan kernel, with no strategy knob.
+"""Guard: every build layer keeps the one path the build runs.
 
-The token scanner is the only kernel the stages run; the regex scanner is
-its test spec.  Alternative kernels selected by a keyword or an environment
-variable must not come back."""
+The token scanner is the only kernel the link stage runs; the regex
+scanner is its test spec.  Alternative kernels selected by a keyword or an
+environment variable, a second fused extract+link+merge composition, spare
+CSV writers and single-valued build options must not come back."""
 
 from __future__ import annotations
 
@@ -10,10 +11,16 @@ import inspect
 import pathlib
 
 import clangd_to_neo4j_ray
-from clangd_to_neo4j_ray.stages import linking
+from clangd_to_neo4j_ray import context
+from clangd_to_neo4j_ray.pipelines import build_graph as build_graph_mod
+from clangd_to_neo4j_ray.stages import canonicalize, linking, materialize
 
 REPO = pathlib.Path(clangd_to_neo4j_ray.__file__).resolve().parent.parent
-BANNED = ("linking_vec", "linking_ac", "LINK_STRATEGY", "BENCH_STRATEGY")
+BANNED = (
+    "linking_vec", "linking_ac", "LINK_STRATEGY", "BENCH_STRATEGY",
+    "FusedExtractLinkPartial", "fused_link_partial_stage",
+    "merge_partial_triples", "INGEST_STRATEGIES", "BENCH_CORE", "hash_shuffle",
+)
 
 
 def test_no_alternative_link_kernel_or_knob():
@@ -34,6 +41,22 @@ def test_link_stages_take_no_strategy():
         for name, fn in vars(linking).items()
         if name.endswith("_stage") and inspect.isfunction(fn)
     }
-    assert set(stages) >= {"link_scan_stage", "fused_link_partial_stage"}
+    assert set(stages) == {"link_scan_stage"}
     for name, fn in stages.items():
         assert "strategy" not in inspect.signature(fn).parameters, name
+
+
+def _params(fn) -> set[str]:
+    return set(inspect.signature(fn).parameters)
+
+
+def test_build_layers_take_no_single_valued_options():
+    assert "strategy" not in _params(materialize.write_neo4j_bulk_csv)
+    assert _params(context.tune_data_context) == set()
+    for fn in (
+        linking.link_scan_stage,
+        build_graph_mod.build_graph_datasets,
+        build_graph_mod.build_graph,
+    ):
+        assert "concurrency" not in _params(fn), fn.__name__
+    assert "keep_dead_letters" not in _params(canonicalize.canonicalize_triples)

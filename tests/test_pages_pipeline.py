@@ -146,64 +146,11 @@ def test_build_graph_rerun_same_outdir(fixture, tmp_path):
     assert v["duplicate_node_ids"] == 0 and v["dangling_edges"] == 0
 
 
-def test_csv_sink_three_strategies_equivalent(tmp_path):
-    """K2: batched-parallel / isolated-parallel / unwind-sequential must
-    produce identical per-partition row multisets; the non-batched ones
-    additionally produce one globally sorted file per partition."""
-    import os
-
-    import pyarrow as pa
-
-    from clangd_to_neo4j_ray.stages.materialize import (
-        INGEST_STRATEGIES,
-        write_neo4j_bulk_csv,
-    )
-
-    n = 600
-    nodes = ray.data.from_arrow(
-        pa.table(
-            {
-                "node_id": [f"n{i:04d}" for i in range(n)],
-                "label": ["PAGE" if i % 3 else "SITE" for i in range(n)],
-                "name": [f"nm{i}" for i in range(n)],
-            }
-        )
-    ).repartition(8)
-    edges = ray.data.from_arrow(
-        pa.table(
-            {
-                "src": [f"n{i:04d}" for i in range(n - 1)],
-                "type": ["LINKS"] * (n - 1),
-                "dst": [f"n{i + 1:04d}" for i in range(n - 1)],
-            }
-        )
-    ).repartition(8)
-
-    contents = {}
-    for strat in INGEST_STRATEGIES:
-        d = str(tmp_path / strat)
-        written = write_neo4j_bulk_csv(nodes, edges, d, strategy=strat)
-        rows = {}
-        for p in written:
-            part_dir = os.path.basename(os.path.dirname(p))
-            with open(p) as f:
-                rows.setdefault(part_dir, []).extend(
-                    line for line in f if line.strip()
-                )
-        contents[strat] = {k: sorted(v) for k, v in rows.items()}
-        if strat != "batched-parallel":  # single sorted file per partition
-            for p in written:
-                with open(p) as f:
-                    lines = [line for line in f]
-                assert lines == sorted(lines), p
-    assert contents["batched-parallel"] == contents["isolated-parallel"]
-    assert contents["batched-parallel"] == contents["unwind-sequential"]
-
-
 def test_csv_sink_streams_multipart(tmp_path):
     """The bulk-CSV sink must never concatenate a label partition: a
     many-block hot label comes out as MULTIPLE sorted part files whose
-    union is exactly the input."""
+    union is exactly the input; every partition has a header and every
+    part file is internally sorted."""
     import os
 
     import pyarrow as pa
@@ -211,11 +158,12 @@ def test_csv_sink_streams_multipart(tmp_path):
     from clangd_to_neo4j_ray.stages.materialize import write_neo4j_bulk_csv
 
     n = 5000
+    labels = ["PAGE"] * (n - 5) + ["SITE"] * 5
     nodes = ray.data.from_arrow(
         pa.table(
             {
                 "node_id": [f"n{i:05d}" for i in range(n)],
-                "label": ["PAGE"] * (n - 5) + ["SITE"] * 5,
+                "label": labels,
                 "name": [f"name{i}" for i in range(n)],
             }
         )
@@ -231,17 +179,38 @@ def test_csv_sink_streams_multipart(tmp_path):
     ).repartition(16)
     csv_dir = str(tmp_path / "neo4j")
     written = write_neo4j_bulk_csv(nodes, edges, csv_dir)
+
+    def rows(part_dir):
+        out = []
+        for p in written:
+            if f"/{part_dir}/" in p:
+                with open(p) as f:
+                    out += [line.rstrip("\n").replace('"', "").split(",")
+                            for line in f if line.strip()]
+        return out
+
     page_parts = [p for p in written if "/nodes_PAGE/" in p]
     assert len(page_parts) > 1, "hot label must stream as multiple parts"
-    rows = []
-    for p in page_parts:
+    assert sorted(r[0] for r in rows("nodes_PAGE")) == [
+        f"n{i:05d}" for i in range(n - 5)
+    ]
+    assert sorted(rows("nodes_SITE")) == [
+        [f"n{i:05d}", "SITE", f"name{i}"] for i in range(n - 5, n)
+    ]
+    assert sorted(rows("edges_LINKS")) == [
+        [f"n{i:05d}", "LINKS", f"n{i + 1:05d}"] for i in range(n - 1)
+    ]
+    # every part is internally sorted (per-batch sort in the writer)
+    for p in written:
         with open(p) as f:
-            rows += [line.split(",")[0].strip('"') for line in f if line.strip()]
-    assert sorted(rows) == [f"n{i:05d}" for i in range(n - 5)]
-    # each part is internally sorted (per-block sort in the writer)
-    with open(sorted(page_parts)[0]) as f:
-        ids = [line.split(",")[0] for line in f]
-    assert ids == sorted(ids)
+            lines = f.readlines()
+        assert lines == sorted(lines), p
+    part_dirs = {os.path.dirname(p) for p in written}
+    assert {os.path.basename(d) for d in part_dirs} == {
+        "nodes_PAGE", "nodes_SITE", "edges_LINKS"
+    }
+    for d in part_dirs:
+        assert os.path.isfile(os.path.join(d, "header.csv")), d
 
 
 def test_csv_sink_emits_schema_and_import_artifacts(tmp_path):

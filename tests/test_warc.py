@@ -16,7 +16,7 @@ from clangd_to_neo4j_ray.sources.warc import (
     record_bytes,
     write_warc_files,
 )
-from clangd_to_neo4j_ray.stages.extract import extract_stage
+from clangd_to_neo4j_ray.stages.extract import extract_stage, extract_text_from_html
 
 
 def _fixture_pages(n: int = 120) -> pa.Table:
@@ -52,6 +52,57 @@ def test_truncated_payload_raises():
 
     with pytest.raises(ValueError, match="truncated"):
         parse_warc_bytes(rec[:-6])  # cut into the payload
+
+
+def _cc_record(warc_type: str, url: str, payload: bytes) -> bytes:
+    """One Common-Crawl-shaped record, gzipped on its own (CC .warc.gz
+    files are one gzip member per record)."""
+    import gzip
+
+    rec = (
+        b"WARC/1.0\r\nWARC-Type: " + warc_type.encode() + b"\r\n"
+        b"WARC-Date: 2025-01-01T00:00:00Z\r\n"
+        b"WARC-Target-URI: " + url.encode() + b"\r\n"
+        b"Content-Type: application/http; msgtype=" + warc_type.encode() + b"\r\n"
+        b"Content-Length: " + str(len(payload)).encode() + b"\r\n\r\n"
+        + payload + b"\r\n\r\n"
+    )
+    return gzip.compress(rec, mtime=0)
+
+
+def test_http_envelope_stripped_from_response_records(tmp_path):
+    bodies = {
+        "https://a.example.com/p1": (
+            b"<html><body><p>Alpha works for Beta.</p>\r\n\r\n"
+            b"<p>It links to Gamma.</p></body></html>"
+        ),
+        "https://b.example.com/p2": b"<html><body><p>Delta.</p></body></html>",
+    }
+    records = [
+        _cc_record(
+            "response",
+            url,
+            b"HTTP/1.1 200 OK\r\nContent-Type: text/html; charset=UTF-8\r\n"
+            b"Content-Length: " + str(len(body)).encode() + b"\r\n\r\n" + body,
+        )
+        for url, body in bodies.items()
+    ]
+    request = _cc_record(
+        "request", "https://a.example.com/p1",
+        b"GET /p1 HTTP/1.1\r\nHost: a.example.com\r\n\r\n",
+    )
+    path = tmp_path / "cc.warc.gz"
+    path.write_bytes(records[0] + request + records[1])
+
+    got = read_warc(str(path)).take_all()
+    assert {r["url"]: r["html"] for r in got} == bodies
+    for r in got:
+        assert extract_text_from_html(r["html"]) == extract_text_from_html(
+            bodies[r["url"]]
+        )
+    assert extract_text_from_html(bodies["https://a.example.com/p1"]) == (
+        "Alpha works for Beta. It links to Gamma."
+    )
 
 
 def test_warc_files_roundtrip_and_extract_parity(ray_session, tmp_path):
