@@ -9,14 +9,16 @@ The Ray-Data re-expression of the reference's full build
       -> canonicalize_triples (bucketed        Pass 4 + D1/D5: MERGE dedup
          two-phase groupby)
       -> entity/hierarchy nodes + edges        Passes 3-5: paths/symbols/includes
-      -> write_graph (Parquet + Neo4j CSV +    K1/K2/K4 sinks + cache manifest
-         manifest)
+      -> write_graph + write_triples           K1/K2/K4 sinks + cache manifest
+         (one streaming sink per table)
 
 One linear dataflow, streaming end-to-end, with exactly three all-to-all
 exchanges per build, all bucketed (stages/shuffle.py): the triple
 canonicalization, the hierarchy distinct (DOMAIN/FOLDER rows keyed by node
-id) and the entity/mention distinct (keyed by entity id).  The Neo4j CSV
-sink sorts per block, not globally.
+id) and the entity/mention distinct (keyed by entity id).  The sink writes
+each nodes/edges batch once, as Parquet and as sorted Neo4j CSV parts from
+the same batch (sorted per batch, not globally), and never reads a written
+row back: a build runs 9 Ray Data executions.
 """
 
 from __future__ import annotations
@@ -181,11 +183,16 @@ def build_graph(
 ) -> dict:
     """End-to-end full build from a pages directory; returns manifest.
 
+    Nodes and edges go through ``write_graph`` (Parquet, plus the Neo4j
+    CSV from the same batches when ``write_neo4j_csv``), the triples
+    through ``write_triples``; every output directory is replaced on a
+    re-run into the same ``out_dir``, never appended to.
+
     ``source_format``: ``parquet`` (default) or ``warc`` — the latter
     ingests Common-Crawl-native WARC/1.0 files via ``sources.warc`` and
     derives text in the shared extract stage (same per-row invariant)."""
     from ..sources.fixtures import alias_lookup
-    from ..stages.materialize import write_graph
+    from ..stages.materialize import write_graph, write_triples
 
     if source_format == "warc":
         from ..sources.warc import read_warc
@@ -203,6 +210,4 @@ def build_graph(
         lineage={"input": pages_path, "format": source_format},
         write_neo4j_csv=write_neo4j_csv,
     )
-    triples.write_parquet(f"{out_dir}/triples")
-    manifest["outputs"]["triples"] = f"{out_dir}/triples"
-    return manifest
+    return write_triples(triples, out_dir, manifest)

@@ -58,7 +58,7 @@ def incremental_build(
     """Run (or resume / incrementally update) the full graph build.
 
     Returns {"stage1": {computed, skipped, purged}, "manifest": ...}."""
-    from ..stages.materialize import write_graph
+    from ..stages.materialize import write_graph, write_triples
 
     lut = alias_lookup(entities)
     ckpt = StageCheckpoint(work_dir, "link")
@@ -82,5 +82,4 @@ def incremental_build(
         lineage={"input": pages_dir, "stage1": stage1},
         write_neo4j_csv=False,
     )
-    triples.write_parquet(f"{out_dir}/triples")
-    return {"stage1": stage1, "manifest": manifest}
+    return {"stage1": stage1, "manifest": write_triples(triples, out_dir, manifest)}

@@ -218,7 +218,7 @@ def connected_components_ds(
     shrinkage).
     """
     from .joins import bucketed_join
-    from .shuffle import distinct, grouped_agg
+    from .shuffle import distinct, drop_empty_blocks, grouped_agg
 
     def both(t: pa.Table) -> pa.Table:
         a = pc.cast(t[src_col], pa.string()).combine_chunks()
@@ -231,12 +231,14 @@ def connected_components_ds(
         )
 
     und = edges.map_batches(both, batch_format="pyarrow").materialize()
-    nodes = distinct(
-        und.map_batches(
-            lambda t: pa.table({"node": t["src"]}), batch_format="pyarrow"
-        ),
-        ["node"],
-    ).materialize()
+    nodes = drop_empty_blocks(
+        distinct(
+            und.map_batches(
+                lambda t: pa.table({"node": t["src"]}), batch_format="pyarrow"
+            ),
+            ["node"],
+        )
+    )
     n_nodes, n_edges = nodes.count(), und.count()
 
     if n_nodes <= broadcast_threshold and n_edges <= broadcast_threshold:
@@ -436,7 +438,7 @@ def _pagerank_engine(
     state never lands on the driver.
     """
     from .joins import bucketed_join
-    from .shuffle import auto_num_buckets, distinct, grouped_agg
+    from .shuffle import auto_num_buckets, distinct, drop_empty_blocks, grouped_agg
 
     seed_sorted = sorted(set(seeds)) if seeds is not None else None
     if seed_sorted is not None and not seed_sorted:
@@ -453,16 +455,18 @@ def _pagerank_engine(
 
     normed = edges.map_batches(norm, batch_format="pyarrow")
     if weight_col is None:
-        pairs = distinct(normed, ["src", "dst"]).map_batches(
-            lambda t: t.append_column(
-                "w", pa.array(np.ones(len(t), dtype=np.int64))
-            ),
-            batch_format="pyarrow",
-        ).materialize()
+        pairs = drop_empty_blocks(
+            distinct(normed, ["src", "dst"]).map_batches(
+                lambda t: t.append_column(
+                    "w", pa.array(np.ones(len(t), dtype=np.int64))
+                ),
+                batch_format="pyarrow",
+            )
+        )
     else:
-        pairs = grouped_agg(
-            normed, ["src", "dst"], {"w": ("w", "sum")}
-        ).materialize()
+        pairs = drop_empty_blocks(
+            grouped_agg(normed, ["src", "dst"], {"w": ("w", "sum")})
+        )
 
     def endpoints(t: pa.Table) -> pa.Table:
         return pa.table(
@@ -476,9 +480,9 @@ def _pagerank_engine(
             }
         )
 
-    nodes = distinct(
-        pairs.map_batches(endpoints, batch_format="pyarrow"), ["node"]
-    ).materialize()
+    nodes = drop_empty_blocks(
+        distinct(pairs.map_batches(endpoints, batch_format="pyarrow"), ["node"])
+    )
     n_nodes, n_edges = nodes.count(), pairs.count()
     init = scale // max(1, len(seed_sorted) if seed_sorted else n_nodes)
     tele = (15 * init) // 100

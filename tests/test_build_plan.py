@@ -1,5 +1,6 @@
 """Shape of the pages->KG build plan: typed part files, the exchange count,
-and the per-process linker memo of the task-based link stages."""
+the one-pass sink, the per-process linker memo of the task-based link
+stages, and no schema drift in the build or the graph queries over it."""
 
 from __future__ import annotations
 
@@ -81,15 +82,49 @@ def test_build_logs_no_schema_drift(tmp_path):
     assert handler.hits == []
 
 
+def test_graph_queries_log_no_schema_drift(tmp_path):
+    """Components and PageRank over the built graph's relation edges: their
+    distinct exchange outputs lose 0-row, column-less blocks before any map
+    runs over them, so neither query reports schema drift."""
+    import pyarrow.compute as pc
+
+    from clangd_to_neo4j_ray.sources.fixtures import PRED_PHRASES
+    from clangd_to_neo4j_ray.stages.graph_algo import connected_components_ds, pagerank_ds
+
+    fx, path = _flat_corpus_with_silent_page(tmp_path)
+    out = str(tmp_path / "graph")
+    build_graph(path, fx.entities, out)
+    edges = pq.read_table(os.path.join(out, "edges"))
+    rel = edges.filter(pc.is_in(edges["type"], pa.array(sorted(PRED_PHRASES.values()))))
+    third = -(-rel.num_rows // 3)
+    rel_ds = ray.data.from_arrow([rel.slice(i, third) for i in range(0, rel.num_rows, third)])
+    assert rel.num_rows and rel_ds.num_blocks() == 3
+    handler = _SchemaDriftLog()
+    logger = logging.getLogger("ray.data")
+    logger.addHandler(handler)
+    try:
+        components = connected_components_ds(rel_ds).take_all()
+        ranks = pagerank_ds(rel_ds).take_all()
+    finally:
+        logger.removeHandler(handler)
+    assert handler.hits == []
+    assert components and ranks
+
+
 def test_build_runs_three_exchanges_and_no_actor_pool(tmp_path, monkeypatch):
     """One build_graph (Neo4j CSV included) runs exactly three exchanges —
-    canonicalize, hierarchy, entity/mention — and starts no actor pool."""
+    canonicalize, hierarchy, entity/mention — and starts no actor pool.
+    Its sink writes each row once and reads nothing back: no
+    ``Dataset.write_parquet``, and ``read_parquet`` on the input pages
+    only."""
     from ray.data import Dataset
     from ray.data.grouped_data import GroupedData
 
     fx, path = _flat_corpus_with_silent_page(tmp_path)
     exchanges: list[str] = []
     actor_stages: list[str] = []
+    parquet_writes: list[str] = []
+    parquet_reads: list = []
     inside_groupby = [0]
 
     def count_exchange(name, orig):
@@ -126,9 +161,24 @@ def test_build_runs_three_exchanges_and_no_actor_pool(tmp_path, monkeypatch):
     for name in ("map_batches", "map", "flat_map", "filter"):
         monkeypatch.setattr(Dataset, name, mapping(name, getattr(Dataset, name)))
 
+    write_parquet, read_parquet = Dataset.write_parquet, ray.data.read_parquet
+
+    def counted_write(self, path, *args, **kwargs):
+        parquet_writes.append(path)
+        return write_parquet(self, path, *args, **kwargs)
+
+    def counted_read(paths, *args, **kwargs):
+        parquet_reads.append(paths)
+        return read_parquet(paths, *args, **kwargs)
+
+    monkeypatch.setattr(Dataset, "write_parquet", counted_write)
+    monkeypatch.setattr(ray.data, "read_parquet", counted_read)
+
     build_graph(path, fx.entities, str(tmp_path / "graph"))
     assert exchanges == ["groupby"] * 3
     assert actor_stages == []
+    assert parquet_writes == []
+    assert parquet_reads == [path]
 
 
 def _link_rows(tbl: pa.Table) -> set[tuple]:

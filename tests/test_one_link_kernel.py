@@ -3,7 +3,8 @@
 The token scanner is the only kernel the link stage runs; the regex
 scanner is its test spec.  Alternative kernels selected by a keyword or an
 environment variable, a second fused extract+link+merge composition, spare
-CSV writers and single-valued build options must not come back."""
+CSV writers, a sink that reads its own Parquet back and single-valued build
+options must not come back."""
 
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ BANNED = (
     "linking_vec", "linking_ac", "LINK_STRATEGY", "BENCH_STRATEGY",
     "FusedExtractLinkPartial", "fused_link_partial_stage",
     "merge_partial_triples", "INGEST_STRATEGIES", "BENCH_CORE", "hash_shuffle",
+    "_read_parquet_per_file", "_write_parquet_atomic", "_count_parquet_dir",
 )
 
 
@@ -51,7 +53,7 @@ def _params(fn) -> set[str]:
 
 
 def test_build_layers_take_no_single_valued_options():
-    assert "strategy" not in _params(materialize.write_neo4j_bulk_csv)
+    assert "strategy" not in _params(materialize.write_graph)
     assert _params(context.tune_data_context) == set()
     for fn in (
         linking.link_scan_stage,

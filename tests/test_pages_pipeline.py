@@ -130,10 +130,15 @@ def test_build_graph_materialize(fixture, tmp_path):
 def test_build_graph_rerun_same_outdir(fixture, tmp_path):
     """Re-running into the SAME --out must not accumulate stale part files
     (ADVICE r1: write_parquet appends by default)."""
+    import pyarrow.parquet as pq
+
     fx, path = fixture
     out = str(tmp_path / "graph")
     m1 = build_graph(path, fx.entities, out)
+    n_triples = pq.read_table(f"{out}/triples").num_rows
     m2 = build_graph(path, fx.entities, out)
+    assert n_triples > 0
+    assert pq.read_table(f"{out}/triples").num_rows == n_triples
     assert (
         m2["stages"]["write_nodes"]["rows"]
         == m1["stages"]["write_nodes"]["rows"]
@@ -146,6 +151,112 @@ def test_build_graph_rerun_same_outdir(fixture, tmp_path):
     assert v["duplicate_node_ids"] == 0 and v["dangling_edges"] == 0
 
 
+def test_write_stage_manifest_schema(fixture, tmp_path):
+    """Every write stage records the same structured fields, summed from
+    the sink's own manifest rows: rows equals the Parquet row count and the
+    part counts equal the files published."""
+    import glob
+    import json
+    import os
+
+    import pyarrow.parquet as pq
+
+    fx, path = fixture
+    out = str(tmp_path / "graph")
+    manifest = build_graph(path, fx.entities, out)
+    with open(os.path.join(out, "manifest.json")) as f:
+        assert json.load(f) == manifest
+    stages = manifest["stages"]
+    assert set(stages) == {"write_nodes", "write_edges", "write_triples"}
+    n_csv = 0
+    for stage, table in (("write_nodes", "nodes"), ("write_edges", "edges"),
+                         ("write_triples", "triples")):
+        rec = stages[stage]
+        assert set(rec) == {"rows", "parquet_parts", "csv_parts", "bytes", "wall_sec"}
+        files = glob.glob(os.path.join(out, table, "*.parquet"))
+        assert rec["rows"] == pq.read_table(os.path.join(out, table)).num_rows > 0
+        assert rec["parquet_parts"] == len(files)
+        assert rec["bytes"] >= sum(os.path.getsize(f) for f in files)
+        assert isinstance(rec["wall_sec"], float)
+        n_csv += rec["csv_parts"]
+    assert stages["write_triples"]["csv_parts"] == 0
+    assert n_csv == len(manifest["outputs"]["neo4j_csv"])
+
+
+def test_sink_csv_equals_parquet_per_label_and_type(fixture, tmp_path):
+    """Parquet and Neo4j CSV come from the same batches: for every label
+    and type, the CSV part rows equal the Parquet rows as a multiset, and
+    every CSV part is sorted by the partition's sort columns."""
+    import collections
+    import csv
+    import os
+
+    import pyarrow.parquet as pq
+
+    fx, path = fixture
+    out = str(tmp_path / "graph")
+    written = build_graph(path, fx.entities, out)["outputs"]["neo4j_csv"]
+    for table, key, sort_cols in (("nodes", "label", ["node_id"]),
+                                  ("edges", "type", ["src", "dst"])):
+        tbl = pq.read_table(os.path.join(out, table))
+        cols = tbl.column_names
+        want = collections.defaultdict(collections.Counter)
+        for row in zip(*(tbl[c].to_pylist() for c in cols)):
+            want[row[cols.index(key)]][row] += 1
+        got = collections.defaultdict(collections.Counter)
+        for part in (p for p in written if f"/{table}_" in p):
+            with open(part, newline="") as f:
+                rows = [tuple(r) for r in csv.reader(f)]
+            order = [tuple(r[cols.index(c)] for c in sort_cols) for r in rows]
+            assert order == sorted(order), part
+            for row in rows:
+                got[row[cols.index(key)]][row] += 1
+        assert set(got) == set(want) and len(want) > 1, table
+        for k in want:
+            assert got[k] == want[k], (table, k)
+
+
+def test_sink_publishes_readable_dirs_without_edges_or_mentions(tmp_path):
+    """A graph with zero edges, and a corpus where no page mentions an
+    entity, still publish readable, typed nodes/ and edges/ directories."""
+    import os
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from clangd_to_neo4j_ray.stages.materialize import write_graph
+
+    node_schema = pa.schema([(c, pa.string()) for c in ("node_id", "label", "name")])
+    edge_schema = pa.schema([(c, pa.string()) for c in ("src", "type", "dst")])
+    nodes = ray.data.from_arrow(
+        pa.table({"node_id": ["a", "b"], "label": ["PAGE", "SITE"], "name": ["1", "2"]})
+    )
+    out = str(tmp_path / "no_edges")
+    m = write_graph(nodes, ray.data.from_arrow(edge_schema.empty_table()), out)
+    assert m["stages"]["write_nodes"]["rows"] == 2
+    assert m["stages"]["write_edges"]["rows"] == 0
+    assert pq.read_table(os.path.join(out, "nodes")).num_rows == 2
+    edges = pq.read_table(os.path.join(out, "edges"))
+    assert edges.num_rows == 0 and edges.schema.names == edge_schema.names
+
+    fx = generate_pages(20)
+    silent = "<html><body><p>Nothing to link here.</p></body></html>"
+    fx.pages = fx.pages.set_column(
+        fx.pages.column_names.index("html"), "html",
+        pa.array([silent.encode()] * fx.pages.num_rows, type=fx.pages["html"].type),
+    )
+    pages = str(tmp_path / "silent_pages")
+    write_pages_fixture(fx, pages, num_files=2)
+    out = str(tmp_path / "no_mentions")
+    m = build_graph(pages, fx.entities, out)
+    assert m["stages"]["write_triples"]["rows"] == 0
+    for table, schema in (("nodes", node_schema), ("edges", edge_schema)):
+        tbl = pq.read_table(os.path.join(out, table))
+        assert tbl.num_rows == m["stages"][f"write_{table}"]["rows"] > 0
+        assert tbl.schema.remove_metadata() == schema
+    assert validate_graph(out)["dangling_edges"] == 0
+
+
 def test_csv_sink_streams_multipart(tmp_path):
     """The bulk-CSV sink must never concatenate a label partition: a
     many-block hot label comes out as MULTIPLE sorted part files whose
@@ -155,7 +266,7 @@ def test_csv_sink_streams_multipart(tmp_path):
 
     import pyarrow as pa
 
-    from clangd_to_neo4j_ray.stages.materialize import write_neo4j_bulk_csv
+    from clangd_to_neo4j_ray.stages.materialize import write_graph
 
     n = 5000
     labels = ["PAGE"] * (n - 5) + ["SITE"] * 5
@@ -177,8 +288,7 @@ def test_csv_sink_streams_multipart(tmp_path):
             }
         )
     ).repartition(16)
-    csv_dir = str(tmp_path / "neo4j")
-    written = write_neo4j_bulk_csv(nodes, edges, csv_dir)
+    written = write_graph(nodes, edges, str(tmp_path))["outputs"]["neo4j_csv"]
 
     def rows(part_dir):
         out = []
@@ -222,7 +332,7 @@ def test_csv_sink_emits_schema_and_import_artifacts(tmp_path):
 
     import pyarrow as pa
 
-    from clangd_to_neo4j_ray.stages.materialize import write_neo4j_bulk_csv
+    from clangd_to_neo4j_ray.stages.materialize import write_graph
 
     nodes = ray.data.from_arrow(
         pa.table(
@@ -242,8 +352,8 @@ def test_csv_sink_emits_schema_and_import_artifacts(tmp_path):
             }
         )
     )
+    write_graph(nodes, edges, str(tmp_path))
     d = str(tmp_path / "neo4j")
-    write_neo4j_bulk_csv(nodes, edges, d)
     schema = open(os.path.join(d, "schema.cypher")).read()
     for label in ("PAGE", "SITE", "ODD/LBL"):
         assert f"FOR (n:`{label}`) REQUIRE n.node_id IS UNIQUE" in schema
