@@ -34,18 +34,12 @@ from ..stages.canonicalize import canonicalize_triples
 from ..stages.extract import extract_stage
 from ..stages.hierarchy import hierarchy_dataset, hierarchy_edges, hierarchy_nodes
 from ..stages.linking import link_scan_stage, split_link_scan
+from ..stages.materialize import EDGE_SCHEMA, NODE_SCHEMA, write_graph, write_triples
 from ..stages.shuffle import (
     _bucketed_polars,
     _compat,
     auto_num_buckets,
     drop_empty_blocks,
-)
-
-NODE_SCHEMA = pa.schema(
-    [("node_id", pa.string()), ("label", pa.string()), ("name", pa.string())]
-)
-EDGE_SCHEMA = pa.schema(
-    [("src", pa.string()), ("type", pa.string()), ("dst", pa.string())]
 )
 
 
@@ -192,7 +186,6 @@ def build_graph(
     ingests Common-Crawl-native WARC/1.0 files via ``sources.warc`` and
     derives text in the shared extract stage (same per-row invariant)."""
     from ..sources.fixtures import alias_lookup
-    from ..stages.materialize import write_graph, write_triples
 
     if source_format == "warc":
         from ..sources.warc import read_warc

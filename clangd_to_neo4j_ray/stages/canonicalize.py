@@ -20,6 +20,11 @@ import ray.data
 
 from .linking import DEAD_LETTER
 
+TRIPLE_SCHEMA = pa.schema(
+    [(c, pa.string()) for c in ("subj", "pred", "obj", "evidence_url")]
+    + [("n_occurrences", pa.int64())]
+)
+
 
 def _partial_dedup(batch: pa.Table) -> pa.Table:
     """Phase-1 combiner: within-batch dedup of (subj, pred, obj)."""
@@ -32,9 +37,8 @@ def _partial_dedup(batch: pa.Table) -> pa.Table:
 def canonicalize_triples(candidates: ray.data.Dataset) -> ray.data.Dataset:
     """Candidate triples -> canonical deduped triples.
 
-    Output: (subj, pred, obj, evidence_url, n_occurrences), unique on
-    (subj, pred, obj), evidence = lexicographic min url (deterministic
-    witness).  Dead-letter rows are filtered here; ``dead_letter_stats``
+    Output: ``TRIPLE_SCHEMA`` rows, unique on (subj, pred, obj), evidence =
+    lexicographic min url (deterministic witness).  Dead-letter rows are filtered here; ``dead_letter_stats``
     counts them.
     """
     from .shuffle import grouped_agg

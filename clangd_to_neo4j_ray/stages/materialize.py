@@ -22,7 +22,10 @@ are summed from them.
 
 Every directory is written under ``<dir>.tmp`` then swapped into place —
 atomic publish per directory, and a re-run into the same ``out_dir``
-replaces its outputs, never appends to them.
+replaces its outputs, never appends to them.  Every part file is written
+to ``<part>.tmp`` then renamed, under a name fixed by the write, the Ray
+task index and the batch's number within the task: a sink task that Ray
+retries rewrites its own parts instead of adding a second set.
 """
 
 from __future__ import annotations
@@ -36,9 +39,12 @@ import uuid
 import pyarrow as pa
 import pyarrow.parquet as pq
 import ray.data
+from ray.data._internal.execution.interfaces import TaskContext
 
 from ..context import DEFAULT_BATCH_SIZE
 
+NODE_SCHEMA = pa.schema([(c, pa.string()) for c in ("node_id", "label", "name")])
+EDGE_SCHEMA = pa.schema([(c, pa.string()) for c in ("src", "type", "dst")])
 NEO4J_NODE_HEADER = {"node_id": "node_id:ID", "label": ":LABEL", "name": "name"}
 NEO4J_EDGE_HEADER = {"src": ":START_ID", "type": ":TYPE", "dst": ":END_ID"}
 # Neo4j CSV layout of a table: (directory prefix, partition key column,
@@ -72,8 +78,12 @@ def write_graph(
     csv_tmp = _fresh_tmp(csv_dir) if write_neo4j_csv else None
     nodes_dir = os.path.join(out_dir, "nodes")
     edges_dir = os.path.join(out_dir, "edges")
-    write_nodes, csv_files = _write_table(nodes, nodes_dir, csv_tmp, NODE_CSV)
-    write_edges, edge_csv = _write_table(edges, edges_dir, csv_tmp, EDGE_CSV)
+    write_nodes, csv_files = _write_table(
+        nodes, nodes_dir, NODE_SCHEMA, (csv_tmp, NODE_CSV) if csv_tmp else None
+    )
+    write_edges, edge_csv = _write_table(
+        edges, edges_dir, EDGE_SCHEMA, (csv_tmp, EDGE_CSV) if csv_tmp else None
+    )
     csv_files += edge_csv
     if csv_tmp:
         _write_import_artifacts(csv_tmp, csv_files)
@@ -96,8 +106,10 @@ def write_triples(triples: ray.data.Dataset, out_dir: str, manifest: dict) -> di
     """Publish the canonical triples as ``out_dir/triples`` Parquet through
     the same sink (no CSV), recording the ``write_triples`` stage and the
     output path in ``manifest`` and ``manifest.json``."""
+    from .canonicalize import TRIPLE_SCHEMA
+
     path = os.path.join(out_dir, "triples")
-    manifest["stages"]["write_triples"], _ = _write_table(triples, path)
+    manifest["stages"]["write_triples"], _ = _write_table(triples, path, TRIPLE_SCHEMA)
     manifest["outputs"]["triples"] = path
     _publish_manifest(out_dir, manifest)
     return manifest
@@ -125,14 +137,16 @@ def _publish_manifest(out_dir: str, manifest: dict) -> None:
 def _write_table(
     ds: ray.data.Dataset,
     final_dir: str,
-    csv_dir: str | None = None,
-    csv: tuple | None = None,
+    schema: pa.Schema,
+    csv: tuple[str, tuple] | None = None,
 ) -> tuple[dict, list[str]]:
     """One streaming pass over ``ds``: Parquet part files published to
-    ``final_dir`` and, when ``csv_dir`` is set, the ``csv`` layout's Neo4j
-    CSV parts written into it.  Batches of ``DEFAULT_BATCH_SIZE`` rows bound
-    a writer's memory and coalesce the many small blocks of a graph union,
-    so a table gets a few part files, not one per block.
+    ``final_dir`` and, when ``csv`` = (CSV directory, ``NODE_CSV`` or
+    ``EDGE_CSV``) is given, the Neo4j CSV parts written into that directory.
+    Batches of ``DEFAULT_BATCH_SIZE`` rows bound a writer's memory and
+    coalesce the many small blocks of a graph union, so a table gets a few
+    part files, not one per block; a table with no rows gets one empty part
+    typed by ``schema``.
 
     Returns the stage record (rows, parquet_parts, csv_parts, bytes,
     wall_sec) and the CSV part paths, both from the writers' manifest
@@ -140,16 +154,13 @@ def _write_table(
     t0 = time.perf_counter()
     tmp = _fresh_tmp(final_dir)
     files = ds.map_batches(
-        _TableSink(tmp, csv_dir, csv),
+        _TableSink(tmp, csv),
         batch_format="pyarrow",
         batch_size=DEFAULT_BATCH_SIZE,
     ).take_all()
     parts = [f for f in files if f["key"] is None]
-    schema = None if parts else ds.schema()
-    if schema is not None:
-        # no batch reached a writer: publish a typed empty part so the
-        # directory still reads with its schema
-        pq.write_table(schema.base_schema.empty_table(), os.path.join(tmp, "part-0.parquet"))
+    if not parts:
+        pq.write_table(schema.empty_table(), os.path.join(tmp, "part-empty.parquet"))
     _publish(tmp, final_dir)
     stage = {
         "rows": sum(f["rows"] for f in parts),
@@ -163,38 +174,54 @@ def _write_table(
 
 class _TableSink:
     """map_batches task: write one batch as one Parquet part file under
-    ``parquet_dir`` and, when ``csv_dir`` is set, the same batch sorted by
-    (key, ...sort cols) with its per-key runs as headerless CSV part files
-    under ``csv_dir/<prefix>_<KEY>/part-*.csv``.  Returns one manifest row
-    per file written — path, key (null for the Parquet part), rows, bytes —
-    never data.
+    ``parquet_dir`` and, when ``csv`` = (CSV directory, layout) is given,
+    the same batch sorted by (key, ...sort cols) with its per-key runs as
+    headerless CSV part files under ``<csv dir>/<prefix>_<KEY>/part-*.csv``.
+    Returns one manifest row per file written — path, key (null for the
+    Parquet part), rows, bytes — never data.
 
     Every CSV part file is internally sorted and holds one label/type; no
     global sort is needed.  Multiple part files per key is the bulk-import
     contract: ``neo4j-admin database import`` takes a header file plus any
     number of data files per label/type, so no stage ever concatenates a
-    whole partition — the old driver-side concat (``_resolve_arrow_refs``
-    per label) was the repo's worst scale-killer (VERDICT r1 #3).  Passed
-    to ``map_batches`` as an instance, so it runs as a task, not an actor.
+    whole partition — the old driver-side concat per label was the repo's
+    worst scale-killer (VERDICT r1 #3).  Passed to ``map_batches`` as an
+    instance, so it runs as a task, not an actor.
+
+    Parts are named ``part-<write id>_<task index>_<batch number>``; a
+    retried task has a new ``TaskContext`` with the same index and the same
+    batches, so it rewrites its first attempt's parts.
     """
 
-    def __init__(self, parquet_dir: str, csv_dir: str | None, csv: tuple | None):
+    def __init__(self, parquet_dir: str, csv: tuple[str, tuple] | None):
         self.parquet_dir = parquet_dir
-        self.csv_dir = csv_dir
-        if csv_dir:
-            self.prefix, self.key_col, sort_cols, self.header = csv
+        self.csv = csv
+        if csv:
+            self.csv_dir, (self.prefix, self.key_col, sort_cols, self.header) = csv
             self.sort_keys = [(c, "ascending") for c in [self.key_col, *sort_cols]]
+        self.write_id = uuid.uuid4().hex[:12]
+        self.task, self.n_batches = None, 0
+
+    def _part_name(self) -> str:
+        task = TaskContext.get_current()
+        if task is not self.task:
+            self.task, self.n_batches = task, 0
+        self.n_batches += 1
+        idx = task.task_idx if task else 0
+        return f"part-{self.write_id}_{idx:06d}_{self.n_batches - 1:06d}"
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         files: list[tuple[str, str | None, int]] = []
         if batch.num_rows:
-            if self.csv_dir:
+            name = self._part_name()
+            if self.csv:
                 batch = batch.sort_by(self.sort_keys)
-            path = os.path.join(self.parquet_dir, f"part-{uuid.uuid4().hex[:12]}.parquet")
-            pq.write_table(batch, path)
+            path = os.path.join(self.parquet_dir, f"{name}.parquet")
+            pq.write_table(batch, path + ".tmp")
+            os.replace(path + ".tmp", path)
             files.append((path, None, batch.num_rows))
-            if self.csv_dir:
-                files += self._write_csv(batch)
+            if self.csv:
+                files += self._write_csv(batch, name)
         paths, keys, rows = zip(*files) if files else ((), (), ())
         return pa.table(
             {
@@ -205,7 +232,7 @@ class _TableSink:
             }
         )
 
-    def _write_csv(self, batch: pa.Table) -> list[tuple[str, str, int]]:
+    def _write_csv(self, batch: pa.Table, name: str) -> list[tuple[str, str, int]]:
         import pyarrow.csv as pacsv
 
         opts = pacsv.WriteOptions(include_header=False)
@@ -217,12 +244,13 @@ class _TableSink:
             hdr_path = os.path.join(d, "header.csv")
             if not os.path.exists(hdr_path):
                 cols = [self.header.get(c, c) for c in batch.column_names]
-                tmp_h = hdr_path + f".tmp{uuid.uuid4().hex[:8]}"
+                tmp_h = f"{hdr_path}.tmp-{name}"  # one per writer: tasks race here
                 with open(tmp_h, "w") as f:
                     f.write(",".join(f'"{c}"' for c in cols) + "\n")
                 os.replace(tmp_h, hdr_path)  # idempotent across writers
-            path = os.path.join(d, f"part-{uuid.uuid4().hex[:12]}.csv")
-            pacsv.write_csv(key_tbl, path, write_options=opts)
+            path = os.path.join(d, f"{name}.csv")
+            pacsv.write_csv(key_tbl, path + ".tmp", write_options=opts)
+            os.replace(path + ".tmp", path)
             files.append((path, str(key), key_tbl.num_rows))
         return files
 
@@ -251,7 +279,7 @@ def _unsafe_key(safe: str) -> str:
     return safe.replace("%2F", "/").replace("%25", "%")
 
 
-def _write_import_artifacts(csv_dir: str, written: list[str]) -> list[str]:
+def _write_import_artifacts(csv_dir: str, written: list[str]) -> None:
     """Offline-import completion artifacts next to the CSVs (VERDICT r2
     next-round #5): ``schema.cypher`` holding the per-label uniqueness
     constraints and summary-embedding vector indices the reference creates
@@ -262,15 +290,9 @@ def _write_import_artifacts(csv_dir: str, written: list[str]) -> list[str]:
     bulk-import story: import, then apply the DDL."""
     from ..pipelines.enrich import EMBED_DIM
 
-    labels, types = [], []
-    for p in written:
-        d = os.path.basename(os.path.dirname(p))
-        if d.startswith("nodes_"):
-            labels.append(_unsafe_key(d[len("nodes_") :]))
-        elif d.startswith("edges_"):
-            types.append(_unsafe_key(d[len("edges_") :]))
-    labels = sorted(set(labels))
-    types = sorted(set(types))
+    dirs = {os.path.basename(os.path.dirname(p)) for p in written}
+    labels = sorted(_unsafe_key(d[len("nodes_") :]) for d in dirs if d.startswith("nodes_"))
+    types = sorted(_unsafe_key(d[len("edges_") :]) for d in dirs if d.startswith("edges_"))
 
     lines = ["// generated by write_graph — apply after bulk import",
              "// constraints: neo4j_manager.py:45-54 analog (key = node_id)"]
@@ -328,16 +350,6 @@ def _write_import_artifacts(csv_dir: str, written: list[str]) -> list[str]:
         f.write("\n".join(sh) + "\n")
     os.replace(import_path + ".tmp", import_path)
     os.chmod(import_path, 0o755)
-    return [schema_path, import_path]
-
-
-def _resolve_arrow_refs(ds: ray.data.Dataset) -> pa.Table:
-    """Materialize a (small) dataset to one Arrow table on the driver."""
-    import ray as _ray
-
-    tables = _ray.get(ds.to_arrow_refs())
-    tables = [t for t in tables if t.num_rows] or tables[:1]
-    return pa.concat_tables(tables, promote_options="default")
 
 
 def validate_graph(out_dir: str) -> dict:
@@ -346,14 +358,10 @@ def validate_graph(out_dir: str) -> dict:
     ``neo4j_manager.py:124-128``).  Returns violation counts.  Test-scale
     validation utility (materializes id columns on the driver); the
     at-scale path is the same anti-join expressed as a groupby."""
-    nodes = ray.data.read_parquet(os.path.join(out_dir, "nodes"))
-    edges = ray.data.read_parquet(os.path.join(out_dir, "edges"))
-    node_tbl = _resolve_arrow_refs(nodes.select_columns(["node_id"]))
-    edge_tbl = _resolve_arrow_refs(edges.select_columns(["src", "dst"]))
-    ids = node_tbl["node_id"].to_pylist()
+    ids = pq.read_table(os.path.join(out_dir, "nodes"), columns=["node_id"])[0].to_pylist()
     id_set = set(ids)
-    srcs = edge_tbl["src"].to_pylist()
-    dsts = edge_tbl["dst"].to_pylist()
+    edge_tbl = pq.read_table(os.path.join(out_dir, "edges"), columns=["src", "dst"])
+    srcs, dsts = edge_tbl["src"].to_pylist(), edge_tbl["dst"].to_pylist()
     endpoint_set = set(srcs) | set(dsts)
     return {
         "duplicate_node_ids": len(ids) - len(id_set),

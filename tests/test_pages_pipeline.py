@@ -218,12 +218,14 @@ def test_sink_csv_equals_parquet_per_label_and_type(fixture, tmp_path):
 
 def test_sink_publishes_readable_dirs_without_edges_or_mentions(tmp_path):
     """A graph with zero edges, and a corpus where no page mentions an
-    entity, still publish readable, typed nodes/ and edges/ directories."""
+    entity, still publish readable, typed nodes/ and edges/ directories;
+    an empty triples/ reads with the canonical triple schema."""
     import os
 
     import pyarrow as pa
     import pyarrow.parquet as pq
 
+    from clangd_to_neo4j_ray.stages.canonicalize import TRIPLE_SCHEMA
     from clangd_to_neo4j_ray.stages.materialize import write_graph
 
     node_schema = pa.schema([(c, pa.string()) for c in ("node_id", "label", "name")])
@@ -237,7 +239,7 @@ def test_sink_publishes_readable_dirs_without_edges_or_mentions(tmp_path):
     assert m["stages"]["write_edges"]["rows"] == 0
     assert pq.read_table(os.path.join(out, "nodes")).num_rows == 2
     edges = pq.read_table(os.path.join(out, "edges"))
-    assert edges.num_rows == 0 and edges.schema.names == edge_schema.names
+    assert edges.num_rows == 0 and edges.schema.remove_metadata() == edge_schema
 
     fx = generate_pages(20)
     silent = "<html><body><p>Nothing to link here.</p></body></html>"
@@ -254,7 +256,61 @@ def test_sink_publishes_readable_dirs_without_edges_or_mentions(tmp_path):
         tbl = pq.read_table(os.path.join(out, table))
         assert tbl.num_rows == m["stages"][f"write_{table}"]["rows"] > 0
         assert tbl.schema.remove_metadata() == schema
+    triples = pq.read_table(os.path.join(out, "triples"))
+    assert triples.num_rows == 0 and triples.schema.remove_metadata() == TRIPLE_SCHEMA
     assert validate_graph(out)["dangling_edges"] == 0
+
+
+def test_sink_retry_rewrites_its_own_parts(tmp_path):
+    """A sink task that Ray retries — a new ``TaskContext`` with the same
+    task index, the same batches, on a fresh copy of the writer or on the
+    same one — rewrites its first attempt's Parquet and CSV parts instead
+    of adding a second set, and leaves no temporary file; another task
+    index never reuses a name."""
+    import os
+    import pickle
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    from ray.data._internal.execution.interfaces import TaskContext
+
+    from clangd_to_neo4j_ray.stages.materialize import NODE_CSV, _TableSink
+
+    batches = [
+        pa.table({"node_id": ["c", "a", "b"], "label": ["SITE", "PAGE", "PAGE"],
+                  "name": ["3", "1", "2"]}),
+        pa.table({"node_id": ["d"], "label": ["PAGE"], "name": ["4"]}),
+    ]
+    parquet_dir, csv_dir = str(tmp_path / "nodes"), str(tmp_path / "neo4j")
+    os.makedirs(parquet_dir)
+    os.makedirs(csv_dir)
+    sink = _TableSink(parquet_dir, (csv_dir, NODE_CSV))
+
+    def attempt(writer, task_idx):
+        TaskContext.set_current(TaskContext(task_idx=task_idx, op_name="sink"))
+        try:
+            runs = [writer(b) for b in batches]
+        finally:
+            TaskContext.reset_current()
+        return sorted(p for r in runs for p in r["path"].to_pylist())
+
+    def on_disk():
+        return sorted(
+            os.path.join(d, f)
+            for d, _, files in os.walk(tmp_path)
+            for f in files
+            if f != "header.csv"
+        )
+
+    first = attempt(sink, 3)
+    assert attempt(pickle.loads(pickle.dumps(sink)), 3) == first
+    assert attempt(sink, 3) == first
+    assert on_disk() == first
+    assert len([p for p in first if p.endswith(".parquet")]) == len(batches)
+    assert pq.read_table(parquet_dir).num_rows == sum(b.num_rows for b in batches)
+    other = attempt(sink, 4)
+    assert not set(other) & set(first)
+    assert on_disk() == sorted(first + other)
 
 
 def test_csv_sink_streams_multipart(tmp_path):
