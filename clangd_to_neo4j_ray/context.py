@@ -13,45 +13,27 @@ import os
 import ray
 
 
-# Outcome of the import-time fsspec pin (ADVICE r4): "real" — the genuine
-# module imports; "stub" — our raising stub is installed (probe is
-# thread-safe); "absent" — neither (fsspec itself missing, Ray's
-# ModuleNotFoundError branch applies); "failed" — the installer errored.
-_FSSPEC_HTTP_PIN: str = "failed"
-
-
-def fsspec_http_probe_safe() -> bool:
-    """True when Ray's per-path fsspec.http probe cannot race (the real
-    module imports, our stub is pinned, or fsspec is absent entirely) —
-    the precondition for multi-threaded checkpoint writers
-    (state/checkpoint.py)."""
-    return _FSSPEC_HTTP_PIN in ("real", "stub", "absent")
-
-
 def _pin_fsspec_http_stub() -> None:
     """Make Ray's per-path ``fsspec.implementations.http`` probe thread-safe.
 
     Ray Data re-attempts ``from fsspec.implementations.http import
-    HTTPFileSystem`` on EVERY path resolution (read_parquet construction and
-    write_parquet submission, ray/data/datasource/path_util.py) and catches
-    only ``ModuleNotFoundError``.  In this environment the import always
-    fails (no aiohttp), so each failed attempt is retried — and two driver
-    threads resolving paths concurrently race on the partially-initialized
-    module, surfacing as ``ImportError: cannot import name 'HTTPFileSystem'``
-    (a plain ImportError, which escapes Ray's except).  When the real module
-    is unimportable, install a benign stub module ONCE at library load: the
-    stub's sentinel class makes Ray's ``isinstance(fs, HTTPFileSystem)``
-    check deterministically False — exactly the behavior of the
-    ModuleNotFoundError branch — and the cached module ends the per-call
-    import attempts entirely."""
-    global _FSSPEC_HTTP_PIN
+    HTTPFileSystem`` on EVERY path resolution (read and write path
+    resolution, ray/data/datasource/path_util.py) and catches only
+    ``ModuleNotFoundError``.  In this environment the import always fails
+    (no aiohttp), so each failed attempt is retried — and two driver threads
+    resolving paths concurrently race on the partially-initialized module,
+    surfacing as ``ImportError: cannot import name 'HTTPFileSystem'`` (a
+    plain ImportError, which escapes Ray's except).  Plans do run from
+    driver threads: ``similarity.ann_recall`` executes its three top-k plans
+    in a thread pool.  When the real module is unimportable, install a
+    benign stub module ONCE at library load: the stub's sentinel class makes
+    Ray's ``isinstance(fs, HTTPFileSystem)`` check deterministically False —
+    exactly the behavior of the ModuleNotFoundError branch — and the cached
+    module ends the per-call import attempts entirely."""
     try:
         from fsspec.implementations.http import HTTPFileSystem  # noqa: F401
 
-        _FSSPEC_HTTP_PIN = "real"
         return  # real module works; nothing to do
-    except ModuleNotFoundError:
-        _FSSPEC_HTTP_PIN = "absent"  # provisional: no fsspec at all?
     except ImportError:
         pass
     try:
@@ -81,11 +63,8 @@ def _pin_fsspec_http_stub() -> None:
         mod.HTTPFileSystem = _StubHTTPFileSystem
         sys.modules["fsspec.implementations.http"] = mod
         _impl.http = mod
-        _FSSPEC_HTTP_PIN = "stub"
-    except ModuleNotFoundError:
-        _FSSPEC_HTTP_PIN = "absent"  # fsspec itself absent: Ray's branch handles it
     except Exception:
-        _FSSPEC_HTTP_PIN = "failed"
+        pass  # no fsspec at all: Ray's ModuleNotFoundError branch applies
 
 
 _pin_fsspec_http_stub()

@@ -19,6 +19,11 @@ id) and the entity/mention distinct (keyed by entity id).  The sink writes
 each nodes/edges batch once, as Parquet and as sorted Neo4j CSV parts from
 the same batch (sorted per batch, not globally), and never reads a written
 row back: a build runs 9 Ray Data executions.
+
+Stage 1 is the extract + link scan, stage 2 (``graph_datasets``, then
+``publish_graph``) everything after it.  The incremental build
+(pipelines/incremental.py) runs the same two stages, stage 1 per pages
+partition behind a ``StageCheckpoint``: there is one build path.
 """
 
 from __future__ import annotations
@@ -92,8 +97,7 @@ def graph_nodes_edges(
 ):
     """Construct the (nodes, edges) datasets from pipeline intermediates.
 
-    Shared by the in-memory full build and the checkpointed incremental
-    build.  ``pages_urls`` needs only a ``url`` column; ``mentions`` needs
+    ``pages_urls`` needs only a ``url`` column; ``mentions`` needs
     (url, entity_id); ``triples`` is the canonicalized triple set.  Runs
     two exchanges: the hierarchy and the entity/mention distinct."""
     names_ref = ray.put(entity_names)
@@ -150,21 +154,42 @@ def build_graph_datasets(
     ``alias_lut``: alias surface -> entity_id (broadcast once via ray.put).
     ``entity_names``: entity_id -> canonical name (for ENTITY node rows).
     """
-    alias_ref = ray.put(alias_lut)
-    # ``extracted`` and ``mentions`` fan out to several consumers; a lazy
+    # ``extracted`` and ``tagged`` fan out to several consumers; a lazy
     # Dataset re-executes its whole lineage per consumer, so pin each shared
     # intermediate once (the in-memory form of the per-stage checkpoint —
     # the S3/S8 cache analog; state/checkpoint.py is the durable form).
     extracted = extract_stage(pages).materialize()
 
     # one-pass link+mention scan (the hot dictionary stage runs exactly once)
-    tagged = link_scan_stage(extracted, alias_ref).materialize()
+    tagged = link_scan_stage(extracted, ray.put(alias_lut)).materialize()
+    return graph_datasets(extracted, tagged, entity_names)
+
+
+def graph_datasets(
+    pages_urls: ray.data.Dataset,
+    tagged: ray.data.Dataset,
+    entity_names: dict[str, str],
+):
+    """Stage 2 of every build: the link scan's tagged rows -> (triples,
+    mentions, nodes, edges).  ``build_graph_datasets`` passes its in-memory
+    scan, ``incremental_build`` the checkpointed one; ``pages_urls`` needs
+    only a ``url`` column."""
     candidates, mentions = split_link_scan(tagged)
     triples = canonicalize_triples(candidates).materialize()
     mentions = mentions.materialize()
-
-    nodes, edges = graph_nodes_edges(extracted, mentions, triples, entity_names)
+    nodes, edges = graph_nodes_edges(pages_urls, mentions, triples, entity_names)
     return triples, mentions, nodes, edges
+
+
+def publish_graph(graph, out_dir: str, *, lineage: dict, write_neo4j_csv: bool) -> dict:
+    """Write a ``graph_datasets`` result: nodes and edges through
+    ``write_graph``, the triples through ``write_triples``; returns the
+    manifest."""
+    triples, _mentions, nodes, edges = graph
+    manifest = write_graph(
+        nodes, edges, out_dir, lineage=lineage, write_neo4j_csv=write_neo4j_csv
+    )
+    return write_triples(triples, out_dir, manifest)
 
 
 def build_graph(
@@ -195,12 +220,9 @@ def build_graph(
         pages = ray.data.read_parquet(pages_path)
     lut = alias_lookup(entities)
     names = {e.entity_id: e.canonical_name for e in entities}
-    triples, mentions, nodes, edges = build_graph_datasets(pages, lut, names)
-    manifest = write_graph(
-        nodes,
-        edges,
+    return publish_graph(
+        build_graph_datasets(pages, lut, names),
         out_dir,
         lineage={"input": pages_path, "format": source_format},
         write_neo4j_csv=write_neo4j_csv,
     )
-    return write_triples(triples, out_dir, manifest)

@@ -10,7 +10,8 @@ resolution, percentile thresholds, top-k, stratified sampling) is exchanges
 over the ~24-byte/doc profile.  So the checkpoint seam is the profile:
 
 - ``StageCheckpoint`` runs the profile scan once per input Parquet
-  partition (atomic tmp+rename outputs, content-fingerprint manifest) —
+  partition (outputs through the graph sink, content-fingerprint
+  manifest) —
   a resumed or incrementally-updated run recomputes exactly the dirty
   partitions (the reference caches every pass the same way,
   compilation_manager.py:27-94);
@@ -36,15 +37,13 @@ from ..state.checkpoint import StageCheckpoint
 PROFILE_STAGE = "doc_profile"
 
 
-def profile_checkpointed(
-    input_dir: str, work_dir: str, *, force: bool = False
-) -> tuple[StageCheckpoint, dict]:
+def profile_checkpointed(input_dir: str, work_dir: str) -> tuple[StageCheckpoint, dict]:
     """Run (or resume) the per-partition token-profile scan.
 
     Returns the checkpoint handle and its run stats
     ({"computed": [...], "skipped": [...], "purged": [...]})."""
     ckpt = StageCheckpoint(work_dir, PROFILE_STAGE)
-    stats = ckpt.run(input_dir, token_profile, force=force)
+    stats = ckpt.run(input_dir, token_profile)
     return ckpt, stats
 
 
@@ -53,7 +52,6 @@ def curate_checkpointed(
     work_dir: str,
     *,
     budget: int = PACK_BUDGET,
-    force: bool = False,
 ) -> dict:
     """The full curation family off one resumable profile scan.
 
@@ -61,7 +59,7 @@ def curate_checkpointed(
     "sample": Datasets} — each downstream Dataset lazily reads the
     checkpointed profile partitions, so consuming them never re-reads the
     documents corpus."""
-    ckpt, stats = profile_checkpointed(input_dir, work_dir, force=force)
+    ckpt, stats = profile_checkpointed(input_dir, work_dir)
     # each stage gets its own lazy read of the checkpointed partitions —
     # independent plans, no shared-lineage re-execution between consumers
     return {

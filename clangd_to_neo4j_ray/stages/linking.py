@@ -119,10 +119,14 @@ def _assemble(triples: list, mentions: list):
     return cand_tbl, ment_tbl
 
 
-_TAG_COLUMNS = [
-    "kind", "subj", "pred", "obj", "evidence_url",
-    "url", "entity_id", "surface", "start", "end", "anchored",
-]
+# Row type of the link scan: the tagged union of candidate-triple rows
+# (kind "triple") and mention rows (kind "mention"), each row leaving the
+# other kind's columns null.
+TAG_SCHEMA = pa.schema(
+    [(c, pa.string()) for c in ("kind", "subj", "pred", "obj", "evidence_url")]
+    + [(c, pa.string()) for c in ("url", "entity_id", "surface")]
+    + [("start", pa.int32()), ("end", pa.int32()), ("anchored", pa.bool_())]
+)
 
 
 def _tag_union(cand: pa.Table, ment: pa.Table) -> pa.Table:
@@ -136,7 +140,7 @@ def _tag_union(cand: pa.Table, ment: pa.Table) -> pa.Table:
         "kind", pa.array(["mention"] * ment.num_rows, type=pa.string())
     )
     out = pa.concat_tables([c, m], promote_options="default")
-    return out.select(_TAG_COLUMNS)
+    return out.select(TAG_SCHEMA.names)
 
 
 class EntityLinker:

@@ -78,10 +78,10 @@ def write_graph(
     csv_tmp = _fresh_tmp(csv_dir) if write_neo4j_csv else None
     nodes_dir = os.path.join(out_dir, "nodes")
     edges_dir = os.path.join(out_dir, "edges")
-    write_nodes, csv_files = _write_table(
+    write_nodes, csv_files = write_table(
         nodes, nodes_dir, NODE_SCHEMA, (csv_tmp, NODE_CSV) if csv_tmp else None
     )
-    write_edges, edge_csv = _write_table(
+    write_edges, edge_csv = write_table(
         edges, edges_dir, EDGE_SCHEMA, (csv_tmp, EDGE_CSV) if csv_tmp else None
     )
     csv_files += edge_csv
@@ -109,7 +109,7 @@ def write_triples(triples: ray.data.Dataset, out_dir: str, manifest: dict) -> di
     from .canonicalize import TRIPLE_SCHEMA
 
     path = os.path.join(out_dir, "triples")
-    manifest["stages"]["write_triples"], _ = _write_table(triples, path, TRIPLE_SCHEMA)
+    manifest["stages"]["write_triples"], _ = write_table(triples, path, TRIPLE_SCHEMA)
     manifest["outputs"]["triples"] = path
     _publish_manifest(out_dir, manifest)
     return manifest
@@ -134,10 +134,10 @@ def _publish_manifest(out_dir: str, manifest: dict) -> None:
     os.replace(tmp, os.path.join(out_dir, "manifest.json"))
 
 
-def _write_table(
+def write_table(
     ds: ray.data.Dataset,
     final_dir: str,
-    schema: pa.Schema,
+    schema: pa.Schema | None,
     csv: tuple[str, tuple] | None = None,
 ) -> tuple[dict, list[str]]:
     """One streaming pass over ``ds``: Parquet part files published to
@@ -146,7 +146,8 @@ def _write_table(
     Batches of ``DEFAULT_BATCH_SIZE`` rows bound a writer's memory and
     coalesce the many small blocks of a graph union, so a table gets a few
     part files, not one per block; a table with no rows gets one empty part
-    typed by ``schema``.
+    typed by ``schema`` (none when the caller declares no row type).  The
+    graph tables and every ``StageCheckpoint`` partition are written here.
 
     Returns the stage record (rows, parquet_parts, csv_parts, bytes,
     wall_sec) and the CSV part paths, both from the writers' manifest
@@ -159,7 +160,7 @@ def _write_table(
         batch_size=DEFAULT_BATCH_SIZE,
     ).take_all()
     parts = [f for f in files if f["key"] is None]
-    if not parts:
+    if not parts and schema is not None:
         pq.write_table(schema.empty_table(), os.path.join(tmp, "part-empty.parquet"))
     _publish(tmp, final_dir)
     stage = {

@@ -5,12 +5,16 @@ The durable generalization of the reference's two pickle caches
 ``compilation_manager.py:27-94`` git/mtime-validated parse cache) and its
 graph-resident commit stamp (``clangd_graph_rag_builder.py:112-122``):
 
-- one output directory per **input partition** (Parquet file), written
-  atomically (tmp + rename);
-- a JSON manifest per stage: partition id -> {input fingerprint, rows,
-  wall seconds, output path};
+- one output directory per **input partition** (Parquet file), written by
+  the graph sink (``materialize.write_table``): retry-safe part names, the
+  directory published by tmp + swap, and one empty part typed by the
+  stage's declared schema when a partition yields no rows;
+- a JSON manifest per stage: partition id -> {input fingerprint, rows
+  (summed from the sink's manifest rows), wall seconds, output path};
 - a stage run skips partitions whose fingerprint matches (resume), and
   recomputes exactly the dirty ones (incremental update, §3.2 analog).
+  Partitions run one after another, one Ray execution each, and the
+  manifest is saved after each, so a crash resumes from whatever finished.
 
 Fingerprints are content-derived (full-file md5), never wall-clock — mtime
 is what made the reference's cache validation fragile.
@@ -23,10 +27,12 @@ import hashlib
 import json
 import os
 import shutil
-import time
 from collections.abc import Callable
 
+import pyarrow as pa
 import ray.data
+
+from ..stages.materialize import write_table
 
 
 def fingerprint_file(path: str) -> str:
@@ -53,10 +59,14 @@ def list_partitions(input_dir: str) -> dict[str, str]:
 
 
 class StageCheckpoint:
-    """Manifest-backed per-partition stage runner."""
+    """Manifest-backed per-partition stage runner.
 
-    def __init__(self, ckpt_dir: str, stage: str):
+    ``schema`` declares the row type of the stage's output, so a partition
+    with no rows still reads back typed."""
+
+    def __init__(self, ckpt_dir: str, stage: str, schema: pa.Schema | None = None):
         self.dir = os.path.join(ckpt_dir, stage)
+        self.schema = schema
         os.makedirs(self.dir, exist_ok=True)
         self.manifest_path = os.path.join(self.dir, "manifest.json")
         self.manifest: dict = {}
@@ -74,38 +84,13 @@ class StageCheckpoint:
         self,
         input_dir: str,
         fn: Callable[[ray.data.Dataset], ray.data.Dataset],
-        *,
-        force: bool = False,
-        max_concurrent: int | None = None,
     ) -> dict:
         """Apply ``fn`` per input partition, skipping up-to-date ones.
 
         Returns {"computed": [...], "skipped": [...], "purged": [...]}.
         Partitions present in the manifest but absent from the input are
         purged (the §3.2 Phase-3 purge analog, ``neo4j_manager.py:130-222``).
-
-        ``max_concurrent`` (default: ``GRAFT_CKPT_CONCURRENCY`` env, else 1)
-        runs that many partition pipelines at once from driver threads —
-        at thousands of partitions a strictly sequential loop pays each
-        small pipeline's fixed submit latency serially and never fills a
-        big cluster.  Semantics are unchanged: outputs stay atomic
-        (tmp+rename per partition), the manifest is persisted after every
-        completed partition under a lock (a crash still resumes from
-        whatever finished), and dataset CONSTRUCTION is serialized under
-        the same lock (the parquet datasource import path is not
-        thread-safe on this Ray version).  ``write_parquet`` submission
-        runs OUTSIDE the lock (that is where the concurrency comes from);
-        its path resolution re-probes ``fsspec.implementations.http``,
-        which is only race-free when the context module's import-time pin
-        succeeded — so concurrency > 1 is DOWNGRADED to 1 with a warning
-        when ``context.fsspec_http_probe_safe()`` is false (ADVICE r4: the
-        pin installer swallowing a failure must not silently reopen the
-        ImportError race).  1 keeps the deterministic sequential order.
         """
-        import threading
-
-        from ..context import fsspec_http_probe_safe
-
         parts = list_partitions(input_dir)
         computed, skipped, purged = [], [], []
 
@@ -116,74 +101,28 @@ class StageCheckpoint:
             del self.manifest[stale]
             purged.append(stale)
 
-        todo: list[tuple[str, str, str]] = []  # (pid, path, fingerprint)
         for pid, path in parts.items():
             fp = fingerprint_file(path)
             entry = self.manifest.get(pid)
             if (
-                not force
-                and entry
+                entry
                 and entry.get("fingerprint") == fp
                 and os.path.isdir(entry.get("output", ""))
             ):
                 skipped.append(pid)
                 continue
-            todo.append((pid, path, fp))
-
-        lock = threading.Lock()
-
-        def compute_one(pid: str, path: str, fp: str) -> str:
             out_dir = os.path.join(self.dir, pid)
-            t0 = time.perf_counter()
-            with lock:  # serialize plan construction (thread-unsafe import)
-                ds = fn(ray.data.read_parquet(path))
-            tmp_dir = out_dir + ".tmp"
-            shutil.rmtree(tmp_dir, ignore_errors=True)
-            ds.write_parquet(tmp_dir)
-            os.makedirs(tmp_dir, exist_ok=True)  # empty output is valid
-            shutil.rmtree(out_dir, ignore_errors=True)
-            os.replace(tmp_dir, out_dir)
-            rows = _count_rows(out_dir)
-            with lock:
-                self.manifest[pid] = {
-                    "fingerprint": fp,
-                    "output": out_dir,
-                    "rows": rows,
-                    "wall_sec": round(time.perf_counter() - t0, 4),
-                }
-                self._save()
-            return pid
-
-        n_threads = max_concurrent or int(
-            os.environ.get("GRAFT_CKPT_CONCURRENCY", "1")
-        )
-        if n_threads > 1 and not fsspec_http_probe_safe():
-            import warnings
-
-            warnings.warn(
-                "StageCheckpoint: fsspec http probe pin is absent; "
-                "concurrent partition writes would race on the fsspec "
-                "import — downgrading max_concurrent to 1",
-                RuntimeWarning,
-                stacklevel=2,
+            stage, _ = write_table(
+                fn(ray.data.read_parquet(path)), out_dir, self.schema
             )
-            n_threads = 1
-        if n_threads <= 1:
-            for pid, path, fp in todo:
-                computed.append(compute_one(pid, path, fp))
-        else:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=n_threads) as ex:
-                futs = [ex.submit(compute_one, *t) for t in todo]
-                errs = []
-                for f in futs:
-                    try:
-                        computed.append(f.result())
-                    except Exception as e:  # completed partitions persist
-                        errs.append(e)
-                if errs:
-                    raise errs[0]
+            self.manifest[pid] = {
+                "fingerprint": fp,
+                "output": out_dir,
+                "rows": stage["rows"],
+                "wall_sec": stage["wall_sec"],
+            }
+            self._save()
+            computed.append(pid)
 
         self._save()
         return {"computed": computed, "skipped": skipped, "purged": purged}
@@ -199,11 +138,3 @@ class StageCheckpoint:
             raise ValueError("no checkpointed partitions with rows")
         return ray.data.read_parquet(sorted(files))
 
-
-def _count_rows(path: str) -> int:
-    import pyarrow.parquet as pq
-
-    return sum(
-        pq.ParquetFile(f).metadata.num_rows
-        for f in glob.glob(os.path.join(path, "*.parquet"))
-    )

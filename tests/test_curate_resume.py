@@ -82,53 +82,6 @@ def test_curate_resume_after_midrun_failure(tmp_path):
         pd.testing.assert_frame_equal(a, b)
 
 
-def test_checkpoint_concurrent_equals_sequential(tmp_path):
-    """max_concurrent > 1 runs partition pipelines from driver threads:
-    outputs, manifest contents and resume behavior must equal the
-    sequential run (only execution overlaps; construction and manifest
-    writes stay serialized)."""
-    docs = _write_doc_partitions(tmp_path / "docs", n_files=6, docs_per_file=25)
-
-    seq = StageCheckpoint(str(tmp_path / "w_seq"), curate.PROFILE_STAGE)
-    r1 = seq.run(docs, curate.token_profile)
-    con = StageCheckpoint(str(tmp_path / "w_con"), curate.PROFILE_STAGE)
-    r2 = con.run(docs, curate.token_profile, max_concurrent=4)
-    assert sorted(r1["computed"]) == sorted(r2["computed"])
-    a = seq.output_dataset().to_pandas().sort_values("doc_id").reset_index(drop=True)
-    b = con.output_dataset().to_pandas().sort_values("doc_id").reset_index(drop=True)
-    pd.testing.assert_frame_equal(a, b)
-    # fingerprints identical; concurrent rerun is a full skip
-    assert {
-        p: e["fingerprint"] for p, e in seq.manifest.items()
-    } == {p: e["fingerprint"] for p, e in con.manifest.items()}
-    r3 = con.run(docs, curate.token_profile, max_concurrent=4)
-    assert r3["computed"] == [] and len(r3["skipped"]) == 6
-
-    # a failing partition under concurrency: completed ones persist, a
-    # sequential resume computes only the rest
-    boom = StageCheckpoint(str(tmp_path / "w_boom"), curate.PROFILE_STAGE)
-    import threading
-
-    n_calls = {"n": 0}
-    call_lock = threading.Lock()
-
-    def flaky(ds):
-        with call_lock:
-            n_calls["n"] += 1
-            if n_calls["n"] == 5:
-                raise _Boom("simulated kill")
-        return curate.token_profile(ds)
-
-    with pytest.raises(_Boom):
-        boom.run(docs, flaky, max_concurrent=3)
-    done = set(boom.manifest)
-    assert len(done) >= 4  # everything that finished was persisted
-    r4 = boom.run(docs, curate.token_profile)
-    assert set(r4["skipped"]) == done
-    c = boom.output_dataset().to_pandas().sort_values("doc_id").reset_index(drop=True)
-    pd.testing.assert_frame_equal(c, a)
-
-
 def test_curate_dirty_partition_recompute_and_purge(tmp_path):
     """Incremental semantics on the curation seam: editing one partition
     recomputes only it; deleting one purges its cached profile so no ghost

@@ -1,6 +1,6 @@
 """F6 checkpoint/resume + incremental-update tests: dirty-partition recompute
-yields byte-identical final graph vs a full rebuild; resume skips completed
-partitions."""
+yields the same final graph as a full rebuild and as ``build_graph``; resume
+skips completed partitions."""
 
 from __future__ import annotations
 
@@ -8,9 +8,11 @@ import glob
 import os
 
 import pandas as pd
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
+from clangd_to_neo4j_ray.pipelines.build_graph import build_graph
 from clangd_to_neo4j_ray.pipelines.incremental import incremental_build
 from clangd_to_neo4j_ray.sources.fixtures import generate_pages, write_pages_fixture
 
@@ -82,10 +84,31 @@ def test_incremental_equals_full_rebuild(corpus, tmp_path):
     assert len(r["stage1"]["purged"]) == 1
     assert len(r["stage1"]["skipped"]) == 4
 
-    # full rebuild of v2 in a fresh work dir
+    # full rebuild of v2 in a fresh work dir, and the in-memory full build
     incremental_build(v2, fx.entities, str(tmp_path / "work_full"), str(tmp_path / "o_full"))
+    build_graph(v2, fx.entities, str(tmp_path / "o_build"), write_neo4j_csv=False)
+    for full in ("o_full", "o_build"):
+        for a, b in zip(
+            _graph_frames(str(tmp_path / "o_inc")), _graph_frames(str(tmp_path / full))
+        ):
+            pd.testing.assert_frame_equal(a, b)
 
-    for a, b in zip(
-        _graph_frames(str(tmp_path / "o_inc")), _graph_frames(str(tmp_path / "o_full"))
-    ):
+    # a corpus where no page mentions an entity: stage 1 is all empty and
+    # the build publishes the hierarchy-only graph build_graph publishes
+    silent = generate_pages(20)
+    html = "<html><body><p>Nothing to link here.</p></body></html>".encode()
+    silent.pages = silent.pages.set_column(
+        silent.pages.column_names.index("html"), "html",
+        pa.array([html] * silent.pages.num_rows, type=silent.pages["html"].type),
+    )
+    quiet = str(tmp_path / "pages_silent")
+    write_pages_fixture(silent, quiet, num_files=2)
+    work = str(tmp_path / "w_silent")
+    r = incremental_build(quiet, silent.entities, work, str(tmp_path / "o_si"))
+    assert len(r["stage1"]["computed"]) == 2
+    assert r["manifest"]["stages"]["write_triples"]["rows"] == 0
+    build_graph(quiet, silent.entities, str(tmp_path / "o_sb"), write_neo4j_csv=False)
+    nodes, edges, triples = _graph_frames(str(tmp_path / "o_si"))
+    assert len(nodes) and len(edges) and triples.empty
+    for a, b in zip((nodes, edges, triples), _graph_frames(str(tmp_path / "o_sb"))):
         pd.testing.assert_frame_equal(a, b)

@@ -3,8 +3,9 @@
 The token scanner is the only kernel the link stage runs; the regex
 scanner is its test spec.  Alternative kernels selected by a keyword or an
 environment variable, a second fused extract+link+merge composition, spare
-CSV writers, a sink that reads its own Parquet back and single-valued build
-options must not come back."""
+CSV writers, a sink that reads its own Parquet back, single-valued build
+options, a second incremental link path, a second Parquet writer and the
+checkpoint's concurrency/force knobs must not come back."""
 
 from __future__ import annotations
 
@@ -14,7 +15,9 @@ import pathlib
 import clangd_to_neo4j_ray
 from clangd_to_neo4j_ray import context
 from clangd_to_neo4j_ray.pipelines import build_graph as build_graph_mod
+from clangd_to_neo4j_ray.pipelines import curate
 from clangd_to_neo4j_ray.stages import canonicalize, linking, materialize
+from clangd_to_neo4j_ray.state.checkpoint import StageCheckpoint
 
 REPO = pathlib.Path(clangd_to_neo4j_ray.__file__).resolve().parent.parent
 BANNED = (
@@ -22,11 +25,14 @@ BANNED = (
     "FusedExtractLinkPartial", "fused_link_partial_stage",
     "merge_partial_triples", "INGEST_STRATEGIES", "BENCH_CORE", "hash_shuffle",
     "_read_parquet_per_file", "_write_parquet_atomic", "_count_parquet_dir",
+    "_link_partition", "_count_rows", "GRAFT_CKPT_CONCURRENCY",
+    "fsspec_http_probe_safe",
 )
+PACKAGE = sorted((REPO / "clangd_to_neo4j_ray").rglob("*.py"))
 
 
 def test_no_alternative_link_kernel_or_knob():
-    files = sorted((REPO / "clangd_to_neo4j_ray").rglob("*.py")) + [REPO / "bench.py"]
+    files = PACKAGE + [REPO / "bench.py"]
     hits = [
         f"{path.relative_to(REPO)}:{n}: {word}"
         for path in files
@@ -62,3 +68,19 @@ def test_build_layers_take_no_single_valued_options():
     ):
         assert "concurrency" not in _params(fn), fn.__name__
     assert "keep_dead_letters" not in _params(canonicalize.canonicalize_triples)
+
+
+def test_checkpoint_path_writes_through_the_sink_and_takes_no_options():
+    writers = [
+        f"{path.relative_to(REPO)}:{n}"
+        for path in PACKAGE
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if ".write_parquet(" in line
+    ]
+    assert writers == []
+    for fn in (
+        StageCheckpoint.run,
+        curate.profile_checkpointed,
+        curate.curate_checkpointed,
+    ):
+        assert not _params(fn) & {"force", "max_concurrent"}, fn.__name__
