@@ -105,8 +105,7 @@ def default_pool_size() -> tuple[int, int]:
     exchange stopped stealing CPU: larger pools slow the overlapped
     combine/exchange more than they speed the scan.  The reference sizes
     its pools the same way: parse workers default to ceil(cpu/2), not cpu
-    (``input_params.py:16-24``).  The task-based link stage caps its
-    concurrency at the upper bound.
+    (``input_params.py:16-24``).
     """
     try:
         cpus = int(ray.cluster_resources().get("CPU", 4))

@@ -13,10 +13,12 @@ checkpoint in front, running the full build's stages (pipelines/build_graph.py):
   (added/modified), and purges outputs of deleted partitions — the
   added/modified/deleted diff of S9 (``git_manager.py:54-152``) expressed
   as manifest set-difference (D6/D7).
-- **stage 2 (global)**: ``graph_datasets`` + ``publish_graph``, the full
-  build's own stage 2, over the checkpointed tagged rows.  Like the
-  reference, the expensive parse work is cached; the wide merge is redone
-  (Cypher MERGE was the reference's always-rerun merge).
+- **stage 2 (global)**: ``publish_graph``, the full build's own stage 2
+  (the one graph exchange streaming into the graph sink, one Ray
+  execution), over the checkpointed tagged rows — they carry a row per
+  page, so the pages are not read again.  Like the reference, the
+  expensive parse work is cached; the wide merge is redone (Cypher MERGE
+  was the reference's always-rerun merge).
 
 Invariant (FIXTURES.md F6, tested): incremental output == full-build
 output for any mix of added/modified/deleted partitions.
@@ -25,13 +27,12 @@ output for any mix of added/modified/deleted partitions.
 from __future__ import annotations
 
 import ray
-import ray.data
 
 from ..sources.fixtures import EntityRecord, alias_lookup
 from ..stages.extract import extract_stage
 from ..stages.linking import TAG_SCHEMA, link_scan_stage
 from ..state.checkpoint import StageCheckpoint
-from .build_graph import graph_datasets, publish_graph
+from .build_graph import publish_graph
 
 
 def incremental_build(
@@ -48,12 +49,9 @@ def incremental_build(
     stage1 = ckpt.run(
         pages_dir, lambda pages: link_scan_stage(extract_stage(pages), alias_ref)
     )
-    names = {e.entity_id: e.canonical_name for e in entities}
-    graph = graph_datasets(
-        ray.data.read_parquet(pages_dir, columns=["url"]), ckpt.output_dataset(), names
-    )
     manifest = publish_graph(
-        graph,
+        ckpt.output_dataset(),
+        {e.entity_id: e.canonical_name for e in entities},
         out_dir,
         lineage={"input": pages_dir, "stage1": stage1},
         write_neo4j_csv=False,

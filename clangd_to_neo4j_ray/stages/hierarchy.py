@@ -11,23 +11,23 @@ corpus shape byte-identical.  Unlike the reference we need no topological
 insert order (O1) — the Parquet sink has no FK constraints, so parent rows
 are emitted independently.
 
-``hierarchy_dataset`` computes the DOMAIN and FOLDER rows once as one table
-(node_id, parent, label, name): large-batch partial distincts, then ONE
-bucketed distinct on node_id — the exchange is bounded by the number of
-distinct containers, never by page count.  Callers share the materialized
-table between the node and edge builders.
+The build's one exchange (stages/canonicalize.py) carries the hierarchy
+as per-batch partial distincts of the container rows (node_id, parent,
+label, name; ``_hierarchy_partial``) keyed by node id — bounded by the
+number of distinct containers, never by page count — and as one row per
+page (url, container id) keyed by url; its reducers turn them into nodes
+and CONTAINS edges (``container_rows``, ``page_rows``).
 """
 
 from __future__ import annotations
 
 from urllib.parse import urlparse
 
-import polars as pl
 import pyarrow as pa
-import ray.data
+import pyarrow.compute as pc
 
 from ..functions.textops import prefixed
-from .shuffle import _bucketed_polars, _compat, auto_num_buckets, drop_empty_blocks
+from .materialize import graph_rows
 
 PROJECT_NODE_ID = "project:root"
 
@@ -67,11 +67,14 @@ HIERARCHY_SCHEMA = pa.schema(
 )
 
 
-def _hierarchy_partial(batch: pa.Table) -> pa.Table:
-    """Per batch: distinct DOMAIN and FOLDER rows (node_id, parent, label,
-    name) — every path-segment ancestor of every page."""
-    seen: dict[str, tuple[str, str, str]] = {}
-    for u in batch["url"].to_pylist():
+def _hierarchy_partial(urls: list[str]) -> tuple[pa.Table, pa.Array]:
+    """Per batch of page urls: the distinct PROJECT, DOMAIN and FOLDER rows
+    (node_id, parent, label, name) — every path-segment ancestor of every
+    page; the PROJECT row has no parent — and, from the same walk, each
+    page's container id (``page_parent_id``)."""
+    seen: dict[str, tuple] = {PROJECT_NODE_ID: (None, "PROJECT", "root")} if urls else {}
+    parents = []
+    for u in urls:
         domain, prefixes = page_ancestry(u)
         parent = f"domain:{domain}"
         seen.setdefault(parent, (PROJECT_NODE_ID, "DOMAIN", domain))
@@ -79,8 +82,9 @@ def _hierarchy_partial(batch: pa.Table) -> pa.Table:
             node_id = f"folder:{pref}"
             seen.setdefault(node_id, (parent, "FOLDER", pref))
             parent = node_id
+        parents.append(parent)
     rows = list(seen.values())
-    return pa.table(
+    containers = pa.table(
         [
             pa.array(list(seen), type=pa.string()),
             pa.array([r[0] for r in rows], type=pa.string()),
@@ -89,90 +93,24 @@ def _hierarchy_partial(batch: pa.Table) -> pa.Table:
         ],
         schema=HIERARCHY_SCHEMA,
     )
+    return containers, pa.array(parents, type=pa.string())
 
 
-def hierarchy_dataset(pages: ray.data.Dataset) -> ray.data.Dataset:
-    """Distinct DOMAIN + FOLDER rows (node_id, parent, label, name) of the
-    corpus, materialized (small; shared by the node and edge builders).
-
-    Large-batch partials, then ONE bucketed distinct on ``node_id`` —
-    parent, label and name are functions of the node id, so any row of a
-    node id is its row."""
-    partials = pages.select_columns(["url"]).map_batches(
-        _hierarchy_partial, batch_format="pyarrow", batch_size=65536
-    )
-
-    def per_bucket(batch: pa.Table) -> pa.Table:
-        df = pl.from_arrow(batch).drop("__bucket")
-        return _compat(
-            df.unique(subset=["node_id"], keep="any", maintain_order=False).to_arrow()
-        )
-
-    return drop_empty_blocks(
-        _bucketed_polars(partials, ["node_id"], per_bucket, auto_num_buckets(partials))
-    )
+def container_rows(containers: pa.Table) -> list[pa.Table]:
+    """Distinct ``HIERARCHY_SCHEMA`` rows -> their PROJECT/DOMAIN/FOLDER
+    nodes and the CONTAINS edge from each one's parent (graph rows)."""
+    linked = containers.filter(pc.is_valid(containers["parent"]))
+    return [
+        graph_rows("nodes", **{c: containers[c] for c in ("node_id", "label", "name")}),
+        graph_rows("edges", src=linked["parent"], type="CONTAINS", dst=linked["node_id"]),
+    ]
 
 
-def hierarchy_edges(
-    pages: ray.data.Dataset, hierarchy: ray.data.Dataset
-) -> ray.data.Dataset:
-    """CONTAINS edges for the full chain: project->domain, domain->folder
-    and folder->folder (one per ``hierarchy_dataset`` row), and
-    parent->page (deepest folder, else domain) per page."""
-
-    def page_edges(batch: pa.Table) -> pa.Table:
-        urls = batch["url"].to_pylist()
-        return pa.table(
-            {
-                "src": pa.array(
-                    [page_parent_id(u) for u in urls], type=pa.string()
-                ),
-                "type": pa.repeat(pa.scalar("CONTAINS"), len(urls)),
-                "dst": pa.array([f"page:{u}" for u in urls], type=pa.string()),
-            }
-        )
-
-    container_edges = hierarchy.map_batches(
-        lambda b: pa.table(
-            {
-                "src": b["parent"],
-                "type": pa.repeat(pa.scalar("CONTAINS"), len(b)),
-                "dst": b["node_id"],
-            }
-        ),
-        batch_format="pyarrow",
-    )
-    return (
-        pages.select_columns(["url"])
-        .map_batches(page_edges, batch_format="pyarrow")
-        .union(container_edges)
-    )
-
-
-def hierarchy_nodes(
-    pages: ray.data.Dataset, hierarchy: ray.data.Dataset
-) -> ray.data.Dataset:
-    """PROJECT + DOMAIN + FOLDER + PAGE node rows (unique on node_id);
-    ``hierarchy`` is the ``hierarchy_dataset`` of ``pages``."""
-
-    page_nodes = pages.select_columns(["url"]).map_batches(
-        lambda b: pa.table(
-            {
-                "node_id": prefixed(b["url"], "page:"),
-                "label": pa.repeat(pa.scalar("PAGE"), len(b)),
-                "name": b["url"],
-            }
-        ),
-        batch_format="pyarrow",
-    )
-    container_nodes = hierarchy.select_columns(["node_id", "label", "name"])
-    project_node = ray.data.from_arrow(
-        pa.table(
-            {
-                "node_id": pa.array([PROJECT_NODE_ID], type=pa.string()),
-                "label": pa.array(["PROJECT"], type=pa.string()),
-                "name": pa.array(["root"], type=pa.string()),
-            }
-        )
-    )
-    return page_nodes.union(container_nodes).union(project_node)
+def page_rows(pages: pa.Table) -> list[pa.Table]:
+    """Distinct pages (url, parent = the page's container id) -> their PAGE
+    nodes and the CONTAINS edge from each page's container (graph rows)."""
+    page_ids = prefixed(pages["url"], "page:")
+    return [
+        graph_rows("nodes", node_id=page_ids, label="PAGE", name=pages["url"]),
+        graph_rows("edges", src=pages["parent"], type="CONTAINS", dst=page_ids),
+    ]

@@ -51,7 +51,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from ..context import DEFAULT_BATCH_SIZE, default_pool_size
+from ..context import DEFAULT_BATCH_SIZE
 
 PRED_PHRASES = {
     "works for": "works_for",
@@ -120,8 +120,9 @@ def _assemble(triples: list, mentions: list):
 
 
 # Row type of the link scan: the tagged union of candidate-triple rows
-# (kind "triple") and mention rows (kind "mention"), each row leaving the
-# other kind's columns null.
+# (kind "triple"), mention rows (kind "mention") and one row per scanned
+# page (kind "page", url only), each row leaving the other kinds' columns
+# null.
 TAG_SCHEMA = pa.schema(
     [(c, pa.string()) for c in ("kind", "subj", "pred", "obj", "evidence_url")]
     + [(c, pa.string()) for c in ("url", "entity_id", "surface")]
@@ -129,17 +130,18 @@ TAG_SCHEMA = pa.schema(
 )
 
 
-def _tag_union(cand: pa.Table, ment: pa.Table) -> pa.Table:
-    """Arrow-native tagged union of candidate and mention rows: concat with
-    column promotion null-pads the missing side — no ``to_pylist`` round
-    trip (the old ``pad`` helper was ~30% of the whole scan stage)."""
+def _tag_union(cand: pa.Table, ment: pa.Table, urls) -> pa.Table:
+    """Arrow-native tagged union of candidate, mention and page rows: concat
+    with column promotion null-pads the missing sides — no ``to_pylist``
+    round trip (the old ``pad`` helper was ~30% of the whole scan stage)."""
     c = cand.select(["subj", "pred", "obj", "evidence_url"]).append_column(
         "kind", pa.array(["triple"] * cand.num_rows, type=pa.string())
     )
     m = ment.append_column(
         "kind", pa.array(["mention"] * ment.num_rows, type=pa.string())
     )
-    out = pa.concat_tables([c, m], promote_options="default")
+    p = pa.table({"url": urls, "kind": pa.array(["page"] * len(urls), type=pa.string())})
+    out = pa.concat_tables([c, m, p], promote_options="default")
     return out.select(TAG_SCHEMA.names)
 
 
@@ -305,13 +307,14 @@ class EntityLinker:
 
 
 class LinkScan(EntityLinker):
-    """Combined one-pass output: tagged union of candidate-triple rows and
-    mention rows (kind column).  One scan instead of two — the hot stage
-    runs once; downstream splits with cheap vectorized filters."""
+    """Combined one-pass output: tagged union of candidate-triple rows,
+    mention rows and one row per scanned page (kind column).  One scan
+    instead of two — the hot stage runs once — and with the page rows its
+    output is all the graph stage needs."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         cand, ment = self._tables(batch)
-        return _tag_union(cand, ment)
+        return _tag_union(cand, ment, batch["url"])
 
 
 # One-entry per-process linker memo: (alias ref hex, LinkScan).  Keyed by
@@ -335,15 +338,15 @@ def link_scan_stage(
     *,
     batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> ray.data.Dataset:
-    """extracted(url, text) -> tagged union of candidate-triple and mention
-    rows: a task-based ``map_batches`` of ``LinkScan``, concurrency capped
-    at the ``default_pool_size`` upper bound."""
+    """extracted(url, text) -> tagged union of candidate-triple, mention and
+    page rows (``TAG_SCHEMA``): a task-based ``map_batches`` of ``LinkScan``
+    with no concurrency of its own, so Ray fuses it with the extract
+    stage before it and the graph stage's per-batch partials after it."""
     return extracted.select_columns(["url", "text"]).map_batches(
         _link_batch,
         fn_args=(alias_ref,),
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=default_pool_size()[1],
     )
 
 

@@ -9,10 +9,12 @@ graph-resident commit stamp (``clangd_graph_rag_builder.py:112-122``):
   the graph sink (``materialize.write_table``): retry-safe part names, the
   directory published by tmp + swap, and one empty part typed by the
   stage's declared schema when a partition yields no rows;
-- a JSON manifest per stage: partition id -> {input fingerprint, rows
-  (summed from the sink's manifest rows), wall seconds, output path};
-- a stage run skips partitions whose fingerprint matches (resume), and
-  recomputes exactly the dirty ones (incremental update, §3.2 analog).
+- a JSON manifest per stage: partition id -> {input fingerprint, row
+  contract, rows (summed from the sink's manifest rows), wall seconds,
+  output path};
+- a stage run skips partitions whose fingerprint and row contract match
+  (resume), and recomputes exactly the dirty ones (incremental update,
+  §3.2 analog).
   Partitions run one after another, one Ray execution each, and the
   manifest is saved after each, so a crash resumes from whatever finished.
 
@@ -27,12 +29,18 @@ import hashlib
 import json
 import os
 import shutil
+import time
 from collections.abc import Callable
 
 import pyarrow as pa
 import ray.data
 
 from ..stages.materialize import write_table
+
+# Version of the rows a partition holds; a partition written under another
+# one is recomputed, never reused.  2: link scan partitions carry a row per
+# page (partitions of version 1 have none).
+ROW_CONTRACT = 2
 
 
 def fingerprint_file(path: str) -> str:
@@ -107,19 +115,20 @@ class StageCheckpoint:
             if (
                 entry
                 and entry.get("fingerprint") == fp
+                and entry.get("contract") == ROW_CONTRACT
                 and os.path.isdir(entry.get("output", ""))
             ):
                 skipped.append(pid)
                 continue
             out_dir = os.path.join(self.dir, pid)
-            stage, _ = write_table(
-                fn(ray.data.read_parquet(path)), out_dir, self.schema
-            )
+            t0 = time.perf_counter()
+            stage = write_table(fn(ray.data.read_parquet(path)), out_dir, self.schema)
             self.manifest[pid] = {
                 "fingerprint": fp,
+                "contract": ROW_CONTRACT,
                 "output": out_dir,
                 "rows": stage["rows"],
-                "wall_sec": stage["wall_sec"],
+                "wall_sec": round(time.perf_counter() - t0, 4),
             }
             self._save()
             computed.append(pid)

@@ -1,6 +1,7 @@
-"""Shape of the pages->KG build plan: typed part files, the exchange count,
-the one-pass sink, the per-process linker memo of the task-based link
-stages, and no schema drift in the build or the graph queries over it."""
+"""Shape of the pages->KG build plan: typed part files, one execution with
+one exchange, the one-pass sink, the per-process linker memo of the
+task-based link stages, and no schema drift in the build or the graph
+queries over it."""
 
 from __future__ import annotations
 
@@ -111,12 +112,27 @@ def test_graph_queries_log_no_schema_drift(tmp_path):
     assert components and ranks
 
 
-def test_build_runs_three_exchanges_and_no_actor_pool(tmp_path, monkeypatch):
-    """One build_graph (Neo4j CSV included) runs exactly three exchanges —
-    canonicalize, hierarchy, entity/mention — and starts no actor pool.
-    Its sink writes each row once and reads nothing back: no
-    ``Dataset.write_parquet``, and ``read_parquet`` on the input pages
-    only."""
+def _count_executions(monkeypatch) -> list[str]:
+    """The names of the Ray Data executions started from here on."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    executions: list[str] = []
+    execute = StreamingExecutor.execute
+
+    def counted_execute(self, dag, *args, **kwargs):
+        executions.append(dag.name)
+        return execute(self, dag, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted_execute)
+    return executions
+
+
+def test_build_runs_one_execution_one_exchange_and_no_actor_pool(tmp_path, monkeypatch):
+    """One build_graph (Neo4j CSV included) is ONE Ray Data execution with
+    exactly one exchange — the graph exchange, whose reducers feed the
+    sink — and starts no actor pool.  Its sink writes each row once and
+    reads nothing back: no ``Dataset.write_parquet``, and ``read_parquet``
+    on the input pages only."""
     from ray.data import Dataset
     from ray.data.grouped_data import GroupedData
 
@@ -154,6 +170,7 @@ def test_build_runs_three_exchanges_and_no_actor_pool(tmp_path, monkeypatch):
 
         return wrapper
 
+    executions = _count_executions(monkeypatch)
     for name in ("groupby", "sort", "repartition", "random_shuffle", "unique", "join"):
         monkeypatch.setattr(Dataset, name, count_exchange(name, getattr(Dataset, name)))
     for name in ("map_groups", "aggregate"):
@@ -175,10 +192,25 @@ def test_build_runs_three_exchanges_and_no_actor_pool(tmp_path, monkeypatch):
     monkeypatch.setattr(ray.data, "read_parquet", counted_read)
 
     build_graph(path, fx.entities, str(tmp_path / "graph"))
-    assert exchanges == ["groupby"] * 3
+    assert len(executions) == 1, executions
+    assert exchanges == ["groupby"]
     assert actor_stages == []
     assert parquet_writes == []
     assert parquet_reads == [path]
+
+
+def test_incremental_stage2_is_one_execution(tmp_path, monkeypatch):
+    """With every partition checkpointed, an incremental build is its
+    stage 2 alone: one Ray Data execution over the checkpointed rows."""
+    from clangd_to_neo4j_ray.pipelines.incremental import incremental_build
+
+    fx, path = _flat_corpus_with_silent_page(tmp_path)
+    work = str(tmp_path / "work")
+    incremental_build(path, fx.entities, work, str(tmp_path / "first"))
+    executions = _count_executions(monkeypatch)
+    r = incremental_build(path, fx.entities, work, str(tmp_path / "second"))
+    assert r["stage1"]["computed"] == []
+    assert len(executions) == 1, executions
 
 
 def _link_rows(tbl: pa.Table) -> set[tuple]:

@@ -20,13 +20,7 @@ from clangd_to_neo4j_ray.pipelines.enrich import (
     project_summary,
     rollup_hierarchy,
 )
-from clangd_to_neo4j_ray.stages.hierarchy import (
-    hierarchy_dataset,
-    hierarchy_edges,
-    hierarchy_nodes,
-    page_ancestry,
-    page_parent_id,
-)
+from clangd_to_neo4j_ray.stages.hierarchy import page_ancestry, page_parent_id
 
 
 def _pages_table(n: int = 48) -> pa.Table:
@@ -54,11 +48,23 @@ def test_page_ancestry_all_prefixes():
     assert page_parent_id("https://d.com/p1") == "domain:d.com"
 
 
-def test_hierarchy_nodes_edges_three_deep():
-    pages = ray.data.from_arrow(_pages_table())
-    hier = hierarchy_dataset(pages)
-    nodes = hierarchy_nodes(pages, hier).to_pandas()
-    edges = hierarchy_edges(pages, hier).to_pandas()
+def _built_graph(table: pa.Table, out_dir: str):
+    """(nodes, edges) DataFrames of ``build_graph`` over ``table``'s pages."""
+    from clangd_to_neo4j_ray.pipelines.build_graph import build_graph
+    from clangd_to_neo4j_ray.sources.fixtures import make_entities
+
+    pages = os.path.join(out_dir, "pages")
+    _write_partitions(table, pages, 2)
+    graph = os.path.join(out_dir, "graph")
+    build_graph(pages, make_entities(), graph, write_neo4j_csv=False)
+    return (
+        pq.read_table(os.path.join(graph, "nodes")).to_pandas(),
+        pq.read_table(os.path.join(graph, "edges")).to_pandas(),
+    )
+
+
+def test_hierarchy_nodes_edges_three_deep(tmp_path):
+    nodes, edges = _built_graph(_pages_table(), str(tmp_path / "deep"))
 
     folders = set(nodes[nodes["label"] == "FOLDER"]["name"])
     # every prefix level exists (a-level AND a/b-level)
@@ -84,12 +90,13 @@ def test_hierarchy_nodes_edges_three_deep():
     anc = edges[edges["dst"].str.startswith("folder:")]
     assert not anc.duplicated(subset=["src", "dst"]).any()
     # flat urls (single path segment) produce no folders at all
-    flat = ray.data.from_arrow(
-        pa.table({"url": pa.array(
-            ["https://x.com/p1", "https://x.com/p2"], type=pa.string())})
+    flat = pa.table(
+        {"url": pa.array(["https://x.com/p1", "https://x.com/p2"], type=pa.string()),
+         "text": pa.array(["one", "two"], type=pa.string())}
     )
-    flat_hier = hierarchy_dataset(flat).to_pandas()
-    assert (flat_hier["label"] == "FOLDER").sum() == 0
+    flat_nodes, _ = _built_graph(flat, str(tmp_path / "flat"))
+    assert (flat_nodes["label"] == "FOLDER").sum() == 0
+    assert (flat_nodes["label"] == "PAGE").sum() == 2
 
 
 def _write_partitions(table: pa.Table, out_dir: str, n_files: int) -> None:

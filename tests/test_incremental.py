@@ -112,3 +112,47 @@ def test_incremental_equals_full_rebuild(corpus, tmp_path):
     assert len(nodes) and len(edges) and triples.empty
     for a, b in zip((nodes, edges, triples), _graph_frames(str(tmp_path / "o_sb"))):
         pd.testing.assert_frame_equal(a, b)
+
+
+def test_link_partition_of_an_older_row_contract_is_recomputed(corpus, tmp_path):
+    """A link partition checkpointed under the older row contract — tagged
+    rows without the per-page rows, a manifest entry without a contract —
+    whose input fingerprint still matches is recomputed, not reused, and
+    the build equals ``build_graph``'s (reusing it would publish no PAGE
+    nodes for its pages and dangling MENTIONS edges)."""
+    import json
+    import shutil
+
+    import pyarrow.compute as pc
+
+    fx, pages = corpus
+    work = str(tmp_path / "work")
+    incremental_build(pages, fx.entities, work, str(tmp_path / "o_v1"))
+    manifest_path = os.path.join(work, "link", "manifest.json")
+    with open(manifest_path) as f:
+        manifest = json.load(f)
+    pid = sorted(manifest)[0]
+    entry = manifest[pid]
+    tagged = pq.read_table(entry["output"])
+    older = tagged.filter(pc.not_equal(tagged["kind"], "page"))
+    assert 0 < older.num_rows < tagged.num_rows
+    shutil.rmtree(entry["output"])
+    os.makedirs(entry["output"])
+    pq.write_table(older, os.path.join(entry["output"], "part-0.parquet"))
+    manifest[pid] = {
+        "fingerprint": entry["fingerprint"],
+        "output": entry["output"],
+        "rows": older.num_rows,
+        "wall_sec": entry["wall_sec"],
+    }
+    with open(manifest_path, "w") as f:
+        json.dump(manifest, f)
+
+    r = incremental_build(pages, fx.entities, work, str(tmp_path / "o_inc"))
+    assert r["stage1"]["computed"] == [pid]
+    assert len(r["stage1"]["skipped"]) == 5
+    build_graph(pages, fx.entities, str(tmp_path / "o_build"), write_neo4j_csv=False)
+    for a, b in zip(
+        _graph_frames(str(tmp_path / "o_inc")), _graph_frames(str(tmp_path / "o_build"))
+    ):
+        pd.testing.assert_frame_equal(a, b)

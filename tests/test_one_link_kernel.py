@@ -4,8 +4,9 @@ The token scanner is the only kernel the link stage runs; the regex
 scanner is its test spec.  Alternative kernels selected by a keyword or an
 environment variable, a second fused extract+link+merge composition, spare
 CSV writers, a sink that reads its own Parquet back, single-valued build
-options, a second incremental link path, a second Parquet writer and the
-checkpoint's concurrency/force knobs must not come back."""
+options, a second incremental link path, a second Parquet writer, the
+checkpoint's concurrency/force knobs and the graph layer's per-table
+exchanges and writers must not come back."""
 
 from __future__ import annotations
 
@@ -26,7 +27,9 @@ BANNED = (
     "merge_partial_triples", "INGEST_STRATEGIES", "BENCH_CORE", "hash_shuffle",
     "_read_parquet_per_file", "_write_parquet_atomic", "_count_parquet_dir",
     "_link_partition", "_count_rows", "GRAFT_CKPT_CONCURRENCY",
-    "fsspec_http_probe_safe",
+    "fsspec_http_probe_safe", "hierarchy_dataset", "hierarchy_nodes",
+    "hierarchy_edges", "entity_mention_pairs", "_partial_pairs", "_pairs_bucket",
+    "_derive", "write_triples",
 )
 PACKAGE = sorted((REPO / "clangd_to_neo4j_ray").rglob("*.py"))
 

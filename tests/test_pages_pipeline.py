@@ -422,3 +422,37 @@ def test_csv_sink_emits_schema_and_import_artifacts(tmp_path):
         assert part in sh, part
         assert os.path.isdir(os.path.join(d, part))
     assert os.access(os.path.join(d, "import.sh"), os.X_OK)
+
+
+def test_layer_views_equal_the_build(fixture, tmp_path):
+    """The layer-by-layer views of the build's one exchange and sink —
+    ``canonicalize_triples``, ``graph_nodes_edges`` and ``write_graph`` over
+    ``split_link_scan``'s tables — give the graph ``build_graph`` writes."""
+    import collections
+    import os
+
+    import pyarrow.parquet as pq
+
+    from clangd_to_neo4j_ray.pipelines.build_graph import graph_nodes_edges
+    from clangd_to_neo4j_ray.stages.canonicalize import canonicalize_triples
+    from clangd_to_neo4j_ray.stages.linking import link_scan_stage, split_link_scan
+    from clangd_to_neo4j_ray.stages.materialize import write_graph
+
+    def rows(dicts):
+        return collections.Counter(tuple(sorted(d.items())) for d in dicts)
+
+    fx, path = fixture
+    pages = ray.data.read_parquet(path)
+    tagged = link_scan_stage(extract_stage(pages), ray.put(alias_lookup(fx.entities)))
+    candidates, mentions = split_link_scan(tagged.materialize())
+    triples = canonicalize_triples(candidates).materialize()
+    names = {e.entity_id: e.canonical_name for e in fx.entities}
+    nodes, edges = graph_nodes_edges(pages, mentions, triples, names)
+    views, built = str(tmp_path / "views"), str(tmp_path / "built")
+    write_graph(nodes, edges, views, write_neo4j_csv=False)
+    build_graph(path, fx.entities, built, write_neo4j_csv=False)
+    want = pq.read_table(os.path.join(built, "triples")).to_pylist()
+    assert want and rows(triples.take_all()) == rows(want)
+    for table in ("nodes", "edges"):
+        got = pq.read_table(os.path.join(views, table)).to_pylist()
+        assert rows(got) == rows(pq.read_table(os.path.join(built, table)).to_pylist()), table
