@@ -50,6 +50,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from ..functions.duck import sql_over
+from .graph_algo import MAX_HOPS
 
 # -- deterministic pages adapter (shared verbatim with the oracle) ----------
 
@@ -887,13 +888,13 @@ fwd(node, hops) AS (
   SELECT host, 0 FROM pv
   UNION
   SELECT e.dst_host, f.hops + 1
-  FROM fwd f JOIN e ON e.src_host = f.node WHERE f.hops < 25
+  FROM fwd f JOIN e ON e.src_host = f.node WHERE f.hops < {MAX_HOPS}
 ),
 bwd(node, hops) AS (
   SELECT host, 0 FROM pv
   UNION
   SELECT e.src_host, b.hops + 1
-  FROM bwd b JOIN e ON e.dst_host = b.node WHERE b.hops < 25
+  FROM bwd b JOIN e ON e.dst_host = b.node WHERE b.hops < {MAX_HOPS}
 ),
 f2 AS (SELECT node, min(hops) AS hops FROM fwd GROUP BY node),
 b2 AS (SELECT node, min(hops) AS hops FROM bwd GROUP BY node)

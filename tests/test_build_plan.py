@@ -1,7 +1,8 @@
 """Shape of the pages->KG build plan: typed part files, one execution with
 one exchange, the one-pass sink, the per-process linker memo of the
 task-based link stages, and no schema drift in the build or the graph
-queries over it."""
+queries over it; the graph queries' own plan: one streaming pass per
+query under the broadcast threshold."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import os
 
 import pyarrow as pa
 import pyarrow.parquet as pq
+import pytest
 import ray
 import ray.data
 
@@ -84,13 +86,19 @@ def test_build_logs_no_schema_drift(tmp_path):
 
 
 def test_graph_queries_log_no_schema_drift(tmp_path):
-    """Components and PageRank over the built graph's relation edges: their
-    distinct exchange outputs lose 0-row, column-less blocks before any map
-    runs over them, so neither query reports schema drift."""
+    """BFS, components and PageRank over the built graph's relation edges,
+    split into blocks one of which has 0 rows (as a per-part relation
+    filter leaves them): the queries drop 0-row input blocks and their
+    exchanges' 0-row, column-less output blocks before any map runs over
+    them, so none reports schema drift."""
     import pyarrow.compute as pc
 
     from clangd_to_neo4j_ray.sources.fixtures import PRED_PHRASES
-    from clangd_to_neo4j_ray.stages.graph_algo import connected_components_ds, pagerank_ds
+    from clangd_to_neo4j_ray.stages.graph_algo import (
+        connected_components_ds,
+        pagerank_ds,
+        reachable_from_ds,
+    )
 
     fx, path = _flat_corpus_with_silent_page(tmp_path)
     out = str(tmp_path / "graph")
@@ -98,18 +106,20 @@ def test_graph_queries_log_no_schema_drift(tmp_path):
     edges = pq.read_table(os.path.join(out, "edges"))
     rel = edges.filter(pc.is_in(edges["type"], pa.array(sorted(PRED_PHRASES.values()))))
     third = -(-rel.num_rows // 3)
-    rel_ds = ray.data.from_arrow([rel.slice(i, third) for i in range(0, rel.num_rows, third)])
-    assert rel.num_rows and rel_ds.num_blocks() == 3
+    blocks = [rel.slice(i, third) for i in range(0, rel.num_rows, third)]
+    rel_ds = ray.data.from_arrow([blocks[0], rel.slice(0, 0), *blocks[1:]])
+    assert rel.num_rows and rel_ds.num_blocks() == 4
     handler = _SchemaDriftLog()
     logger = logging.getLogger("ray.data")
     logger.addHandler(handler)
     try:
+        reached = reachable_from_ds(rel_ds, [rel["src"][0].as_py()]).take_all()
         components = connected_components_ds(rel_ds).take_all()
         ranks = pagerank_ds(rel_ds).take_all()
     finally:
         logger.removeHandler(handler)
     assert handler.hits == []
-    assert components and ranks
+    assert len(reached) > 1 and components and ranks
 
 
 def _count_executions(monkeypatch) -> list[str]:
@@ -239,3 +249,58 @@ def test_link_scan_memo_is_per_dictionary():
         )
         want = LinkScan(lut)(batch)
         assert _link_rows(got.select(want.column_names)) == _link_rows(want)
+
+
+def test_graph_queries_stream_their_input_once(monkeypatch):
+    """Under ``broadcast_threshold`` a BFS runs one Ray Data execution per
+    hop and components and every PageRank variant exactly one, none with
+    an exchange; a threshold of 0 or 1 still takes the distributed path
+    (whose first exchange is refused here)."""
+    from ray.data import Dataset
+
+    from clangd_to_neo4j_ray.stages.graph_algo import (
+        connected_components_ds,
+        pagerank_ds,
+        pagerank_personalized_ds,
+        pagerank_weighted_ds,
+        reachable_from_ds,
+    )
+
+    class Exchange(Exception):
+        pass
+
+    def refuse(self, *args, **kwargs):
+        raise Exchange
+
+    chain = ["a", "b", "c", "d", "e"]
+    ds = ray.data.from_arrow(
+        pa.table(
+            {"src": chain[:-1] + ["a"], "dst": chain[1:] + ["c"], "w": [1, 2, 3, 4, 5]}
+        )
+    )
+    executions = _count_executions(monkeypatch)
+    for name in ("groupby", "sort", "repartition", "random_shuffle", "unique", "join"):
+        monkeypatch.setattr(Dataset, name, refuse)
+
+    bfs = reachable_from_ds(ds, ["a"], max_hops=3)
+    assert len(executions) == 3, executions
+    assert {(r["node"], r["hops"]) for r in bfs.take_all()} == {
+        ("a", 0), ("b", 1), ("c", 1), ("d", 2), ("e", 3)
+    }
+    queries = {
+        "components": lambda **kw: connected_components_ds(ds, **kw),
+        "pagerank": lambda **kw: pagerank_ds(ds, **kw),
+        "weighted": lambda **kw: pagerank_weighted_ds(ds, **kw),
+        "personalized": lambda **kw: pagerank_personalized_ds(ds, ["a"], **kw),
+    }
+    for name, query in queries.items():
+        executions.clear()
+        query()
+        assert len(executions) == 1, (name, executions)
+
+    for threshold in (0, 1):
+        with pytest.raises(Exchange):
+            reachable_from_ds(ds, ["a"], broadcast_threshold=threshold)
+        for name, query in queries.items():
+            with pytest.raises(Exchange):
+                query(broadcast_threshold=threshold)

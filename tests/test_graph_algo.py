@@ -428,3 +428,89 @@ def test_personalized_pagerank_rejects_seeds_outside_graph():
     for threshold in ({}, {"broadcast_threshold": 0}):
         with pytest.raises(ValueError, match="no seed"):
             pagerank_personalized_ds(ds, ["nope", "zz"], **threshold).take_all()
+
+
+def _int_edges():
+    """Integer endpoints with a duplicate edge (1->2 twice), a self-loop
+    (3->3), a 3-cycle and a second component (5->6)."""
+    return ray.data.from_arrow(
+        pa.table(
+            {
+                "src": pa.array([1, 1, 2, 3, 3, 5], type=pa.int64()),
+                "dst": pa.array([2, 2, 3, 3, 1, 6], type=pa.int64()),
+                "w": pa.array([1, 2, 1, 4, 1, 3], type=pa.int64()),
+            }
+        )
+    )
+
+
+def test_components_edge_cases_both_paths():
+    """Duplicate edges, a self-loop and int endpoints (cast to string):
+    the drained union-find equals the forced distributed path exactly."""
+    from clangd_to_neo4j_ray.stages.graph_algo import connected_components_ds
+
+    ds = _int_edges()
+    drained, distributed = (
+        {
+            (r["node"], r["label"])
+            for r in connected_components_ds(ds, broadcast_threshold=t).take_all()
+        }
+        for t in (100_000, 1)
+    )
+    assert drained == distributed
+    assert drained == {("1", "1"), ("2", "1"), ("3", "1"), ("5", "5"), ("6", "5")}
+
+
+def test_pagerank_edge_cases_both_paths():
+    """Duplicate edges, a self-loop and int endpoints: every PageRank
+    variant's drained kernel equals its forced distributed path exactly;
+    the unweighted rank counts the duplicate edge once (hand reference),
+    and a personalized seed list with one non-node seed keeps the other."""
+    from clangd_to_neo4j_ray.stages.graph_algo import (
+        PR_ITERS,
+        PR_SCALE,
+        pagerank_ds,
+        pagerank_personalized_ds,
+        pagerank_weighted_ds,
+    )
+
+    ds = _int_edges()
+    pairs = {("1", "2"), ("2", "3"), ("3", "3"), ("3", "1"), ("5", "6")}
+    nodes = {n for p in pairs for n in p}
+    outdeg = {n: sum(s == n for s, _ in pairs) for n in nodes}
+    init = PR_SCALE // len(nodes)
+    ref = dict.fromkeys(nodes, init)
+    for _ in range(PR_ITERS):
+        acc = dict.fromkeys(nodes, 0)
+        for s, d in pairs:
+            acc[d] += ref[s] // outdeg[s]
+        ref = {n: (15 * init) // 100 + (85 * acc[n]) // 100 for n in nodes}
+    for query, expected in (
+        (lambda **kw: pagerank_ds(ds, **kw), ref),
+        (lambda **kw: pagerank_weighted_ds(ds, **kw), None),
+        (lambda **kw: pagerank_personalized_ds(ds, ["1", "zz"], **kw), None),
+    ):
+        drained, distributed = (
+            {r["node"]: r["pr_scaled"] for r in query(broadcast_threshold=t).take_all()}
+            for t in (100_000, 0)
+        )
+        assert drained == distributed
+        assert set(drained) == nodes
+        assert expected is None or drained == expected
+
+
+def test_reachable_edge_cases_both_paths():
+    """Duplicate edges and a self-loop reach each node once at its first
+    hop; a seed that is no node of the graph is reached at hop 0 alone.
+    The drained hops equal the forced bucketed hops exactly."""
+    ds = ray.data.from_arrow(
+        pa.table({"src": ["a", "a", "b", "b", "c"], "dst": ["b", "b", "b", "c", "a"]})
+    )
+    for seeds, expected in (
+        ({"a"}, {"a": 0, "b": 1, "c": 2}),
+        ({"zz"}, {"zz": 0}),
+        ({"c", "zz"}, {"c": 0, "zz": 0, "a": 1, "b": 2}),
+    ):
+        for threshold in (100_000, 0):
+            got = reachable_from(ds, seeds, broadcast_threshold=threshold)
+            assert got == expected, (seeds, threshold, got)
