@@ -32,6 +32,7 @@ import ray.data
 
 from ..functions.hashing import entity_ids, entity_ids_arrow
 from ..functions.textops import adjacent_pairs, explode_tokens, prefixed
+from ..stages.joins import collect
 from ..stages.shuffle import grouped_agg, grouped_sum
 
 # ---------------------------------------------------------------------------
@@ -406,7 +407,8 @@ def kg_cooccurrence(sf_dir: str) -> ray.data.Dataset:
     self-join -> partial pair counts (exact batch-locally: a document is
     one row, so map_batches never splits its tokens).  The pair exchange
     is vocab^2-bounded; per-entity doc frequencies fold in a second
-    vocab-bounded exchange and broadcast via ``ray.put`` into the lift
+    vocab-bounded exchange, are collected under ``joins.BROADCAST_BYTES``
+    (a larger table raises) and broadcast via ``ray.put`` into the lift
     kernel.  Self-join cost is per-doc O(k^2) in DISTINCT entities per doc
     (k <= vocab), never corpus-wide all-pairs."""
     import ray as _ray
@@ -446,17 +448,18 @@ def kg_cooccurrence(sf_dir: str) -> ray.data.Dataset:
             b=batch,
         )
 
-    ent_df = pa.Table.from_pandas(
+    ent_df = collect(
         grouped_agg(
             ds.map_batches(df_partials, batch_format="pyarrow"),
             ["tok"],
             {"nd": ("nd", "sum")},
-        ).to_pandas()
+        ),
+        "entity df table",
     )
     ref = _ray.put(ent_df)
 
     def lift(t: pa.Table) -> pa.Table:
-        ed = _ray.get(ref) if isinstance(ref, _ray.ObjectRef) else ref
+        ed = _ray.get(ref)
         out = sql_over(
             f"""SELECT b.w1, b.w2, b.n_docs, b.evidence_doc,
                   CAST((1000 * b.n_docs * {n_total}) // (ea.nd * eb.nd)
@@ -901,7 +904,7 @@ def kg_stats(sf_dir: str):
             }
         )
 
-    cp = pairs.map_batches(count_partials, batch_format="pyarrow").take_all()
+    cp = collect(pairs, "triple count partials", count_partials).to_pylist()
     n_triples = sum(r["n"] for r in cp)
     n_recursive = sum(r["rec"] for r in cp)
 
@@ -958,7 +961,7 @@ def kg_stats(sf_dir: str):
             }
         )
 
-    fp = flags.map_batches(flag_partials, batch_format="pyarrow").take_all()
+    fp = collect(flags, "role flag partials", flag_partials).to_pylist()
     return pa.table(
         {
             "n_triples": pa.array([n_triples], type=pa.int64()),

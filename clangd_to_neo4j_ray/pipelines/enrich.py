@@ -40,6 +40,7 @@ from ..functions.llm_client import (
     remote_concurrency,
 )
 from ..stages.hierarchy import domain_of
+from ..stages.joins import collect
 
 
 def _pool_size(
@@ -320,7 +321,7 @@ def project_summary(
         ).materialize()
         n = cur.count()
         level += 1
-    rows = cur.take_all()  # <= fan_in by construction
+    rows = collect(cur, "root summaries").to_pylist()  # <= fan_in by construction
     s = llm.summarize("project:root", [r["summary"] for r in rows], None)
     emb = get_embedding_client(embed_api).encode([s])[0]
     return {"node_id": "project:root", "summary": s, "embedding": list(emb)}
@@ -383,7 +384,7 @@ def incremental_enrich(
         summaries, llm_api=llm_api, embed_api=embed_api, manifest=manifest
     )
     # O(containers) driver fold: rebuild the manifest + dirty accounting
-    rows = [r for lvl in levels for r in lvl.take_all()]
+    rows = [r for lvl in levels for r in collect(lvl, "rollup level").to_pylist()]
     new_manifest = {
         r["node_id"]: {
             "fp": r["fp"],

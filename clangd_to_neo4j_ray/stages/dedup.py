@@ -28,6 +28,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from .joins import collect
 from .shuffle import bucketed_group_agg, distinct, grouped_agg
 
 N_MINHASH = 16  # 4-hex-char minhashes per doc (slices of two salted md5s)
@@ -678,15 +679,17 @@ def dedup_embedding_pairs(sf_dir: str) -> ray.data.Dataset:
     driver-side table bounded by label cardinality (the blocking key's
     design assumption, like the reference's per-FILE grouping)."""
     ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet")
-    label_counts = (
+    label_counts = collect(
         ray.data.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["label"])
         .groupby("label")
-        .count()
-        .to_pandas()
+        .count(),
+        "per-label row counts",
     )
     kmap = {
         l: max(1, -(-int(c) // EMBED_CHUNK))
-        for l, c in zip(label_counts["label"], label_counts["count()"])
+        for l, c in zip(
+            label_counts["label"].to_pylist(), label_counts["count()"].to_pylist()
+        )
     }
 
     def replicate(batch: pa.Table) -> pa.Table:

@@ -1,12 +1,17 @@
-"""Join / lookup toolkit (SURVEY §2.4 J1-J9 analogs).
+"""Join / lookup toolkit (SURVEY §2.4 J1-J9 analogs) and the one bounded
+Dataset-to-driver drain.  Physical strategies are chosen by side size —
+the explicit version of the reference's joins (all of which are
+driver-side dict lookups):
 
-Physical strategies chosen by side size — the explicit version of the
-reference's joins (all of which are driver-side dict lookups):
-
+- ``drain`` / ``collect``: every Dataset-to-driver collection in
+  ``stages/`` and ``pipelines/``, capped by ``BROADCAST_BYTES``.  Past the
+  cap ``drain`` returns ``None`` (the caller runs its distributed plan)
+  and ``collect`` raises.
 - ``broadcast_semi_join`` / ``broadcast_anti_join``: key set broadcast,
-  vectorized ``is_in`` mask (J5 subset builder / A8 orphan anti-join).
-- large-large: ``Dataset.join`` (Ray's hash-partitioned shuffle join), used
-  directly by callers; wrapper kept thin.
+  vectorized ``is_in`` mask (J5 subset builder / A8 orphan anti-join);
+  ``auto_semi_join`` / ``auto_membership_marker`` drain the key set and
+  fall back to ``bucketed_join`` past the cap.
+- large-large: ``bucketed_join`` (one tagged bucket exchange).
 """
 
 from __future__ import annotations
@@ -16,48 +21,73 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-
-def _key_set_ref(keys) -> ray.ObjectRef:
-    # nulls are dropped: they never match in the bucketed/polars path
-    # either, and None breaks sorted() (ADVICE r3 — size-dependent crash)
-    return ray.put(pa.array(sorted({k for k in keys if k is not None})))
+BROADCAST_BYTES = 64 << 20  # the one cap on driver-collected / broadcast bytes
 
 
-def _collect_key_set_bounded(
-    right: ray.data.Dataset, r_on: str, limit_bytes: int
-) -> list | None:
-    """Driver-side collection of the right key column with a HARD byte cap
-    (ADVICE r3): the plan-level size hint only sums LEAF read estimates, so
-    an expanding transform (flat_map/explode UDF) over a small file passes
-    the broadcast check while the actual key set is arbitrarily large.
-    Stream batches and bail to ``None`` the moment the accumulated column
-    bytes exceed the cap — the caller falls back to the bucketed exchange.
-    NOTE: like the take_all it replaces, this executes the right plan
-    eagerly at graph-construction time (acceptable: the plan was judged
-    broadcast-small; overflow aborts the drain early).  Nulls are dropped
-    (they never match in any path)."""
-    keys: set = set()
-    nbytes = 0
-    for b in right.select_columns([r_on]).iter_batches(batch_format="pyarrow"):
-        col = b[r_on]
-        nbytes += col.nbytes
-        if nbytes > limit_bytes:
+def drain(
+    ds: ray.data.Dataset,
+    fn=None,
+    *,
+    max_rows: int | None = None,
+    schema: pa.Schema | None = None,
+) -> pa.Table | None:
+    """``fn`` (identity when None) over each block of ``ds``, streamed to
+    the driver in one execution as one table — or ``None`` as soon as the
+    rows pass ``max_rows`` or the bytes pass ``BROADCAST_BYTES`` (read at
+    call time), so driver state stays bounded by the cap.
+
+    0-row batches are skipped (a 0-row block may be column-less).  With no
+    rows the result is ``schema``'s empty table (column-less without one);
+    with ``schema`` every result is cast to it."""
+    if fn is not None:
+        ds = ds.map_batches(fn, batch_format="pyarrow", batch_size=None)
+    parts, rows, nbytes = [], 0, 0
+    for t in ds.iter_batches(batch_format="pyarrow", batch_size=None):
+        if not t.num_rows:
+            continue
+        rows, nbytes = rows + t.num_rows, nbytes + t.nbytes
+        if (max_rows is not None and rows > max_rows) or nbytes > BROADCAST_BYTES:
             return None
-        keys.update(col.drop_null().to_pylist())
-    return sorted(keys)
+        parts.append(t)
+    if not parts:
+        return pa.table({}) if schema is None else schema.empty_table()
+    out = pa.concat_tables(parts, promote_options="permissive")
+    return out if schema is None else out.cast(schema)
+
+
+def collect(
+    ds: ray.data.Dataset, what: str, fn=None, *, schema: pa.Schema | None = None
+) -> pa.Table:
+    """``drain`` for a site with no distributed fallback: past the cap it
+    raises ``ValueError`` naming ``what`` instead of returning ``None``."""
+    out = drain(ds, fn, schema=schema)
+    if out is None:
+        raise ValueError(
+            f"{what} passes the {BROADCAST_BYTES}-byte driver cap "
+            "(joins.BROADCAST_BYTES); refusing to collect it"
+        )
+    return out
+
+
+def _with_key_mask(left: ray.data.Dataset, key_col: str, keys, emit):
+    """``left`` mapped by ``emit(batch, mask)``, ``mask`` = whether the
+    row's key is in ``keys``, shipped once via ``ray.put``.  Nulls are
+    dropped from the key set: they never match in the bucketed path
+    either."""
+    ref = ray.put(pa.array(keys).drop_null())
+
+    def f(batch: pa.Table) -> pa.Table:
+        col = batch[key_col]
+        return emit(batch, pc.is_in(col, value_set=ray.get(ref).cast(col.type)))
+
+    return left.map_batches(f, batch_format="pyarrow")
 
 
 def broadcast_semi_join(
     left: ray.data.Dataset, key_col: str, keys
 ) -> ray.data.Dataset:
     """Keep rows whose key is in the broadcast key set."""
-    ref = _key_set_ref(keys)
-
-    def f(batch: pa.Table) -> pa.Table:
-        ks = ray.get(ref)
-        return batch.filter(pc.is_in(batch[key_col], value_set=ks))
-
-    return left.map_batches(f, batch_format="pyarrow")
+    return _with_key_mask(left, key_col, keys, lambda b, m: b.filter(m))
 
 
 def broadcast_anti_join(
@@ -65,23 +95,27 @@ def broadcast_anti_join(
 ) -> ray.data.Dataset:
     """Keep rows whose key is NOT in the broadcast key set (A8 orphan
     cleanup / D7 purge-set semantics)."""
-    ref = _key_set_ref(keys)
-
-    def f(batch: pa.Table) -> pa.Table:
-        ks = ray.get(ref)
-        return batch.filter(
-            pc.invert(pc.is_in(batch[key_col], value_set=ks))
-        )
-
-    return left.map_batches(f, batch_format="pyarrow")
+    return _with_key_mask(left, key_col, keys, lambda b, m: b.filter(pc.invert(m)))
 
 
-def broadcast_bytes_limit() -> int:
-    """Size-hint ceiling for choosing a broadcast join side (default
-    64 MiB; ``GRAFT_BROADCAST_BYTES`` overrides)."""
-    import os
+def _drained_keys(right: ray.data.Dataset, r_on: str, limit: int | None):
+    """The right side's distinct keys when they may broadcast, else None:
+    its plan-size hint must be under ``limit`` (``BROADCAST_BYTES`` when
+    None; advisory, since it sums leaf reads only) and the drain of its
+    per-block distinct keys under the cap.  The drain executes the right
+    plan eagerly at graph-construction time and aborts at the cap."""
+    from .shuffle import dataset_size_hint
 
-    return int(os.environ.get("GRAFT_BROADCAST_BYTES", str(64 << 20)))
+    hint = dataset_size_hint(right)
+    if hint is None or hint > (BROADCAST_BYTES if limit is None else limit):
+        return None
+    t = drain(
+        right.select_columns([r_on]),
+        lambda b: pa.table({r_on: pc.unique(b[r_on].combine_chunks())}),
+    )
+    if t is None:
+        return None
+    return t[r_on].combine_chunks() if t.num_columns else []
 
 
 def auto_semi_join(
@@ -94,34 +128,23 @@ def auto_semi_join(
     broadcast_limit: int | None = None,
 ) -> ray.data.Dataset:
     """Semi/anti join picking broadcast vs bucketed by the right side's
-    plan-level size estimate (the planner decision the north_rule's
-    "broadcast small sides, shuffle large ones" rule calls for, and the
-    same threshold pattern as ``graph_algo.reachable_from_ds``).
+    size (the planner decision the north_rule's "broadcast small sides,
+    shuffle large ones" rule calls for).
 
-    Right side under the limit: its key column is collected once (with a
-    hard byte cap — the hint is advisory, the drain is bounded; see
-    ``_collect_key_set_bounded``) and shipped as an ``is_in`` value set —
-    zero exchanges, the sequential-latency win for dimension filters (a
-    bucketed exchange costs ~1-3 s of fixed latency at any size, measured
-    r3).  Over the limit, over the cap, or unknowable: the bucketed
-    exchange, unbounded-size safe.  The broadcast probe executes the right
-    plan eagerly at graph-construction time."""
-    r_on = right_on or on
-    from .shuffle import dataset_size_hint
-
-    hint = dataset_size_hint(right)
-    limit = broadcast_limit if broadcast_limit is not None else broadcast_bytes_limit()
-    if hint is not None and hint <= limit:
-        keys = _collect_key_set_bounded(right, r_on, limit)
-        if keys is not None:
-            if how == "semi":
-                return broadcast_semi_join(left, on, keys)
-            if how == "anti":
-                return broadcast_anti_join(left, on, keys)
-            raise ValueError(f"auto_semi_join supports semi/anti, got {how!r}")
+    Right side under the limit and the cap (``_drained_keys``): its key
+    set ships as an ``is_in`` value set — zero exchanges, the
+    sequential-latency win for dimension filters (a bucketed exchange
+    costs ~1-3 s of fixed latency at any size, measured r3).  Otherwise the
+    bucketed exchange, unbounded-size safe."""
     if how not in ("semi", "anti"):
         raise ValueError(f"auto_semi_join supports semi/anti, got {how!r}")
-    return bucketed_join(left, right, on=on, right_on=r_on, how=how)
+    r_on = right_on or on
+    keys = _drained_keys(right, r_on, broadcast_limit)
+    if keys is None:
+        return bucketed_join(left, right, on=on, right_on=r_on, how=how)
+    if how == "semi":
+        return broadcast_semi_join(left, on, keys)
+    return broadcast_anti_join(left, on, keys)
 
 
 def auto_membership_marker(
@@ -136,27 +159,11 @@ def auto_membership_marker(
     """``left`` plus a boolean ``marker`` column: whether ``left[on]``
     appears in ``right[right_on]`` — the keep-both-populations cousin of
     ``auto_semi_join`` (A8 orphan-marking semantics), with the same
-    broadcast-vs-bucketed planner choice by the right side's size hint and
-    the same hard byte cap on the actual collection (the hint is advisory;
-    eager right-plan execution at graph-construction time)."""
+    broadcast-vs-bucketed choice."""
     r_on = right_on or on
-    from .shuffle import dataset_size_hint
-
-    hint = dataset_size_hint(right)
-    limit = (
-        broadcast_limit if broadcast_limit is not None else broadcast_bytes_limit()
-    )
-    if hint is not None and hint <= limit:
-        keys = _collect_key_set_bounded(right, r_on, limit)
-        if keys is not None:
-            ks = ray.put(pa.array(keys))
-
-            def mark(batch: pa.Table) -> pa.Table:
-                return batch.append_column(
-                    marker, pc.is_in(batch[on], value_set=ray.get(ks))
-                )
-
-            return left.map_batches(mark, batch_format="pyarrow")
+    keys = _drained_keys(right, r_on, broadcast_limit)
+    if keys is not None:
+        return _with_key_mask(left, on, keys, lambda b, m: b.append_column(marker, m))
 
     import polars as pl
 
@@ -480,29 +487,3 @@ def asof_join(
         return _compat(out.to_arrow())
 
     return tagged.groupby("__bucket").map_groups(per_bucket, batch_format="pyarrow")
-
-
-def hash_join(
-    left: ray.data.Dataset,
-    right: ray.data.Dataset,
-    on: str | tuple[str, ...],
-    *,
-    right_on: str | tuple[str, ...] | None = None,
-    num_partitions: int = 16,
-    join_type: str = "inner",
-) -> ray.data.Dataset:
-    """Large-large hash-partitioned shuffle join (Ray Dataset.join).
-
-    Note: the right key column is dropped from the output when key names
-    differ (Ray semantics)."""
-    on_t = (on,) if isinstance(on, str) else tuple(on)
-    r_t = None
-    if right_on is not None:
-        r_t = (right_on,) if isinstance(right_on, str) else tuple(right_on)
-    return left.join(
-        right,
-        join_type=join_type,
-        num_partitions=num_partitions,
-        on=on_t,
-        right_on=r_t,
-    )

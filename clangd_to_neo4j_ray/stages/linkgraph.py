@@ -608,6 +608,7 @@ def bowtie_from_edges(
     the engine-level operator behind ``link_bowtie`` (separated so tests
     can drive region coverage with hand-built graphs)."""
     from .graph_algo import reachable_from_ds
+    from .joins import collect
     from .shuffle import grouped_agg
 
     edges = edges.materialize()
@@ -639,15 +640,9 @@ def bowtie_from_edges(
     )
 
     def top1(batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            return batch
-        df = batch.to_pandas().sort_values(
-            ["deg", "host"], ascending=[False, True]
-        )
-        return pa.Table.from_pandas(df.head(1), preserve_index=False)
+        return batch.sort_by([("deg", "descending"), ("host", "ascending")]).slice(0, 1)
 
-    tops = deg.map_batches(top1, batch_format="pyarrow").take_all()
-    pivot = min(tops, key=lambda r: (-r["deg"], r["host"]))["host"]
+    pivot = top1(collect(deg, "bow-tie pivot candidates", top1))["host"][0].as_py()
 
     fwd = reachable_from_ds(
         edges, {pivot}, src_col=src_col, dst_col=dst_col

@@ -49,6 +49,7 @@ import ray.data
 from ray.data._internal.execution.interfaces import TaskContext
 
 from ..context import DEFAULT_BATCH_SIZE
+from .joins import collect
 
 NODE_SCHEMA = pa.schema([(c, pa.string()) for c in ("node_id", "label", "name")])
 EDGE_SCHEMA = pa.schema([(c, pa.string()) for c in ("src", "type", "dst")])
@@ -228,7 +229,10 @@ def write_tables(
     def sink(batch: pa.Table) -> pa.Table:
         return pa.concat_tables([s(batch) for s in sinks])
 
-    files = ds.map_batches(sink, batch_format="pyarrow", batch_size=SINK_BATCH_ROWS).take_all()
+    files = collect(
+        ds.map_batches(sink, batch_format="pyarrow", batch_size=SINK_BATCH_ROWS),
+        "sink manifest",
+    ).to_pylist()
     stages, csv_paths = {}, []
     for t, (final_dir, schema, _) in targets.items():
         mine = [f for f in files if f["table"] == t]

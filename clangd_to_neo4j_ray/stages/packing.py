@@ -40,6 +40,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from .joins import collect
 from .shuffle import bucketed_group_agg
 
 PACK_BUDGET = 256  # tokens per packed training sequence (driver query)
@@ -245,9 +246,10 @@ def _pack_plan(tok_in: ray.data.Dataset, budget: int):
             ],
         )
 
-    summaries = bucketed_group_agg(
-        tok, ["source", "__shard"], summarize
-    ).take_all()
+    summaries = collect(
+        bucketed_group_agg(tok, ["source", "__shard"], summarize),
+        "packing shard summaries",
+    ).to_pylist()
 
     by_source: dict = defaultdict(list)
     for r in summaries:
@@ -381,10 +383,7 @@ def grouped_head_n(
             out = out[out_cols]
         return out.reset_index(drop=True)
 
-    partials = ds.map_batches(
-        lambda t: pa.Table.from_pandas(head(t.to_pandas()), preserve_index=False),
-        batch_format="pyarrow",
-    )
+    partials = ds.map_batches(head, batch_format="pandas")
     return bucketed_group_agg(partials, [group_col], head)
 
 
@@ -461,7 +460,8 @@ def quality_filter_tokens(tok_in: ray.data.Dataset) -> ray.data.Dataset:
         ["source"],
         bucket_thresholds,
     )
-    p10 = {r["source"]: r["p10"] for r in th.take_all()}
+    th = collect(th, "per-source quality thresholds")
+    p10 = dict(zip(th["source"].to_pylist(), th["p10"].to_pylist()))
     import ray as _ray
 
     ref = _ray.put(p10)

@@ -51,12 +51,13 @@ def profile_table(
 ) -> pa.Table:
     """Profile any Dataset's columns; returns the O(columns) audit table
     (col, n_rows, n_nulls, n_distinct, min_str, max_str)."""
+    from .joins import collect
     from .shuffle import distinct, grouped_agg
 
     stats_q = _stats_sql(cols, "b")
     hash_q = _hash_sql(cols, "b")
 
-    stats = pa.Table.from_pandas(
+    stats = collect(
         grouped_agg(
             ds.map_batches(
                 lambda b: sql_over(stats_q, b=b), batch_format="pyarrow"
@@ -68,7 +69,8 @@ def profile_table(
                 "min_str": ("min_str", "min"),
                 "max_str": ("max_str", "max"),
             },
-        ).to_pandas()
+        ),
+        "column stats",
     )
 
     hashes = distinct(
@@ -83,12 +85,14 @@ def profile_table(
             b=t,
         )
 
-    nd = pa.Table.from_pandas(
+    nd = collect(
         grouped_agg(
             hashes.map_batches(count_partials, batch_format="pyarrow"),
             ["col"],
             {"n_distinct": ("n_distinct", "sum")},
-        ).to_pandas()
+        ),
+        "distinct counts",
+        schema=pa.schema([("col", pa.string()), ("n_distinct", pa.int64())]),
     )
 
     return sql_over(

@@ -7,9 +7,9 @@ grouped aggregates = A1/A2; anti-join = A8 orphan cleanup; per-key ranking =
 O1/O2 ordering semantics.
 
 Join strategy notes (SURVEY §7.4): dimension sides (nation, customer, part,
-filtered orders) are broadcast; the fact table (lineitem) always streams.
-At 100 TB the broadcast sides here (customer at 1.5M rows/SF) would move to
-``hash_join``; the choice is isolated in this module.
+filtered orders) are broadcast while they drain under
+``joins.BROADCAST_BYTES``, else they go through ``bucketed_join``; the fact
+table (lineitem) always streams.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import ray.data
 from ray.data.aggregate import Sum
 
 from ..functions.numerics import round_col, round_half_away
-from .joins import broadcast_semi_join, bucketed_join
+from .joins import broadcast_semi_join, bucketed_join, collect, drain
 from .shuffle import bucketed_group_agg, grouped_sum
 
 Q1_CUTOFF = "1998-09-02"
@@ -243,7 +243,7 @@ def top_parts_by_revenue(sf_dir: str) -> pd.DataFrame:
             )
         )
 
-    top = (
+    top = collect(
         grouped_sum(
             li.map_batches(partials, batch_format="pyarrow"),
             ["p_partkey"],
@@ -251,21 +251,21 @@ def top_parts_by_revenue(sf_dir: str) -> pd.DataFrame:
         )
         .map_batches(lambda t: round_col(t, "rev", 2), batch_format="pyarrow")
         .sort(["rev", "p_partkey"], descending=[True, False])
-        .limit(TOP_PARTS_K)
-        .to_pandas()  # K rows — the one legitimate driver materialization
-    )
+        .limit(TOP_PARTS_K),
+        "top parts",  # K rows — the one legitimate driver materialization
+    ).to_pandas()
     # attach attributes for just the K winners: distributed is_in filter of
     # the part dimension (never a full-dimension driver read), then a K-row
     # pandas merge on the driver
     keys = top["p_partkey"].tolist()
-    attrs = (
+    attrs = collect(
         broadcast_semi_join(
             _read(sf_dir, "part", ["p_partkey", "p_name", "p_brand"]),
             "p_partkey",
             keys,
-        )
-        .to_pandas()
-    )
+        ),
+        "top part attributes",
+    ).to_pandas()
     out = top.merge(attrs, on="p_partkey").rename(columns={"rev": "revenue"})
     return out[["p_partkey", "p_name", "p_brand", "revenue"]]
 
@@ -320,9 +320,12 @@ def nation_order_stats(sf_dir: str) -> ray.data.Dataset:
     """Orders per customer nation.
 
     Output: (n_name, n_orders, sum_totalprice).  Plan (VERDICT r1 #10): the
-    fact side pre-aggregates to one row per customer, the customer
-    dimension joins via the distributed bucketed hash join (it is NOT a
-    broadcastable side at 100 TB), and only the 25-row nation lookup is
+    fact side pre-aggregates to one row per customer.  While the customer
+    map (c_custkey -> c_nationkey) drains under ``joins.BROADCAST_BYTES``
+    it is broadcast, each batch attaches c_nationkey and re-partials by
+    nation, and the whole query is ONE 25-key exchange.  Past the cap (a
+    100 TB customer table) the customer dimension joins via the
+    distributed bucketed hash join.  The 25-row nation lookup is always
     broadcast."""
     from .shuffle import grouped_agg
 
@@ -345,15 +348,10 @@ def nation_order_stats(sf_dir: str) -> ray.data.Dataset:
     import polars as pl
 
     cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-    from .joins import broadcast_bytes_limit
-    from .shuffle import dataset_size_hint
-
-    hint = dataset_size_hint(cust)
-    if hint is not None and hint <= broadcast_bytes_limit():
-        # planner choice (r3): while the customer map fits the broadcast
-        # budget, attach c_nationkey per batch and re-partial by nation —
-        # the whole query collapses to ONE 25-key exchange.  Past the
-        # budget the bucketed join below is the unbounded-size plan.
+    cmap = drain(
+        cust, schema=pa.schema([("c_custkey", pa.int64()), ("c_nationkey", pa.int64())])
+    )
+    if cmap is not None:
         import ray as _ray
 
         # ship the custkey->nationkey map as TWO sorted Arrow arrays, not a
@@ -361,14 +359,9 @@ def nation_order_stats(sf_dir: str) -> ray.data.Dataset:
         # them once instead of re-unpickling millions of dict entries per
         # batch, and the lookup is a vectorized searchsorted instead of a
         # per-row .get loop (ADVICE r3)
-        cdf = cust.to_pandas()
-        order = np.argsort(cdf["c_custkey"].to_numpy(), kind="stable")
-        keys_ref = _ray.put(
-            pa.array(cdf["c_custkey"].to_numpy()[order], type=pa.int64())
-        )
-        vals_ref = _ray.put(
-            pa.array(cdf["c_nationkey"].to_numpy()[order], type=pa.int64())
-        )
+        cmap = cmap.sort_by("c_custkey")
+        keys_ref = _ray.put(cmap["c_custkey"].combine_chunks())
+        vals_ref = _ray.put(cmap["c_nationkey"].combine_chunks())
 
         def attach(batch: pa.Table) -> pa.Table:
             keys = _ray.get(keys_ref).to_numpy()
@@ -440,7 +433,7 @@ def nation_order_stats(sf_dir: str) -> ray.data.Dataset:
 
 
 def customer_order_totals(sf_dir: str) -> ray.data.Dataset:
-    """Large-large hash-partitioned shuffle join (Ray ``Dataset.join``):
+    """Large-large hash-partitioned join (``joins.bucketed_join``):
     per-customer order totals with customer attributes.
 
     Output: (c_custkey, c_name, n_orders, sum_totalprice) for customers with

@@ -387,6 +387,7 @@ def curriculum_rank(sf_dir: str) -> ray.data.Dataset:
     import numpy as np
     import pandas as pd
 
+    from .joins import collect
     from .shuffle import bucketed_group_agg, grouped_agg
 
     ds = ray.data.read_parquet(
@@ -401,11 +402,14 @@ def curriculum_rank(sf_dir: str) -> ray.data.Dataset:
             .rename_columns(["n_chars", "n"])
         )
 
-    hist = grouped_agg(
-        ds.map_batches(hist_partials, batch_format="pyarrow"),
-        ["n_chars"],
-        {"n": ("n", "sum")},
-    ).take_all()  # O(distinct lengths) driver fold
+    hist = collect(
+        grouped_agg(
+            ds.map_batches(hist_partials, batch_format="pyarrow"),
+            ["n_chars"],
+            {"n": ("n", "sum")},
+        ),
+        "length histogram",  # O(distinct lengths) driver fold
+    ).to_pylist()
     hist.sort(key=lambda r: -r["n_chars"])
     offsets: dict[int, int] = {}
     acc = 0
@@ -415,7 +419,7 @@ def curriculum_rank(sf_dir: str) -> ray.data.Dataset:
     ref = ray.put(offsets)  # broadcast once, read per bucket task
 
     def rank_groups(df: pd.DataFrame) -> pd.DataFrame:
-        offs = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
+        offs = ray.get(ref)
         out = []
         for v, g in df.groupby("n_chars", sort=False):
             ids = np.sort(g["doc_id"].to_numpy())

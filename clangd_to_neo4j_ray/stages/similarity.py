@@ -33,13 +33,15 @@ def _read_embeddings(sf_dir: str) -> ray.data.Dataset:
 
 
 def _query_matrix(sf_dir: str) -> tuple[np.ndarray, np.ndarray]:
-    """Load the N_QUERIES query vectors (tiny driver-side read)."""
+    """Load the N_QUERIES query vectors (tiny driver-side read: the
+    ``vec_id`` predicate is pushed down into the Parquet read)."""
     import pyarrow.parquet as pq
 
     t = pq.read_table(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
+        f"{sf_dir}/embeddings.parquet",
+        columns=["vec_id", "embedding"],
+        filters=[("vec_id", "<", N_QUERIES)],
     )
-    t = t.filter(pa.compute.less(t["vec_id"], N_QUERIES))
     ids = t["vec_id"].to_numpy(zero_copy_only=False)
     m = np.stack(t["embedding"].to_pylist()).astype(np.float64)
     return ids, m
@@ -50,7 +52,7 @@ class BruteForceScorer:
     query matrix, emitting per-batch partial top-k per query."""
 
     def __init__(self, query_ref):
-        qids, qm = ray.get(query_ref) if isinstance(query_ref, ray.ObjectRef) else query_ref
+        qids, qm = ray.get(query_ref)
         self.qids = qids
         self.qm = qm
         self.qnorm = np.linalg.norm(qm, axis=1)
@@ -119,9 +121,7 @@ class LshScorer:
     bucket — per-batch partial top-k, never a whole bucket in one task."""
 
     def __init__(self, query_ref):
-        qids, qm, planes = (
-            ray.get(query_ref) if isinstance(query_ref, ray.ObjectRef) else query_ref
-        )
+        qids, qm, planes = ray.get(query_ref)
         self.qids = qids
         self.qm = qm
         self.qnorm = np.linalg.norm(qm, axis=1)
@@ -202,9 +202,7 @@ class IvfScorer:
     top-k, never a whole inverted list in one task."""
 
     def __init__(self, query_ref):
-        qids, qm, cm = (
-            ray.get(query_ref) if isinstance(query_ref, ray.ObjectRef) else query_ref
-        )
+        qids, qm, cm = ray.get(query_ref)
         self.qids = qids
         self.qm = qm
         self.qnorm = np.linalg.norm(qm, axis=1)
@@ -309,6 +307,8 @@ def ann_recall(sf_dir: str) -> pa.Table:
     rows — never on the corpus."""
     from concurrent.futures import ThreadPoolExecutor
 
+    from .joins import collect
+
     # the three top-k pipelines are independent scans — build the plans
     # sequentially (dataset construction is cheap driver work, and the
     # parquet datasource import path is not thread-safe on this Ray
@@ -317,12 +317,12 @@ def ann_recall(sf_dir: str) -> pa.Table:
     ds_ivf = ann_ivf_topk(sf_dir)
     ds_lsh = ann_lsh_topk(sf_dir)
     with ThreadPoolExecutor(max_workers=3) as ex:
-        f_brute = ex.submit(ds_brute.to_pandas)
-        f_ivf = ex.submit(ds_ivf.to_pandas)
-        f_lsh = ex.submit(ds_lsh.to_pandas)
-        brute = f_brute.result()
+        f_brute = ex.submit(collect, ds_brute, "brute-force top-k")
+        f_ivf = ex.submit(collect, ds_ivf, "IVF top-k")
+        f_lsh = ex.submit(collect, ds_lsh, "LSH top-k")
+        brute = f_brute.result().to_pandas()
         truth = brute.groupby("qid")["nid"].apply(set).to_dict()
-        ivf, lsh = f_ivf.result(), f_lsh.result()
+        ivf, lsh = f_ivf.result().to_pandas(), f_lsh.result().to_pandas()
     rows = []
     for method, df in (("ivf", ivf), ("lsh", lsh)):
         got = df.groupby("qid")["nid"].apply(set).to_dict()
@@ -522,7 +522,7 @@ def embed_kmeans(sf_dir: str, *, with_label: bool = False) -> ray.data.Dataset:
     ref = ray.put((cluster_ids, cents))
 
     def final_assign(batch: pa.Table, _ref=ref) -> pa.Table:
-        cids, c = ray.get(_ref) if isinstance(_ref, ray.ObjectRef) else _ref
+        cids, c = ray.get(_ref)
         ids, q = _quantize_batch(batch)
         assign, dist2 = _assign(q, cids, c)
         out = {
@@ -552,18 +552,20 @@ def _kmeans_fit(sf_dir: str) -> tuple[np.ndarray, np.ndarray]:
     if hit is not None:
         return hit
 
+    from .joins import collect
     from .shuffle import grouped_agg
 
     ds = _read_embeddings(sf_dir)
 
-    # init: the K lowest vec_ids (tiny bounded driver read, same pattern
-    # as _query_matrix)
+    # init: the K lowest vec_ids (tiny bounded driver read, the predicate
+    # pushed down into the Parquet read as in _query_matrix)
     import pyarrow.parquet as pq
 
     t = pq.read_table(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-    )
-    t = t.filter(pa.compute.less(t["vec_id"], KMEANS_K)).sort_by("vec_id")
+        f"{sf_dir}/embeddings.parquet",
+        columns=["vec_id", "embedding"],
+        filters=[("vec_id", "<", KMEANS_K)],
+    ).sort_by("vec_id")
     cluster_ids = t["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
     cents = np.floor(
         np.stack(t["embedding"].to_pylist()).astype(np.float64) * KMEANS_SCALE
@@ -573,7 +575,7 @@ def _kmeans_fit(sf_dir: str) -> tuple[np.ndarray, np.ndarray]:
         ref = ray.put((cluster_ids, cents))
 
         def partials(batch: pa.Table, _ref=ref) -> pa.Table:
-            cids, c = ray.get(_ref) if isinstance(_ref, ray.ObjectRef) else _ref
+            cids, c = ray.get(_ref)
             _ids, q = _quantize_batch(batch)
             assign, _d = _assign(q, cids, c)
             k, dim = c.shape
@@ -592,12 +594,13 @@ def _kmeans_fit(sf_dir: str) -> tuple[np.ndarray, np.ndarray]:
                 }
             )
 
-        fold = pa.Table.from_pandas(
+        fold = collect(
             grouped_agg(
                 ds.map_batches(partials, batch_format="pyarrow"),
                 ["cluster", "dim"],
                 {"s": ("s", "sum"), "cnt": ("cnt", "sum")},
-            ).to_pandas()
+            ),
+            "k-means centroid fold",
         ).sort_by([("cluster", "ascending"), ("dim", "ascending")])
         cluster_ids = np.unique(fold["cluster"].to_numpy(zero_copy_only=False))
         dim = int(pa.compute.max(fold["dim"]).as_py()) + 1

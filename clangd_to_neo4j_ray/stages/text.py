@@ -15,6 +15,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from ..functions.textops import explode_tokens
+from .joins import collect
 
 STOPWORDS = ("the", "a")
 FINGERPRINT_K = 5  # tokens per fingerprint shingle
@@ -452,8 +453,9 @@ def bigram_collocations(sf_dir: str) -> ray.data.Dataset:
 
     Plan: ONE scan emits per-batch bigram partials; one bucketed exchange
     sums them.  Unigram totals are vocabulary-bounded, so they fold in a
-    second tiny exchange and broadcast via ``ray.put`` into a vectorized
-    per-batch lift kernel (the small-side lookup pattern).  int64
+    second tiny exchange, are collected under ``joins.BROADCAST_BYTES``
+    (a larger vocabulary raises) and broadcast via ``ray.put`` into a
+    vectorized per-batch lift kernel (the small-side lookup pattern).  int64
     headroom: 1000 * n_xy * N — rescale the permille factor down past
     ~1e12 total tokens (disclosed)."""
     import ray as _ray
@@ -492,12 +494,13 @@ def bigram_collocations(sf_dir: str) -> ray.data.Dataset:
             b=batch,
         )
 
-    uni_table = pa.Table.from_pandas(
+    uni_table = collect(
         grouped_agg(
             ds.map_batches(unigram_partials, batch_format="pyarrow"),
             ["tok"],
             {"n": ("n", "sum")},
-        ).to_pandas()
+        ),
+        "unigram table",
     )
     total = int(pc.sum(uni_table["n"]).as_py())
     ref = _ray.put(uni_table)
@@ -506,7 +509,7 @@ def bigram_collocations(sf_dir: str) -> ray.data.Dataset:
         # vectorized per-batch hash join against the broadcast unigram
         # table — never a Python per-row dict lookup (the bigram exchange
         # output is vocab^2-bounded, i.e. large at corpus scale)
-        uni = _ray.get(ref) if isinstance(ref, _ray.ObjectRef) else ref
+        uni = _ray.get(ref)
         return sql_over(
             f"""SELECT b.w1, b.w2, b.n_xy,
                   CAST((1000 * b.n_xy * {total}) // (ux.n * uy.n) AS BIGINT)
@@ -539,8 +542,9 @@ def tfidf_top_terms(sf_dir: str, *, k: int = TFIDF_K) -> ray.data.Dataset:
     Plan: two streaming scans beat one scan + two corpus-sized exchanges —
     scan 1 emits per-batch (tok, df) partials (exact: a doc is one row, so
     batch-local distinct-(doc,tok) counts never overlap across batches)
-    folded in ONE vocabulary-bounded exchange and broadcast via
-    ``ray.put``; scan 2 computes per-doc tf + score + top-k entirely
+    folded in ONE vocabulary-bounded exchange, collected under
+    ``joins.BROADCAST_BYTES`` (a larger vocabulary raises) and broadcast
+    via ``ray.put``; scan 2 computes per-doc tf + score + top-k entirely
     batch-locally (per-doc rank needs no exchange for the same row-atomicity
     reason).  int64 headroom: 1000 * tf * n_docs — rescale past ~1e12
     docs*tf (disclosed)."""
@@ -560,17 +564,18 @@ def tfidf_top_terms(sf_dir: str, *, k: int = TFIDF_K) -> ray.data.Dataset:
             b=batch,
         )
 
-    df_table = pa.Table.from_pandas(
+    df_table = collect(
         grouped_agg(
             ds.map_batches(df_partials, batch_format="pyarrow"),
             ["tok"],
             {"df": ("df", "sum")},
-        ).to_pandas()
+        ),
+        "tf-idf df table",
     )
     ref = _ray.put(df_table)
 
     def score(batch: pa.Table) -> pa.Table:
-        dft = _ray.get(ref) if isinstance(ref, _ray.ObjectRef) else ref
+        dft = _ray.get(ref)
         return sql_over(
             f"""WITH tf AS (
               SELECT doc_id, tok, CAST(count(*) AS BIGINT) AS tf
@@ -678,11 +683,14 @@ def source_mix_weights(sf_dir: str) -> pa.Table:
             .rename_columns(["source", "toks"])
         )
 
-    per_src = grouped_agg(
-        ds.map_batches(partials, batch_format="pyarrow"),
-        ["source"],
-        {"n_tokens": ("toks", "sum")},
-    ).take_all()  # bounded by source cardinality
+    per_src = collect(
+        grouped_agg(
+            ds.map_batches(partials, batch_format="pyarrow"),
+            ["source"],
+            {"n_tokens": ("toks", "sum")},
+        ),
+        "per-source token totals",  # bounded by source cardinality
+    ).to_pylist()
     total = sum(r["n_tokens"] for r in per_src)
     n_src = len(per_src)
     per_src.sort(key=lambda r: r["source"])

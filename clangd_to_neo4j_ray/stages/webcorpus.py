@@ -40,8 +40,9 @@ Scale shape:
   bounded by distinct lines, which boilerplate itself compresses.
 * the boilerplate SET (df >= 50% of a source's docs) is mathematically
   small — a source with D docs and L lines/doc has at most 2L such lines —
-  so it broadcasts via ``ray.put`` with a hard byte cap (loud failure, no
-  silent driver OOM), mirroring ``joins._collect_key_set_bounded``.
+  so it is collected with ``joins.collect`` under the shared
+  ``joins.BROADCAST_BYTES`` cap (loud failure past it, no silent driver
+  OOM) and broadcast via ``ray.put``.
 * scrub pass: second scan of documents, one embedded DuckDB kernel per
   batch anti-joining the broadcast set — zero additional exchanges.
 * URL normalization is a pure per-batch RE2/list-kernel map (zero
@@ -54,6 +55,7 @@ import pyarrow as pa
 import ray
 
 from ..functions.duck import sql_over
+from .joins import collect
 
 # -- deterministic fixture adapters (shared verbatim with the oracles) -------
 
@@ -111,8 +113,6 @@ normed AS (
             p -> p NOT LIKE 'utm$_%' ESCAPE '$' AND p <> '')), '&') AS q2
         FROM parts))"""
 
-BOILERPLATE_SET_CAP_BYTES = 64 << 20  # loud guard on the broadcast set
-
 
 def _read_docs(sf_dir: str, cols: list[str]) -> ray.data.Dataset:
     import ray.data
@@ -139,7 +139,7 @@ def _source_totals(sf_dir: str) -> pa.Table:
         ["source"],
         {"n_source_docs": ("n_source_docs", "sum")},
     )
-    return pa.Table.from_pandas(totals.to_pandas())
+    return collect(totals, "boilerplate set source totals")
 
 
 def _line_doc_freq(sf_dir: str) -> ray.data.Dataset:
@@ -168,14 +168,15 @@ def _line_doc_freq(sf_dir: str) -> ray.data.Dataset:
 def _boilerplate_table(sf_dir: str) -> pa.Table:
     """The boilerplate set: lines present in >= half of their source's docs,
     joined with the source totals.  Output is inherently small (<= 2 *
-    lines-per-doc rows per source); guarded by a hard byte cap anyway."""
+    lines-per-doc rows per source); collected under the shared cap
+    anyway."""
     totals = _source_totals(sf_dir)
     df = _line_doc_freq(sf_dir)
 
     tot_ref = ray.put(totals)
 
     def flag(batch: pa.Table) -> pa.Table:
-        tot = ray.get(tot_ref) if isinstance(tot_ref, ray.ObjectRef) else tot_ref
+        tot = ray.get(tot_ref)
         return sql_over(
             """SELECT d.source, d.line, d.n_docs, t.n_source_docs
                FROM d JOIN t ON d.source = t.source
@@ -184,16 +185,9 @@ def _boilerplate_table(sf_dir: str) -> pa.Table:
             t=tot,
         )
 
-    bp = pa.Table.from_pandas(
-        df.map_batches(flag, batch_format="pyarrow").to_pandas()
-    )
-    if bp.nbytes > BOILERPLATE_SET_CAP_BYTES:
-        raise ValueError(
-            f"boilerplate set is {bp.nbytes} bytes (> cap "
-            f"{BOILERPLATE_SET_CAP_BYTES}); refusing to broadcast — raise the "
-            "df threshold or key the scrub join by (source, md5(line))"
-        )
-    return bp
+    # past the cap: raise the df threshold or key the scrub join by
+    # (source, md5(line))
+    return collect(df, "boilerplate set", flag)
 
 
 def boilerplate_lines(sf_dir: str) -> pa.Table:
@@ -222,7 +216,7 @@ def boilerplate_scrub(sf_dir: str) -> ray.data.Dataset:
     ds = _read_docs(sf_dir, ["doc_id", "text", "source"])
 
     def scrub(batch: pa.Table) -> pa.Table:
-        bpt = ray.get(bp_ref) if isinstance(bp_ref, ray.ObjectRef) else bp_ref
+        bpt = ray.get(bp_ref)
         return sql_over(
             f"""WITH docs AS (SELECT * FROM b), {LINES_CTES},
             tagged AS (

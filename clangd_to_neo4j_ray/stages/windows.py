@@ -18,6 +18,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from ..functions.numerics import round_col
+from .joins import collect
 from .shuffle import grouped_agg, grouped_sum
 
 TUMBLE_US = 3_600_000_000  # 1-hour tumbling windows
@@ -440,11 +441,14 @@ def events_watermark_lateness(sf_dir: str) -> ray.data.Dataset:
             .rename_columns(["shard", "ts_max"])
         )
 
-    folded = grouped_agg(
-        tagged.map_batches(shard_max, batch_format="pyarrow"),
-        ["shard"],
-        {"ts_max": ("ts_max", "max")},
-    ).take_all()  # <= 256 rows: the carry fold
+    folded = collect(
+        grouped_agg(
+            tagged.map_batches(shard_max, batch_format="pyarrow"),
+            ["shard"],
+            {"ts_max": ("ts_max", "max")},
+        ),
+        "watermark carry fold",  # <= 256 rows
+    ).to_pylist()
     folded.sort(key=lambda r: r["shard"])
     carry: dict[str, int | None] = {}
     run: int | None = None
@@ -457,11 +461,7 @@ def events_watermark_lateness(sf_dir: str) -> ray.data.Dataset:
     _SENTINEL = -(2**62)  # "no preceding arrival": never late, no overflow
 
     def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        cmap = (
-            _ray.get(carry_ref)
-            if isinstance(carry_ref, _ray.ObjectRef)
-            else carry_ref
-        )
+        cmap = _ray.get(carry_ref)
         out = []
         for shard, g in df.groupby("shard", sort=False):
             g = g.sort_values(["ak", "event_id"])
@@ -546,7 +546,7 @@ def events_cohorts(sf_dir: str) -> pa.Table:
     fold = grouped_agg(
         partials, ["cohort_week", "week"], {"n_users": ("n_users", "sum")}
     )
-    g = pa.Table.from_pandas(fold.to_pandas())
+    g = collect(fold, "retention fold")
     return sql_over(
         """SELECT g.cohort_week, g.week, g.n_users,
              CAST((g.n_users * 1000) // s.n_users AS BIGINT)
@@ -622,13 +622,10 @@ def events_funnel(sf_dir: str) -> pa.Table:
     partials = _bucketed_polars(
         mapped, ["user_id"], per_bucket, auto_num_buckets(ds)
     )
-    fold = (
-        pa.Table.from_pandas(
-            grouped_agg(partials, ["step"], {"n_users": ("n_users", "sum")})
-            .to_pandas()
-        )
-        .sort_by("step")
-    )
+    fold = collect(
+        grouped_agg(partials, ["step"], {"n_users": ("n_users", "sum")}),
+        "funnel fold",
+    ).sort_by("step")
     n = fold["n_users"].to_pylist()
     base = n[0] if n and n[0] else 1
     return pa.table(

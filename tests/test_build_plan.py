@@ -253,9 +253,9 @@ def test_link_scan_memo_is_per_dictionary():
 
 def test_graph_queries_stream_their_input_once(monkeypatch):
     """Under ``broadcast_threshold`` a BFS runs one Ray Data execution per
-    hop and components and every PageRank variant exactly one, none with
-    an exchange; a threshold of 0 or 1 still takes the distributed path
-    (whose first exchange is refused here)."""
+    hop and components, every PageRank variant and triangles exactly one,
+    none with an exchange; a threshold of 0 or 1 still takes the
+    distributed path (whose first exchange is refused here)."""
     from ray.data import Dataset
 
     from clangd_to_neo4j_ray.stages.graph_algo import (
@@ -264,6 +264,7 @@ def test_graph_queries_stream_their_input_once(monkeypatch):
         pagerank_personalized_ds,
         pagerank_weighted_ds,
         reachable_from_ds,
+        triangles_ds,
     )
 
     class Exchange(Exception):
@@ -292,6 +293,7 @@ def test_graph_queries_stream_their_input_once(monkeypatch):
         "pagerank": lambda **kw: pagerank_ds(ds, **kw),
         "weighted": lambda **kw: pagerank_weighted_ds(ds, **kw),
         "personalized": lambda **kw: pagerank_personalized_ds(ds, ["a"], **kw),
+        "triangles": lambda **kw: triangles_ds(ds, **kw),
     }
     for name, query in queries.items():
         executions.clear()

@@ -5,11 +5,13 @@ scanner is its test spec.  Alternative kernels selected by a keyword or an
 environment variable, a second fused extract+link+merge composition, spare
 CSV writers, a sink that reads its own Parquet back, single-valued build
 options, a second incremental link path, a second Parquet writer, the
-checkpoint's concurrency/force knobs and the graph layer's per-table
-exchanges and writers must not come back."""
+checkpoint's concurrency/force knobs, the graph layer's per-table
+exchanges and writers, and Dataset-to-driver collections outside the one
+bounded drain (``joins.drain`` / ``joins.collect``) must not come back."""
 
 from __future__ import annotations
 
+import ast
 import inspect
 import pathlib
 
@@ -29,7 +31,9 @@ BANNED = (
     "_link_partition", "_count_rows", "GRAFT_CKPT_CONCURRENCY",
     "fsspec_http_probe_safe", "hierarchy_dataset", "hierarchy_nodes",
     "hierarchy_edges", "entity_mention_pairs", "_partial_pairs", "_pairs_bucket",
-    "_derive", "write_triples",
+    "_derive", "write_triples", "_collect_key_set_bounded", "_key_set_ref",
+    "broadcast_bytes_limit", "GRAFT_BROADCAST_BYTES", "BOILERPLATE_SET_CAP_BYTES",
+    "_drain(",
 )
 PACKAGE = sorted((REPO / "clangd_to_neo4j_ray").rglob("*.py"))
 
@@ -87,3 +91,39 @@ def test_checkpoint_path_writes_through_the_sink_and_takes_no_options():
         curate.curate_checkpointed,
     ):
         assert not _params(fn) & {"force", "max_concurrent"}, fn.__name__
+
+
+# Dataset-to-driver hops (and a pandas round trip) that bypass joins.drain
+DRIVER_HOPS = {
+    "take_all", "iter_batches", "iter_rows", "from_pandas", "take_batch",
+    "to_arrow_refs", "to_pandas_refs",
+}
+
+
+def test_driver_collections_go_through_the_bounded_drain():
+    """Outside ``joins.py``, no module of ``stages/`` or ``pipelines/``
+    collects a Dataset on the driver except through ``joins.drain`` /
+    ``joins.collect`` (bounded by ``joins.BROADCAST_BYTES``), and no
+    ``ray.put`` ref is tested for being a ref."""
+    scope = [
+        path
+        for sub in ("stages", "pipelines")
+        for path in sorted((REPO / "clangd_to_neo4j_ray" / sub).glob("*.py"))
+        if path.name != "joins.py"
+    ]
+    hits = []
+    for path in scope:
+        src = path.read_text()
+        where = path.relative_to(REPO)
+        if "GRAFT_BROADCAST_BYTES" in src:
+            hits.append(f"{where}: GRAFT_BROADCAST_BYTES")
+        for node in ast.walk(ast.parse(src)):
+            if not isinstance(node, ast.Call):
+                continue
+            fn = node.func
+            name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+            if name in DRIVER_HOPS:
+                hits.append(f"{where}:{node.lineno}: {name}")
+            elif name == "isinstance" and "ObjectRef" in ast.unparse(node):
+                hits.append(f"{where}:{node.lineno}: isinstance(..., ObjectRef)")
+    assert hits == []

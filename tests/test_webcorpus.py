@@ -149,7 +149,9 @@ def test_boilerplate_set_cap_guard(monkeypatch, ray_session):
     unbounded set."""
     import pytest
 
-    monkeypatch.setattr(wc, "BOILERPLATE_SET_CAP_BYTES", 1)
+    from clangd_to_neo4j_ray.stages import joins
+
+    monkeypatch.setattr(joins, "BROADCAST_BYTES", 1)
     with pytest.raises(ValueError, match="boilerplate set"):
         wc.boilerplate_lines(SF)
 
