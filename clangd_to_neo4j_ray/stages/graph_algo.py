@@ -15,14 +15,17 @@ BFS, connected components, PageRank, HITS and triangles are size-gated
 by the one bounded drain (``joins.drain``): a per-batch map over the edges
 streams to the driver and aborts once it passes ``broadcast_threshold``
 rows or ``joins.BROADCAST_BYTES`` bytes.  Under the cap the algorithm
-finishes on the driver (one Ray Data execution per BFS hop, one per
-components, PageRank, HITS or triangles run, no exchange); past it the
-distributed plan runs, bucketed exchanges only, so a web-scale frontier or
-edge set (hop-2 of a popular entity can be O(nodes)) never lands on the
-driver (VERDICT r2 next-round #3).
+finishes on the driver (one Ray Data execution per BFS to any depth, per
+components, PageRank, HITS or triangles run, no exchange); past it BFS
+drains one hop at a time while its visited set stays under the cap, and
+the distributed plan runs, bucketed exchanges only, so a web-scale
+frontier or edge set (hop-2 of a popular entity can be O(nodes)) never
+lands on the driver (VERDICT r2 next-round #3).
 """
 
 from __future__ import annotations
+
+import logging
 
 import numpy as np
 import polars as pl
@@ -34,6 +37,8 @@ from .joins import collect, drain
 
 BROADCAST_THRESHOLD = 100_000  # rows; above this a BFS set stays distributed
 MAX_HOPS = 25  # BFS hop cap; the bow-tie and reachability oracles share it
+
+log = logging.getLogger(__name__)
 
 
 def _nonempty_blocks(ds: ray.data.Dataset) -> ray.data.Dataset:
@@ -90,38 +95,68 @@ def reachable_from_ds(
     *,
     src_col: str = "src",
     dst_col: str = "dst",
-    max_hops: int = MAX_HOPS,
+    max_hops: int | None = None,
     broadcast_threshold: int = BROADCAST_THRESHOLD,
 ) -> ray.data.Dataset:
     """Distributed BFS reachability: Dataset of (node, hops), seeds at 0.
 
-    While the visited set is under ``broadcast_threshold`` rows, a hop is
-    one drain: the frontier ships as an ``is_in`` value set, each block
-    emits its unique destinations, and the driver subtracts the visited
-    set — one Ray Data execution per hop, the result one ``from_arrow``.
-    When a drain or the visited set passes the threshold, the hops left
-    run fully bucketed from that state (semi-join of the edges on the
+    ``max_hops=None`` runs to fixpoint, capped at ``MAX_HOPS``; when that
+    cap stops the BFS with nodes still on the frontier one WARNING names
+    the cap and the frontier count.  An explicit ``max_hops`` (a
+    neighbourhood query) stops quietly.
+
+    One drain first: the per-block distinct (src, dst) pairs, their
+    values kept (dictionary-encoded, not cast).  Under
+    ``broadcast_threshold`` rows every hop runs on that driver table
+    (frontier ``is_in``, unique destinations, set difference with the
+    visited set), so a BFS to any depth is one Ray Data execution.  Past
+    it, while the visited set is under the threshold, a hop is one drain:
+    the frontier ships as an ``is_in`` value set, each block emits its
+    unique destinations, and the driver subtracts the visited set.  When a
+    hop's drain or the visited set passes the threshold, the hops left run
+    fully bucketed from that state (semi-join of the edges on the
     frontier, distinct destinations, anti-join on the visited set, each
     materialized once), so no set past the threshold is ever collected.
+    The result is one ``from_arrow`` until the bucketed hops start.
     """
     from .joins import bucketed_join
     from .shuffle import distinct
 
+    capped = max_hops is None
+    max_hops = MAX_HOPS if capped else max_hops
+
     def dsts(t: pa.Table) -> pa.Table:
         return pa.table({"node": pc.unique(t[dst_col].combine_chunks())})
 
+    def step(t: pa.Table, frontier: pa.Array) -> pa.Table:
+        return dsts(t.filter(pc.is_in(t[src_col], value_set=frontier)))
+
+    def distinct_pairs(t: pa.Table) -> pa.Table:
+        # dictionary-encoded: about half the bytes the driver maps
+        g = t.group_by([src_col, dst_col]).aggregate([])
+        return pa.table({c: pc.dictionary_encode(g[c]) for c in (src_col, dst_col)})
+
     edges = _nonempty_blocks(edges)
+    pairs = drain(edges, distinct_pairs, max_rows=broadcast_threshold)
     hops = dict.fromkeys(sorted(set(seeds)), 0)
     frontier, hop = list(hops), 0
-    while frontier and hop < max_hops and len(hops) <= broadcast_threshold:
-        ref = ray.put(pa.array(frontier))
-
-        def step(t: pa.Table, ref=ref) -> pa.Table:
-            return dsts(t.filter(pc.is_in(t[src_col], value_set=ray.get(ref))))
-
-        drained = drain(edges, step, max_rows=broadcast_threshold)
-        if drained is None:
-            break
+    # with the pairs drained the visited set is bounded by their endpoints
+    while (
+        frontier
+        and hop < max_hops
+        and (pairs is not None or len(hops) <= broadcast_threshold)
+    ):
+        if pairs is not None:
+            drained = step(pairs, pa.array(frontier)) if pairs.num_rows else pairs
+        else:
+            ref = ray.put(pa.array(frontier))
+            drained = drain(
+                edges,
+                lambda t, ref=ref: step(t, ray.get(ref)),
+                max_rows=broadcast_threshold,
+            )
+            if drained is None:
+                break
         hop += 1
         reached = set(drained["node"].to_pylist()) if drained.num_rows else set()
         frontier = sorted(reached - hops.keys())
@@ -129,23 +164,31 @@ def reachable_from_ds(
     visited = ray.data.from_arrow(
         pa.table({"node": list(hops), "hops": pa.array(hops.values(), pa.int64())})
     )
-    if not frontier or hop == max_hops:
-        return visited
-    new = ray.data.from_arrow(pa.table({"node": pa.array(frontier)}))
-    for hop in range(hop + 1, max_hops + 1):
-        hits = bucketed_join(edges, new, on=src_col, right_on="node", how="semi")
-        reached = distinct(hits.map_batches(dsts, batch_format="pyarrow"), ["node"])
-        new = bucketed_join(reached, visited, on="node", how="anti").materialize()
-        if not new.count():
-            break
-        visited = visited.union(
-            new.map_batches(
-                lambda t, h=hop: t.append_column(
-                    "hops", pa.array(np.full(len(t), h, dtype=np.int64))
-                ),
-                batch_format="pyarrow",
-            )
-        ).materialize()
+    left = len(frontier)
+    if frontier and hop < max_hops:
+        new = ray.data.from_arrow(pa.table({"node": pa.array(frontier)}))
+        for hop in range(hop + 1, max_hops + 1):
+            hits = bucketed_join(edges, new, on=src_col, right_on="node", how="semi")
+            reached = distinct(hits.map_batches(dsts, batch_format="pyarrow"), ["node"])
+            new = bucketed_join(reached, visited, on="node", how="anti").materialize()
+            left = new.count()
+            if not left:
+                break
+            visited = visited.union(
+                new.map_batches(
+                    lambda t, h=hop: t.append_column(
+                        "hops", pa.array(np.full(len(t), h, dtype=np.int64))
+                    ),
+                    batch_format="pyarrow",
+                )
+            ).materialize()
+    if capped and left:
+        log.warning(
+            "BFS stopped at the MAX_HOPS=%d hop cap with %d node(s) still on "
+            "the frontier",
+            MAX_HOPS,
+            left,
+        )
     return visited
 
 
@@ -155,7 +198,7 @@ def reachable_from(
     *,
     src_col: str = "src",
     dst_col: str = "dst",
-    max_hops: int = MAX_HOPS,
+    max_hops: int | None = None,
     broadcast_threshold: int = BROADCAST_THRESHOLD,
 ) -> dict[str, int]:
     """BFS reachability as a driver dict: node -> hop distance (seeds at 0).

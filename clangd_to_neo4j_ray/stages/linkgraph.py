@@ -588,8 +588,9 @@ def link_bowtie(sf_dir: str) -> ray.data.Dataset:
     and both BFS directions; at web scale it stays as object-store
     blocks, never on the driver).  Pivot selection is a bounded reduce:
     per-block top-1 by (degree desc, host asc), O(blocks) rows to the
-    driver.  Each BFS is ``reachable_from_ds`` (broadcast frontier under
-    the threshold, bucketed semi-joins above).  Classification is
+    driver.  Each BFS is ``reachable_from_ds`` (one drain of the edge
+    pairs and every hop on the driver under the threshold, per-hop
+    drains or bucketed semi-joins above).  Classification is
     join-free: the host universe and both reach sets are tagged and
     unioned, one ``grouped_agg`` max-fold per host recovers membership
     flags and distances (each host has exactly one row per branch, so

@@ -252,10 +252,10 @@ def test_link_scan_memo_is_per_dictionary():
 
 
 def test_graph_queries_stream_their_input_once(monkeypatch):
-    """Under ``broadcast_threshold`` a BFS runs one Ray Data execution per
-    hop and components, every PageRank variant and triangles exactly one,
-    none with an exchange; a threshold of 0 or 1 still takes the
-    distributed path (whose first exchange is refused here)."""
+    """Under ``broadcast_threshold`` a BFS to any depth, components, every
+    PageRank variant and triangles each run exactly one Ray Data
+    execution, none with an exchange; a threshold of 0 or 1 still takes
+    the distributed path (whose first exchange is refused here)."""
     from ray.data import Dataset
 
     from clangd_to_neo4j_ray.stages.graph_algo import (
@@ -283,11 +283,13 @@ def test_graph_queries_stream_their_input_once(monkeypatch):
     for name in ("groupby", "sort", "repartition", "random_shuffle", "unique", "join"):
         monkeypatch.setattr(Dataset, name, refuse)
 
-    bfs = reachable_from_ds(ds, ["a"], max_hops=3)
-    assert len(executions) == 3, executions
-    assert {(r["node"], r["hops"]) for r in bfs.take_all()} == {
-        ("a", 0), ("b", 1), ("c", 1), ("d", 2), ("e", 3)
-    }
+    for max_hops in (3, None):
+        executions.clear()
+        bfs = reachable_from_ds(ds, ["a"], max_hops=max_hops)
+        assert len(executions) == 1, (max_hops, executions)
+        assert {(r["node"], r["hops"]) for r in bfs.take_all()} == {
+            ("a", 0), ("b", 1), ("c", 1), ("d", 2), ("e", 3)
+        }
     queries = {
         "components": lambda **kw: connected_components_ds(ds, **kw),
         "pagerank": lambda **kw: pagerank_ds(ds, **kw),

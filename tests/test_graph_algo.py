@@ -73,11 +73,13 @@ def test_dead_letter_rows_emitted():
     assert stats["n"][0].as_py() == 1
 
 
-def test_reachable_join_path_equals_broadcast_path():
+def test_reachable_join_path_equals_broadcast_path(monkeypatch):
     """VERDICT r2 #3: with broadcast_threshold=0 every frontier/visited set
     exceeds the threshold, so the whole BFS runs on bucketed semi/anti
     joins with nothing collected to the driver mid-loop — and must equal
-    the broadcast fast path and a single-process BFS exactly."""
+    the broadcast fast path and a single-process BFS exactly.  At 100 the
+    edge pairs pass the threshold but the visited set does not, so every
+    hop is its own drain, still with no exchange."""
     import random
 
     import pandas as pd
@@ -115,6 +117,15 @@ def test_reachable_join_path_equals_broadcast_path():
     got_bcast = reachable_from(ds, {"n000"}, broadcast_threshold=10**6)
     assert got_join == exp
     assert got_bcast == exp
+
+    assert len(exp) <= 100 < len(set(edges))
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("exchange on the per-hop drain path")
+
+    for name in ("groupby", "sort", "repartition", "random_shuffle", "unique", "join"):
+        monkeypatch.setattr(ray.data.Dataset, name, refuse)
+    assert reachable_from(ds, {"n000"}, broadcast_threshold=100) == exp
 
 
 def test_connected_components_multi_component_both_paths():
@@ -501,16 +512,62 @@ def test_pagerank_edge_cases_both_paths():
 
 def test_reachable_edge_cases_both_paths():
     """Duplicate edges and a self-loop reach each node once at its first
-    hop; a seed that is no node of the graph is reached at hop 0 alone.
-    The drained hops equal the forced bucketed hops exactly."""
-    ds = ray.data.from_arrow(
-        pa.table({"src": ["a", "a", "b", "b", "c"], "dst": ["b", "b", "b", "c", "a"]})
+    hop; a seed that is no node of the graph is reached at hop 0 alone;
+    int endpoints come back as ints; a typed 0-row edge table reaches the
+    seeds alone.  The drained pairs (100 000), the per-hop drains turning
+    bucketed mid-BFS (3: the 4 distinct pairs pass it) and the forced
+    bucketed hops (0) agree exactly."""
+    src, dst = ["a", "a", "b", "b", "c"], ["b", "b", "b", "c", "a"]
+    ids = {"a": 1, "b": 2, "c": 3}
+    strs = ray.data.from_arrow(pa.table({"src": src, "dst": dst}))
+    ints = ray.data.from_arrow(
+        pa.table({"src": [ids[n] for n in src], "dst": [ids[n] for n in dst]})
     )
-    for seeds, expected in (
-        ({"a"}, {"a": 0, "b": 1, "c": 2}),
-        ({"zz"}, {"zz": 0}),
-        ({"c", "zz"}, {"c": 0, "zz": 0, "a": 1, "b": 2}),
+    empty = ray.data.from_arrow(
+        pa.table({"src": pa.array([], pa.int64()), "dst": pa.array([], pa.int64())})
+    )
+    for ds, seeds, expected in (
+        (strs, {"a"}, {"a": 0, "b": 1, "c": 2}),
+        (strs, {"zz"}, {"zz": 0}),
+        (strs, {"c", "zz"}, {"c": 0, "zz": 0, "a": 1, "b": 2}),
+        (ints, {1}, {1: 0, 2: 1, 3: 2}),
+        (ints, {3, 99}, {3: 0, 99: 0, 1: 1, 2: 2}),
+        (empty, {1}, {1: 0}),
     ):
-        for threshold in (100_000, 0):
+        for threshold in (100_000, 3, 0):
             got = reachable_from(ds, seeds, broadcast_threshold=threshold)
             assert got == expected, (seeds, threshold, got)
+            assert all(type(n) is type(next(iter(seeds))) for n in got)
+
+
+def test_reachable_hop_cap_warns_on_every_path(caplog):
+    """A 30-node chain run to the default cap stops at hop 25 with one
+    node on the frontier: one WARNING says so on the drained-pairs path
+    (100 000), the per-hop drains (28) and the per-hop drains turning
+    bucketed at hop 25 (24).  An explicit ``max_hops`` stays quiet."""
+    import logging
+
+    from clangd_to_neo4j_ray.stages import graph_algo
+
+    def warnings() -> list[str]:
+        return [
+            r.getMessage()
+            for r in caplog.records
+            if r.name == graph_algo.__name__ and r.levelno == logging.WARNING
+        ]
+
+    chain = [f"n{i:02d}" for i in range(30)]
+    ds = ray.data.from_arrow(pa.table({"src": chain[:-1], "dst": chain[1:]}))
+    expected = {n: i for i, n in enumerate(chain[:26])}
+    for threshold in (100_000, 28, 24):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            got = reachable_from(ds, {"n00"}, broadcast_threshold=threshold)
+        assert got == expected, threshold
+        msgs = warnings()
+        assert len(msgs) == 1, (threshold, msgs)
+        assert "MAX_HOPS=25" in msgs[0] and "1 node(s)" in msgs[0], msgs
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        assert reachable_from(ds, {"n00"}, max_hops=25) == expected
+    assert not warnings()
