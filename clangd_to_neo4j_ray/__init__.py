@@ -8,16 +8,16 @@ graph), generalized to Common-Crawl-style web text per BASELINE.json:
       -> extract (byte-identical text per url)
       -> mention detection (alias dictionary, batched)
       -> entity linking (stateful actor pool: anchored + context-scored)
-      -> canonicalization (content-hash entity IDs, salted two-phase
-         groupby-aggregate dedup of (subj, pred, obj) triples)
+      -> canonicalization (content-hash entity IDs, two-phase
+         (per-batch partial + one exchange) dedup of (subj, pred, obj) triples)
       -> materialize (nodes/edges Parquet + Neo4j bulk-import CSV + manifest)
 
 Everything is built on ``ray.data.Dataset`` pipelines: ``map_batches`` over
 zero-copy Arrow batches for per-record work, callable-class actor pools for
-stateful stages, ``groupby``/``aggregate`` for the wide steps, streaming
-execution with backpressure throughout.  No code is copied from the reference;
-``file:line`` citations in docstrings point at the reference behavior each
-component re-implements.
+stateful stages, one bucket-range exchange (``stages/shuffle.py``) for every
+wide step, streaming execution with backpressure throughout.  No code is
+copied from the reference; ``file:line`` citations in docstrings point at the
+reference behavior each component re-implements.
 """
 
 __version__ = "0.1.0"

@@ -93,14 +93,14 @@ def publish_graph(
     exchange -> the graph sink (nodes, edges, triples); returns the
     manifest.  ``build_graph`` passes its streaming scan,
     ``incremental_build`` the checkpointed one."""
-    graph, num_buckets = graph_exchange(tagged, entity_names)
+    graph, layout = graph_exchange(tagged, entity_names)
     return write_graph_rows(
         graph,
         out_dir,
         ("nodes", "edges", "triples"),
         lineage=lineage,
         write_neo4j_csv=write_neo4j_csv,
-        exchanges={"graph_exchange": {"buckets": num_buckets}},
+        exchanges={"graph_exchange": layout},
     )
 
 

@@ -18,7 +18,7 @@ Reference correspondences (SURVEY §2):
 - graph stats = A1 (``clangd_call_graph_builder.py:52-82``).
 
 Scale notes: every stage is ``map_batches`` over Arrow with a *per-batch
-partial aggregate* before the single global ``groupby`` — the salted
+partial aggregate* before the single global exchange — the salted
 two-phase aggregation the north_rule mandates (the batch is the salt), so a
 head entity ("the") never concentrates raw rows on one reducer.
 """

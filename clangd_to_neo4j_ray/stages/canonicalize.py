@@ -16,11 +16,11 @@ type of partials (``PARTIAL_SCHEMA``) with one key column:
 - distinct (entity_id, url) mention pairs, keyed by entity id;
 - page rows, keyed by url.
 
-One bucketed exchange on that key feeds one reducer, which emits per
-bucket the final graph rows (``materialize.GRAPH_SCHEMA``) of every table:
-triples with their relation edges, container nodes and their CONTAINS
-edges, PAGE nodes and their CONTAINS edges, one ENTITY node per entity and
-the MENTIONS edges.  The rows stream straight into the graph sink.
+One ``shuffle.exchange`` on that key feeds one reducer, which emits per
+bucket range the final graph rows (``materialize.GRAPH_SCHEMA``) of every
+table: triples with their relation edges, container nodes and their
+CONTAINS edges, PAGE nodes and their CONTAINS edges, one ENTITY node per
+entity and the MENTIONS edges.  The rows stream straight into the graph sink.
 
 Skew handling (north_rule "salted groupby"): aggregation is **two-phase** —
 the per-batch partial combine (phase 1; the batch is an implicit salt, so
@@ -40,7 +40,7 @@ from ..functions.textops import prefixed
 from .hierarchy import HIERARCHY_SCHEMA, _hierarchy_partial, container_rows, page_rows
 from .linking import DEAD_LETTER, TAG_SCHEMA
 from .materialize import TRIPLE_SCHEMA, graph_rows, table_rows
-from .shuffle import _SEP, _bucketed_polars, auto_num_buckets
+from .shuffle import _SEP, auto_num_buckets, exchange, exchange_partitions
 
 # Row type of the exchange input: the exchange key, the partial's kind,
 # then the columns of each kind (a row leaves the other kinds' null)
@@ -96,7 +96,7 @@ def _distinct(tbl: pa.Table, kind: str, cols: list[str]) -> pa.Table:
 
 
 def _graph_reducer(names_ref):
-    """The per-bucket reducer: a bucket's partials -> its graph rows.
+    """The exchange's reducer: a bucket range's partials -> its graph rows.
     ENTITY nodes are named from ``names_ref`` (entity_id -> name)."""
 
     def per_bucket(batch: pa.Table) -> pa.Table:
@@ -142,11 +142,11 @@ def _graph_reducer(names_ref):
 
 def graph_exchange(
     tagged: ray.data.Dataset, entity_names: dict[str, str]
-) -> tuple[ray.data.Dataset, int]:
+) -> tuple[ray.data.Dataset, dict[str, int]]:
     """Tagged link-scan rows (``TAG_SCHEMA``) -> (graph rows of every output
-    table, the exchange's bucket count): the per-batch partials, ONE
-    bucketed exchange sized by ``auto_num_buckets``, and the reducer.
-    Lazy: nothing runs until the rows are consumed.
+    table, the exchange's layout ``{"buckets": B, "partitions": P}``): the
+    per-batch partials, ONE ``exchange`` on the partials' key, and the
+    reducer.  Lazy: nothing runs until the rows are consumed.
 
     ``entity_names`` (entity_id -> canonical name) is broadcast once.
     Triples are unique on (subj, pred, obj) with evidence = the
@@ -155,8 +155,12 @@ def graph_exchange(
     (``dead_letter_stats`` counts them)."""
     partials = tagged.map_batches(_graph_partials, batch_format="pyarrow")
     num_buckets = auto_num_buckets(partials)
+    layout = {
+        "buckets": num_buckets,
+        "partitions": exchange_partitions(partials, num_buckets),
+    }
     reducer = _graph_reducer(ray.put(entity_names))
-    return _bucketed_polars(partials, ["key"], reducer, num_buckets), num_buckets
+    return exchange(partials, ["key"], reducer, num_buckets), layout
 
 
 def tagged_rows(ds: ray.data.Dataset, kind: str) -> ray.data.Dataset:

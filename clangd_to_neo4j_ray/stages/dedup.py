@@ -12,10 +12,11 @@ one md5 per shingle, simhash uses the first 60 bits of md5 per token.
 Scale notes:
 - signatures are computed fully inside ``map_batches`` (per-doc state only;
   no shuffle);
-- the only shuffles are the final groupbys on (hash) / (band, sig) /
-  blocking key — all preceded by per-batch partial aggregation;
-- candidate pair generation happens per bucket in ``map_groups`` (bounded
-  groups), never as a global cross join.
+- the only shuffles are the final exchanges (``shuffle.exchange``) on
+  (hash) / (band, sig) / blocking key — all preceded by per-batch partial
+  aggregation;
+- candidate pair generation happens per group inside the exchange's
+  reducer (bounded groups), never as a global cross join.
 """
 
 from __future__ import annotations
@@ -267,8 +268,8 @@ def minhash_pairs_from_sigs(sigs: ray.data.Dataset) -> ray.data.Dataset:
     """Candidate near-dup pairs from a (doc_id, band, sig) signature
     dataset: docs sharing any (band, sig) bucket.
 
-    Output: (a_doc, b_doc) distinct, a_doc < b_doc.  The bucket groupby is
-    the LSH shuffle; pair expansion happens per bucket in map_groups.
+    Output: (a_doc, b_doc) distinct, a_doc < b_doc.  The exchange on
+    (band, sig) is the LSH shuffle; pair expansion happens in its reducer.
     Takes the signature dataset (rather than reading the corpus) so
     callers can feed signatures from their own scan; note corpus_clean
     runs its own expansion WITHOUT the cross-band distinct (its
@@ -679,16 +680,17 @@ def dedup_embedding_pairs(sf_dir: str) -> ray.data.Dataset:
     driver-side table bounded by label cardinality (the blocking key's
     design assumption, like the reference's per-FILE grouping)."""
     ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet")
+    # per-block label counts, summed on the driver: no exchange
     label_counts = collect(
-        ray.data.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["label"])
-        .groupby("label")
-        .count(),
+        ray.data.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["label"]),
         "per-label row counts",
-    )
+        lambda t: t.group_by("label").aggregate([([], "count_all")]),
+    ).group_by("label").aggregate([("count_all", "sum")])
     kmap = {
         l: max(1, -(-int(c) // EMBED_CHUNK))
         for l, c in zip(
-            label_counts["label"].to_pylist(), label_counts["count()"].to_pylist()
+            label_counts["label"].to_pylist(),
+            label_counts["count_all_sum"].to_pylist(),
         )
     }
 
@@ -711,6 +713,12 @@ def dedup_embedding_pairs(sf_dir: str) -> ray.data.Dataset:
             base.append_column("ci", pa.array(np.minimum(mine, other)))
             .append_column("cj", pa.array(np.maximum(mine, other)))
             .append_column("chunk", pa.array(mine))
+        )
+
+    def cells(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.concat(
+            [cell(g) for _, g in df.groupby(["label", "ci", "cj"], sort=False)],
+            ignore_index=True,
         )
 
     def cell(g: pd.DataFrame) -> pd.DataFrame:
@@ -744,10 +752,9 @@ def dedup_embedding_pairs(sf_dir: str) -> ray.data.Dataset:
         ).drop_duplicates()
 
     replicated = ds.map_batches(replicate, batch_format="pyarrow")
-    # a pair lands in exactly one grid cell, so cell outputs are disjoint
-    return replicated.groupby(["label", "ci", "cj"]).map_groups(
-        cell, batch_format="pandas"
-    )
+    # a pair lands in exactly one grid cell, so cell outputs are disjoint;
+    # a bucket range holds many cells, compared one at a time
+    return bucketed_group_agg(replicated, ["label", "ci", "cj"], cells)
 
 
 # ---------------------------------------------------------------------------

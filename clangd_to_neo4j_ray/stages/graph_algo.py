@@ -285,7 +285,7 @@ def connected_components_ds(
     shrinkage).
     """
     from .joins import bucketed_join
-    from .shuffle import auto_num_buckets, distinct, drop_empty_blocks, grouped_agg
+    from .shuffle import distinct, drop_empty_blocks, grouped_agg
 
     edges = _nonempty_blocks(edges)
     drained = drain(
@@ -332,12 +332,6 @@ def connected_components_ds(
         lambda t: pa.table({"node": t["node"], "label": t["node"]}),
         batch_format="pyarrow",
     ).materialize()
-    # Ray's sort-based exchange emits one output block PER INPUT BLOCK, so
-    # an iterative union(cand, chase, labels) -> exchange loop multiplies
-    # block counts ~4x per round (measured: 5 -> 1365 blocks and 2 s ->
-    # 186 s per round by round 5).  Re-coalescing the label state to a
-    # bounded block count every round keeps per-round cost flat.
-    state_blocks = auto_num_buckets(nodes)
 
     def pre_min(t: pa.Table) -> pa.Table:
         return (
@@ -399,17 +393,13 @@ def connected_components_ds(
         # per node (old labels ride tagged; polars min skips the nulls on
         # the new rows), so the changed set and the exact stop condition
         # cost no extra exchange.
-        merged = (
-            grouped_agg(
-                cand.map_batches(tag_new, batch_format="pyarrow")
-                .union(chase.map_batches(tag_new, batch_format="pyarrow"))
-                .union(labels.map_batches(tag_old, batch_format="pyarrow")),
-                ["node"],
-                {"label": ("label", "min"), "old_label": ("old_label", "min")},
-            )
-            .repartition(state_blocks)
-            .materialize()
-        )
+        merged = grouped_agg(
+            cand.map_batches(tag_new, batch_format="pyarrow")
+            .union(chase.map_batches(tag_new, batch_format="pyarrow"))
+            .union(labels.map_batches(tag_old, batch_format="pyarrow")),
+            ["node"],
+            {"label": ("label", "min"), "old_label": ("old_label", "min")},
+        ).materialize()
         labels = merged.map_batches(
             lambda t: t.select(["node", "label"]), batch_format="pyarrow"
         ).materialize()
@@ -497,7 +487,7 @@ def _pagerank_engine(
     state never lands on the driver.
     """
     from .joins import bucketed_join
-    from .shuffle import auto_num_buckets, distinct, drop_empty_blocks, grouped_agg
+    from .shuffle import distinct, drop_empty_blocks, grouped_agg
 
     edges = _nonempty_blocks(edges)
     seed_sorted = sorted(set(seeds)) if seeds is not None else None
@@ -567,9 +557,6 @@ def _pagerank_engine(
         raise ValueError(_NO_SEED_IN_GRAPH.format(seed_sorted))
     deg = grouped_agg(pairs, ["src"], {"wsum": ("w", "sum")})
     pairs_deg = bucketed_join(pairs, deg, on="src", how="inner").materialize()
-    # bound the rank state's block count per round (see the block-growth
-    # note in connected_components_ds)
-    state_blocks = auto_num_buckets(nodes)
 
     def tele_column(t: pa.Table) -> pa.Array:
         if seed_arr is None:
@@ -634,11 +621,7 @@ def _pagerank_engine(
                 {"node": t["node"], "v": pc.add(tele_column(t), damped)}
             )
 
-        pr = (
-            sums.map_batches(update, batch_format="pyarrow")
-            .repartition(state_blocks)
-            .materialize()
-        )
+        pr = sums.map_batches(update, batch_format="pyarrow").materialize()
     return pr.map_batches(
         lambda t: pa.table({"node": t["node"], "pr_scaled": t["v"]}),
         batch_format="pyarrow",
@@ -924,7 +907,7 @@ def hits_ds(
     — overflows past ~9e18, i.e. n ~ 1e6 at full concentration; raise
     ``scale`` down if ranking larger graphs (disclosed)."""
     from .joins import bucketed_join
-    from .shuffle import auto_num_buckets, distinct, grouped_agg
+    from .shuffle import distinct, grouped_agg
 
     edges = _nonempty_blocks(edges)
     drained = drain(
@@ -969,7 +952,6 @@ def hits_ds(
     ).materialize()
     init = scale // max(1, nodes.count())
 
-    state_blocks = auto_num_buckets(nodes)
     zeros = nodes.map_batches(
         lambda t: pa.table(
             {
@@ -1019,11 +1001,7 @@ def hits_ds(
                 }
             )
 
-        return (
-            sums.map_batches(norm, batch_format="pyarrow")
-            .repartition(state_blocks)
-            .materialize()
-        )
+        return sums.map_batches(norm, batch_format="pyarrow").materialize()
 
     h_state = nodes.map_batches(
         lambda t: pa.table(
@@ -1208,12 +1186,7 @@ def triangles_ds(
     Four bounded exchanges total.
     """
     from .joins import bucketed_join
-    from .shuffle import (
-        _bucketed_polars,
-        auto_num_buckets,
-        distinct,
-        grouped_agg,
-    )
+    from .shuffle import distinct, exchange, grouped_agg
 
     def canon(t: pa.Table) -> pa.Table:
         a = pc.cast(t[src_col], pa.string()).combine_chunks()
@@ -1290,7 +1263,7 @@ def triangles_ds(
         )
         return w.to_arrow()
 
-    wedges = _bucketed_polars(e, ["a"], wedge_bucket, auto_num_buckets(e))
+    wedges = exchange(e, ["a"], wedge_bucket)
 
     closed = bucketed_join(
         wedges,

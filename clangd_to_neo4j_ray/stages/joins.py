@@ -11,7 +11,9 @@ driver-side dict lookups):
   vectorized ``is_in`` mask (J5 subset builder / A8 orphan anti-join);
   ``auto_semi_join`` / ``auto_membership_marker`` drain the key set and
   fall back to ``bucketed_join`` past the cap.
-- large-large: ``bucketed_join`` (one tagged bucket exchange).
+- large-large: ``bucketed_join`` / ``asof_join``: one tagged
+  ``shuffle.exchange``, each reducer call joining a contiguous range of
+  buckets of both sides.
 """
 
 from __future__ import annotations
@@ -199,16 +201,17 @@ def _deser_table(buf: bytes) -> pa.Table:
 
 
 # Reserved bucket id for the per-batch schema-carrier rows (below any real
-# hash bucket).  Its group holds one zero-row payload per batch per side, so
-# it always joins two correctly-typed empty frames and emits one block with
-# the exchange's full output schema — the anchor Ray unifies the occasional
-# zero-column empty blocks (from buckets missing a side) against.
+# hash bucket, so it lands in the exchange's first bucket range).  That
+# range holds one zero-row payload per batch per side, so it always sees
+# both sides typed and emits one block with the exchange's full output
+# schema — the anchor Ray unifies the occasional zero-column empty blocks
+# (from bucket ranges missing a side) against.
 SCHEMA_BUCKET = -1
 
 
 def _pack_side(side: int, key_cols: list[str], num_buckets: int, emit_all: bool):
     """Batch -> (side, bucket, Arrow-IPC payload) rows for the tagged
-    bucket exchange shared by ``bucketed_join`` / ``asof_join``.
+    ``shuffle.exchange`` shared by ``bucketed_join`` / ``asof_join``.
 
     Emits payload rows only for buckets that actually received rows, plus
     one zero-row schema-carrier row per batch routed to ``SCHEMA_BUCKET``
@@ -268,7 +271,8 @@ def _static_schema(ds: ray.data.Dataset) -> pa.Schema | None:
 
 
 def _split_sides(t: pa.Table) -> tuple[list[pa.Table], list[pa.Table]]:
-    """Deserialize one bucket's tagged payload rows into per-side parts."""
+    """Deserialize one bucket range's tagged payload rows into per-side
+    parts."""
     sides = t["__side"].to_pylist()
     bufs = t["payload"].to_pylist()
     l_parts = [_deser_table(b) for b, s in zip(bufs, sides) if s == 0]
@@ -287,20 +291,20 @@ def bucketed_join(
     left_combine=None,
     right_combine=None,
 ) -> ray.data.Dataset:
-    """Distributed hash join on the bucketed-shuffle machinery.
+    """Distributed hash join on the one exchange (``shuffle.exchange``).
 
     ``left_combine`` / ``right_combine`` (polars DataFrame -> DataFrame) run
-    per bucket BEFORE the join: an aggregation keyed on the join key fuses
-    into the join's exchange instead of paying its own all-to-all (feed the
-    per-batch partials in and put the final combine here).  Output columns
-    are the post-combine columns.
+    per bucket range BEFORE the join: an aggregation keyed on the join key
+    fuses into the join's exchange instead of paying its own all-to-all
+    (feed the per-batch partials in and put the final combine here).
+    Output columns are the post-combine columns.
 
     Each side's batches are bucket-hashed on the key columns (pinned stable
     hash), split into per-bucket row runs, and shipped as Arrow-IPC payload
-    rows (side, bucket, payload); one low-cardinality exchange on the
-    bucket key co-locates both sides, and each bucket runs one vectorized
-    polars join.  ``how`` is any of inner/left/semi/anti (semi/anti return
-    left columns only).
+    rows (side, bucket, payload); one exchange on the bucket column cuts
+    them into contiguous bucket ranges that co-locate both sides, and each
+    range runs one vectorized polars join.  ``how`` is any of
+    inner/left/semi/anti (semi/anti return left columns only).
 
     The IPC-payload envelope (schema travels inside the payload) means the
     join NEVER forces schema inference through a UDF plan — which would
@@ -312,13 +316,13 @@ def bucketed_join(
     auto-sized bucket counts (``auto_num_buckets``; ``num_buckets=None``)
     stay cheap at any scale.
 
-    Same single-exchange layout as ``grouped_agg`` — measured much faster
+    The same exchange as ``grouped_agg`` — measured much faster
     than Ray's JoinOperator at our scales (see stages/relational.py) — and
     it replaces every driver-side key-set collect the round-1 verdict
     flagged."""
     import polars as pl
 
-    from .shuffle import _compat, auto_num_buckets
+    from .shuffle import _compat, auto_num_buckets, exchange
 
     num_buckets = num_buckets or auto_num_buckets(left, right)
     l_on = [on] if isinstance(on, str) else list(on)
@@ -349,7 +353,7 @@ def bucketed_join(
     def per_bucket(t: pa.Table) -> pa.Table:
         l_parts, r_parts = _split_sides(t)
         # a side's parts are missing when no batch of that side touched
-        # this bucket (or the whole side materialized zero blocks).  The
+        # this bucket range (or the whole side materialized zero blocks).  The
         # fallbacks below are row-correct; where the output schema is
         # unknowable they emit a zero-column empty block, which Ray
         # unifies against the SCHEMA_BUCKET group's fully-typed block.
@@ -395,7 +399,7 @@ def bucketed_join(
         )
         return _compat(out.select(out_cols).to_arrow())
 
-    return tagged.groupby("__bucket").map_groups(per_bucket, batch_format="pyarrow")
+    return exchange(tagged, None, per_bucket, num_buckets)
 
 
 def asof_join(
@@ -417,9 +421,9 @@ def asof_join(
     in-batch cousin is the nearest-preceding-anchor containment join of
     stages/linking.py J4): both sides bucket-hash on ``by`` through the
     same tagged Arrow-IPC exchange as ``bucketed_join``, then each bucket
-    runs one vectorized ``polars.join_asof`` over the bucket sorted by the
-    ``on`` key.  Never an expanded range join; the only shuffle is the
-    single low-cardinality bucket exchange, so the cost profile matches
+    range runs one vectorized ``polars.join_asof`` over its rows sorted by
+    the ``on`` key.  Never an expanded range join; the only shuffle is the
+    one exchange, so the cost profile matches
     ``bucketed_join`` regardless of how many right rows precede each left
     row.
 
@@ -430,7 +434,7 @@ def asof_join(
     """
     import polars as pl
 
-    from .shuffle import _compat, auto_num_buckets
+    from .shuffle import _compat, auto_num_buckets, exchange
 
     num_buckets = num_buckets or auto_num_buckets(left, right)
     by_cols = [by] if isinstance(by, str) else list(by)
@@ -438,7 +442,7 @@ def asof_join(
 
     # as-of keeps left rows with nulls when a bucket has no right rows, so
     # (like bucketed_join how='left') the right schema must be available in
-    # every left-touched bucket: statically when Ray knows it, else via
+    # every left-touched bucket range: statically when Ray knows it, else via
     # every-bucket emission on the right side.
     l_schema = _static_schema(left)
     r_schema = _static_schema(right)
@@ -486,4 +490,4 @@ def asof_join(
         )
         return _compat(out.to_arrow())
 
-    return tagged.groupby("__bucket").map_groups(per_bucket, batch_format="pyarrow")
+    return exchange(tagged, None, per_bucket, num_buckets)

@@ -293,7 +293,7 @@ def link_cocitation(sf_dir: str) -> ray.data.Dataset:
     volume — degree-cap hot sources at web scale (disclosed)."""
     import polars as pl
 
-    from .shuffle import _bucketed_polars, auto_num_buckets, distinct, grouped_agg
+    from .shuffle import distinct, exchange, grouped_agg
 
     edges = web_link_graph(sf_dir).select_columns(["src_host", "dst_host"])
     e = distinct(edges, ["src_host", "dst_host"]).materialize()
@@ -311,7 +311,7 @@ def link_cocitation(sf_dir: str) -> ray.data.Dataset:
         )
         return w.to_arrow()
 
-    pairs = _bucketed_polars(e, ["src_host"], pair_bucket, auto_num_buckets(e))
+    pairs = exchange(e, ["src_host"], pair_bucket)
     return grouped_agg(
         pairs,
         ["host_a", "host_b"],

@@ -19,7 +19,6 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
-from ray.data.aggregate import Sum
 
 from ..functions.numerics import round_col, round_half_away
 from .joins import broadcast_semi_join, bucketed_join, collect, drain
@@ -108,17 +107,17 @@ def q1_pricing_summary(sf_dir: str) -> ray.data.Dataset:
             )
         )
 
-    agg = (
-        ds.map_batches(partials, batch_format="pyarrow")
-        .groupby(["l_returnflag", "l_linestatus"])
-        .aggregate(
-            Sum(on="qty", alias_name="s_qty"),
-            Sum(on="price", alias_name="s_price"),
-            Sum(on="disc_price", alias_name="s_disc_price"),
-            Sum(on="charge", alias_name="s_charge"),
-            Sum(on="disc", alias_name="s_disc"),
-            Sum(on="n", alias_name="n"),
-        )
+    agg = grouped_sum(
+        ds.map_batches(partials, batch_format="pyarrow"),
+        ["l_returnflag", "l_linestatus"],
+        {
+            "qty": "s_qty",
+            "price": "s_price",
+            "disc_price": "s_disc_price",
+            "charge": "s_charge",
+            "disc": "s_disc",
+            "n": "n",
+        },
     )
 
     def finish(t: pa.Table) -> pa.Table:
@@ -494,7 +493,7 @@ def orders_rank_window(sf_dir: str) -> ray.data.Dataset:
 
     Output: (o_custkey, o_orderkey, rn) with rn = rank by
     (o_orderdate, o_orderkey) within customer — deterministic tie-break.
-    O2-style within-group ordering via map_groups."""
+    O2-style within-group ordering inside the exchange's reducer."""
     orders = _read(sf_dir, "orders", ["o_custkey", "o_orderkey", "o_orderdate"])
 
     def rank(g: pd.DataFrame) -> pd.DataFrame:
@@ -521,7 +520,7 @@ def lineitem_quantiles(sf_dir: str) -> ray.data.Dataset:
     a plain sum/count reduce can't express.
 
     Scale pattern: l_quantity has bounded cardinality (~50 distinct), so
-    per-batch (flag, value) counts + one tiny grouped sum replace any
+    per-batch (flag, value) counts + one exchange on the flag replace any
     global sort; reducer state is O(distinct values), independent of row
     count.  The final interpolation (type-7 / ``quantile_cont`` semantics:
     h = p*(n-1), linear between ranks floor(h), ceil(h)) runs on the
@@ -544,42 +543,39 @@ def lineitem_quantiles(sf_dir: str) -> ray.data.Dataset:
             .rename_columns(["l_returnflag", "q", "n"])
         )
 
-    counts = grouped_sum(
-        ds.map_batches(partials, batch_format="pyarrow"),
-        ["l_returnflag", "q"],
-        {"n": "n"},
-    )
-
-    def quants(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("q")
-        vals = g["q"].to_numpy(dtype=np.float64)
-        cum = np.cumsum(g["n"].to_numpy(dtype=np.int64))
-        n = int(cum[-1])
-
-        def qc(p: float) -> float:
-            h = p * (n - 1)
-            lo, hi = int(np.floor(h)), int(np.ceil(h))
-            # value at 0-indexed rank r = first histogram bin with cum > r
-            xlo = vals[np.searchsorted(cum, lo + 1)]
-            xhi = vals[np.searchsorted(cum, hi + 1)]
-            # DuckDB round() is half AWAY FROM ZERO; builtin round() is
-            # half-to-even and silently diverges on .xx5 boundaries
-            # (ADVICE r2) — every oracle-matched rounding goes through
-            # round_half_away (functions/numerics convention)
-            from ..functions.numerics import round_half_away
-
-            return round_half_away(xlo + (h - lo) * (xhi - xlo), 2)
-
+    def quants(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
-            {
-                "l_returnflag": [g["l_returnflag"].iloc[0]],
-                "p50": [qc(QUANTILE_PS[0])],
-                "p90": [qc(QUANTILE_PS[1])],
-                "p99": [qc(QUANTILE_PS[2])],
-            }
+            [_flag_quantiles(flag, g) for flag, g in df.groupby("l_returnflag")],
+            columns=["l_returnflag", "p50", "p90", "p99"],
         )
 
-    return counts.groupby("l_returnflag").map_groups(quants, batch_format="pandas")
+    # (flag, value) partials are few per block: one exchange on the flag
+    # folds them into each flag's histogram and interpolates it
+    return bucketed_group_agg(
+        ds.map_batches(partials, batch_format="pyarrow"), ["l_returnflag"], quants
+    )
+
+
+def _flag_quantiles(flag, rows: pd.DataFrame) -> tuple:
+    """One flag's (flag, p50, p90, p99) from its (q, n) partial rows."""
+    g = rows.groupby("q", as_index=False)["n"].sum().sort_values("q")
+    vals = g["q"].to_numpy(dtype=np.float64)
+    cum = np.cumsum(g["n"].to_numpy(dtype=np.int64))
+    n = int(cum[-1])
+
+    def qc(p: float) -> float:
+        h = p * (n - 1)
+        lo, hi = int(np.floor(h)), int(np.ceil(h))
+        # value at 0-indexed rank r = first histogram bin with cum > r
+        xlo = vals[np.searchsorted(cum, lo + 1)]
+        xhi = vals[np.searchsorted(cum, hi + 1)]
+        # DuckDB round() is half AWAY FROM ZERO; builtin round() is
+        # half-to-even and silently diverges on .xx5 boundaries
+        # (ADVICE r2) — every oracle-matched rounding goes through
+        # round_half_away (functions/numerics convention)
+        return round_half_away(xlo + (h - lo) * (xhi - xlo), 2)
+
+    return (flag, *(qc(p) for p in QUANTILE_PS))
 
 
 ORACLE_SQL: dict[str, str] = {

@@ -1,21 +1,34 @@
-"""Bucketed shuffle aggregation — the engine's wide-operation workhorse.
+"""The one exchange: every all-to-all of the engine (``exchange``).
 
-Ray Data's native ``groupby(keys).aggregate(...)`` shuffles and sorts by the
-full key, which is expensive at high key cardinality (measured: 33s for a
-500k-row / 50k-key aggregate on 32 CPUs).  The bucketed form reduces the
-shuffle to a LOW-cardinality exchange:
+Ray Data's native ``groupby(keys)`` shuffles and sorts by the full key,
+which is expensive at high key cardinality (measured: 33s for a 500k-row /
+50k-key aggregate on 32 CPUs).  The exchange reduces the shuffle to a
+LOW-cardinality one with fixed boundaries:
 
-    map_batches:  bucket = hash(keys) % B     (vectorized, deterministic)
-    groupby(bucket).map_groups(agg)           (B groups; per-bucket agg is
-                                               one vectorized polars groupby)
+    map_batches:  __bucket = hash(keys) % B             (vectorized, pinned)
+    sort("__bucket", boundaries=...)                    (P contiguous bucket
+                                                         ranges, no sampling)
+    map_batches(reducer, batch_size=None)               (one call per range;
+                                                         one vectorized polars
+                                                         groupby inside)
 
-Measured on 1M partial rows / 311k keys (32 CPUs): 2.1s with the polars
-per-bucket aggregation + hash-shuffle strategy, vs 19s for the naive Ray
-groupby over the raw candidate rows.  It is exactly the "hash-partition by
-key" layout the north_rule's salted groupby calls for: every key lands in
-one bucket, head keys are pre-shrunk by the per-batch partial aggregation
-upstream (each block contributes at most one row per key), so bucket sizes
-stay bounded by #blocks x keys/bucket.
+B (``auto_num_buckets``) bounds what one key's bucket holds; P
+(``exchange_partitions``) is how many reducer blocks come out: at least one
+per cluster CPU, more when the input's size hint needs them, never more
+than B.  P is not B, and not the input's block count either.  Ray's
+sampled ``groupby`` cuts as many partitions as there are input blocks.
+With 40k Zipf rows at B=32 (1-CPU host, Ray ``num_cpus=2``, min of 5
+runs), sampled ``groupby`` took 0.31 s on 16 blocks and 10.2 s on 200,
+where it left 168 of its 200 output blocks empty and column-less.  Fixed
+P=32 took 0.44 s and 2.2 s, fixed P=2 0.11 s and 0.64 s.  So P follows
+the CPUs, and the block count of every exchange output (an iterative
+algorithm's round state included) is P whatever the input's fan-out.
+
+It is exactly the "hash-partition by key" layout the north_rule's salted
+groupby calls for: every key lands in one bucket, head keys are pre-shrunk
+by the per-batch partial aggregation upstream (each block contributes at
+most one row per key), so bucket sizes stay bounded by #blocks x
+keys/bucket.
 
 This module is the physical twin of the reference's isolated-parallel
 strategy (group rows by FILE so each transaction owns its keys,
@@ -30,6 +43,7 @@ from collections.abc import Callable
 import pandas as pd
 import polars as pl
 import pyarrow as pa
+import ray
 import ray.data
 
 DEFAULT_BUCKETS = 32
@@ -216,6 +230,51 @@ def _add_bucket_arrow(keys: list[str], num_buckets: int):
     return f
 
 
+def exchange_partitions(ds: ray.data.Dataset, num_buckets: int) -> int:
+    """P, the exchange's partition count: at least one per cluster CPU and
+    enough that one partition stays under ``target_bucket_bytes()`` by
+    the input's size hint, never more than the ``num_buckets`` buckets
+    it cuts into ranges."""
+    try:
+        cpus = int(ray.cluster_resources().get("CPU", 1))
+    except Exception:
+        cpus = os.cpu_count() or 1
+    need = -(-(dataset_size_hint(ds) or 0) // max(1, target_bucket_bytes()))
+    return max(1, min(num_buckets, max(cpus, need)))
+
+
+def exchange(
+    ds: ray.data.Dataset,
+    keys: list[str] | None,
+    reducer: Callable[[pa.Table], pa.Table],
+    num_buckets: int | None = None,
+) -> ray.data.Dataset:
+    """The engine's one all-to-all: hash ``keys`` into ``num_buckets``
+    buckets (``auto_num_buckets`` when None) as an int64 ``__bucket``
+    column, range-partition on it at fixed boundaries into
+    ``exchange_partitions`` contiguous bucket ranges, then run ``reducer``
+    once per partition on the whole Arrow block (``__bucket`` included).
+
+    Every key's rows reach exactly one reducer call, which sees every key
+    of its bucket range, so a reducer must do its own per-key grouping.
+    ``keys=None`` takes ``ds`` as already carrying ``__bucket`` values in
+    ``[-1, num_buckets)`` (the joins' tagged envelope; -1 lands in the
+    first partition).  A partition whose range holds no row is a 0-row
+    block, which no reducer sees."""
+    num_buckets = num_buckets or auto_num_buckets(ds)
+    if keys is not None:
+        ds = ds.map_batches(
+            _add_bucket_arrow(keys, num_buckets), batch_format="pyarrow"
+        )
+    parts = exchange_partitions(ds, num_buckets)
+    # an empty boundary list would make Ray sample boundaries instead:
+    # one partition is cut as [all buckets) + an always-empty tail
+    bounds = [num_buckets * i // parts for i in range(1, parts)] or [num_buckets]
+    return ds.sort("__bucket", boundaries=bounds).map_batches(
+        reducer, batch_format="pyarrow", batch_size=None
+    )
+
+
 def bucketed_group_agg(
     ds: ray.data.Dataset,
     keys: list[str],
@@ -223,50 +282,32 @@ def bucketed_group_agg(
     *,
     num_buckets: int | None = None,
 ) -> ray.data.Dataset:
-    """Group ``ds`` by ``keys`` using the bucketed shuffle, with a PANDAS
-    per-bucket aggregation callback (for custom Python logic — pair
+    """``exchange`` with a PANDAS reducer, for custom Python logic (pair
     expansion, ranking...).
 
-    ``agg`` receives one bucket (all rows of every key hashing there) as a
-    DataFrame — it must do the per-key aggregation itself (one vectorized
-    ``df.groupby(keys)``) and must NOT assume it sees a single key.
+    ``agg`` receives one partition of the exchange as a DataFrame without
+    ``__bucket``: a contiguous range of buckets, never one bucket, so all
+    rows of every key hashing into that range.  It must do the per-key
+    aggregation itself (one vectorized ``df.groupby(keys)``) and must NOT
+    assume it sees a single key."""
+    from ray.data.block import BlockAccessor
 
-    ``num_buckets=None`` auto-sizes from the input's size estimate
-    (``auto_num_buckets``)."""
-    num_buckets = num_buckets or auto_num_buckets(ds)
-    bucketed = ds.map_batches(
-        _add_bucket_arrow(keys, num_buckets), batch_format="pyarrow"
-    )
+    def per_range(t: pa.Table) -> pd.DataFrame:
+        return agg(BlockAccessor.for_block(t.drop_columns(["__bucket"])).to_pandas())
 
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        return agg(g.drop(columns=["__bucket"]))
-
-    return bucketed.groupby("__bucket").map_groups(per_bucket, batch_format="pandas")
-
-
-def _bucketed_polars(
-    ds: ray.data.Dataset,
-    keys: list[str],
-    agg_arrow: Callable[[pa.Table], pa.Table],
-    num_buckets: int,
-) -> ray.data.Dataset:
-    bucketed = ds.map_batches(
-        _add_bucket_arrow(keys, num_buckets), batch_format="pyarrow"
-    )
-    return bucketed.groupby("__bucket").map_groups(
-        agg_arrow, batch_format="pyarrow"
-    )
+    return exchange(ds, keys, per_range, num_buckets)
 
 
 def drop_empty_blocks(ds: ray.data.Dataset) -> ray.data.Dataset:
     """Materialize ``ds`` without its 0-row blocks.
 
-    A bucketed exchange leaves one 0-row, column-less block per empty sort
-    partition, and Ray Data never calls a map UDF on a 0-row block: every
-    map downstream passes it on column-less, which Ray logs as schema drift
-    ("RefBundle with a different schema").  Dropping those blocks once, at
-    the materialization point, keeps every derived block typed.  A dataset
-    whose blocks are all empty is returned as is."""
+    An exchange leaves one 0-row block per partition whose bucket range
+    holds no row (a frontier or changed set with fewer keys than
+    partitions), and Ray Data never calls a map UDF on a 0-row block: every
+    map downstream passes it on without the reducer's columns, which Ray
+    logs as schema drift ("RefBundle with a different schema").  Dropping
+    those blocks once, at the materialization point, keeps every derived
+    block typed.  A dataset whose blocks are all empty is returned as is."""
     from ray.data._internal.logical.interfaces import LogicalPlan
     from ray.data._internal.logical.operators.input_data_operator import InputData
     from ray.data._internal.plan import ExecutionPlan
@@ -301,9 +342,8 @@ def grouped_agg(
 ) -> ray.data.Dataset:
     """Bucketed named aggregation: ``spec`` maps output column ->
     (input column, agg name in {sum,min,max,size,mean}).  Vectorized polars
-    per-bucket aggregation (no pandas object-dtype round-trip).
+    aggregation per bucket range (no pandas object-dtype round-trip).
     ``num_buckets=None`` auto-sizes from the input's size estimate."""
-    num_buckets = num_buckets or auto_num_buckets(ds)
     exprs = [
         _POLARS_AGGS[fn](col).alias(out) for out, (col, fn) in spec.items()
     ]
@@ -313,7 +353,7 @@ def grouped_agg(
         out = df.group_by(keys, maintain_order=False).agg(exprs)
         return _compat(out.select(keys + list(spec)).to_arrow())
 
-    return _bucketed_polars(ds, keys, per_bucket, num_buckets)
+    return exchange(ds, keys, per_bucket, num_buckets)
 
 
 def grouped_sum(
@@ -332,48 +372,6 @@ def grouped_sum(
     )
 
 
-def salted_group_sum(
-    ds: ray.data.Dataset,
-    keys: list[str],
-    sums: dict[str, str],
-    *,
-    num_salts: int = 8,
-    num_buckets: int | None = None,
-) -> ray.data.Dataset:
-    """Explicit salted two-phase aggregation (the north_rule's skew pattern
-    spelled out): phase 1 groups by (keys + salt) so a head key's rows are
-    split across ``num_salts`` independent partial groups; phase 2 merges
-    the partials by key alone.
-
-    The bucketed machinery already bounds head keys via per-batch partial
-    combine; this form additionally caps the *reducer-side* group size for
-    keys whose partials still dominate a bucket (e.g. one key = 50% of all
-    rows).  Results are identical to ``grouped_sum`` (tested)."""
-    import numpy as np
-
-    num_buckets = num_buckets or auto_num_buckets(ds)
-
-    def add_salt(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["__salt"] = np.arange(len(df), dtype=np.int64) % num_salts
-        return df
-
-    salted = ds.map_batches(add_salt, batch_format="pandas")
-    phase1 = grouped_agg(
-        salted,
-        keys + ["__salt"],
-        {out: (col, "sum") for col, out in sums.items()},
-        num_buckets=num_buckets,
-    )
-    phase2 = grouped_agg(
-        phase1,
-        keys,
-        {out: (out, "sum") for out in sums.values()},
-        num_buckets=num_buckets,
-    )
-    return phase2
-
-
 def distinct(
     ds: ray.data.Dataset,
     keys: list[str],
@@ -384,7 +382,6 @@ def distinct(
 
     Per-batch pre-dedup (combiner) first, so a fact-key column shrinks to
     its per-block distinct set before the exchange."""
-    num_buckets = num_buckets or auto_num_buckets(ds)
 
     def pre_dedup(batch: pa.Table) -> pa.Table:
         return _compat(
@@ -396,4 +393,4 @@ def distinct(
         return _compat(df.select(keys).unique(maintain_order=False).to_arrow())
 
     pre = ds.map_batches(pre_dedup, batch_format="pyarrow")
-    return _bucketed_polars(pre, keys, per_bucket, num_buckets)
+    return exchange(pre, keys, per_bucket, num_buckets)

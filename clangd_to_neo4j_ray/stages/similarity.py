@@ -14,7 +14,6 @@ pre-computed input, and the scorer state is the broadcast query matrix.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
@@ -30,6 +29,24 @@ LSH_PLANES = 4  # hyperplane count for the approximate variant
 
 def _read_embeddings(sf_dir: str) -> ray.data.Dataset:
     return ray.data.read_parquet(f"{sf_dir}/embeddings.parquet")
+
+
+def _per_query_topk(partials: ray.data.Dataset, cols: list[str]) -> ray.data.Dataset:
+    """The final top-``TOP_K`` per query over the scorers' per-batch
+    partial top-k rows, ranked (cos desc, nid asc): one exchange on
+    ``qid``, whose reducer ranks every query of its bucket range."""
+    import polars as pl
+
+    from .shuffle import _compat, exchange
+
+    def per_range(t: pa.Table) -> pa.Table:
+        df = pl.from_arrow(t).sort(
+            ["qid", "cos", "nid"], descending=[False, True, False]
+        )
+        top = df.group_by("qid", maintain_order=True).head(TOP_K)
+        return _compat(top.select(cols).to_arrow())
+
+    return exchange(partials, ["qid"], per_range)
 
 
 def _query_matrix(sf_dir: str) -> tuple[np.ndarray, np.ndarray]:
@@ -85,8 +102,8 @@ def ann_brute_topk(sf_dir: str) -> ray.data.Dataset:
     """Exact cosine top-10 neighbors for each of the 5 query vectors.
 
     Output: (qid, nid, cos) — cos rounded to 6 dp; ranking by
-    (cos desc, nid asc).  Per-batch partial top-k then a final per-query
-    top-k in map_groups (no global sort of the full score matrix)."""
+    (cos desc, nid asc).  Per-batch partial top-k then one exchange on
+    ``qid`` for the final top-k (no global sort of the full score matrix)."""
     ref = ray.put(_query_matrix(sf_dir))
     partials = _read_embeddings(sf_dir).map_batches(
         BruteForceScorer,
@@ -96,11 +113,7 @@ def ann_brute_topk(sf_dir: str) -> ray.data.Dataset:
         concurrency=(1, 4),
     )
 
-    def final_topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["cos", "nid"], ascending=[False, True]).head(TOP_K)
-        return g[["qid", "nid", "cos"]]
-
-    return partials.groupby("qid").map_groups(final_topk, batch_format="pandas")
+    return _per_query_topk(partials, ["qid", "nid", "cos"])
 
 
 def _lsh_planes(dim: int, n_planes: int = LSH_PLANES) -> np.ndarray:
@@ -183,11 +196,7 @@ def ann_lsh_topk(sf_dir: str, n_planes: int = LSH_PLANES) -> ray.data.Dataset:
         concurrency=(1, 4),
     )
 
-    def final_topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["cos", "nid"], ascending=[False, True]).head(TOP_K)
-        return g[["qid", "nid", "cos", "bucket"]]
-
-    return partials.groupby("qid").map_groups(final_topk, batch_format="pandas")
+    return _per_query_topk(partials, ["qid", "nid", "cos", "bucket"])
 
 
 N_CENTROIDS = 16  # IVF list count: sampled centroids = vec_ids [N_QUERIES, N_QUERIES+16)
@@ -287,11 +296,7 @@ def ann_ivf_topk(sf_dir: str) -> ray.data.Dataset:
         concurrency=(1, 4),
     )
 
-    def final_topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["cos", "nid"], ascending=[False, True]).head(TOP_K)
-        return g[["qid", "nid", "cos", "cid"]]
-
-    return partials.groupby("qid").map_groups(final_topk, batch_format="pandas")
+    return _per_query_topk(partials, ["qid", "nid", "cos", "cid"])
 
 
 def ann_recall(sf_dir: str) -> pa.Table:

@@ -357,7 +357,7 @@ def _posting_groups(sf_dir: str) -> ray.data.Dataset:
     for tokens under the df cap, NULL above it."""
     import polars as pl
 
-    from .shuffle import _bucketed_polars, auto_num_buckets
+    from .shuffle import exchange
 
     ds = _read_docs(sf_dir, ["doc_id", "text"])
 
@@ -394,9 +394,7 @@ def _posting_groups(sf_dir: str) -> ray.data.Dataset:
         return out.to_arrow()
 
     raw = ds.map_batches(pairs, batch_format="pyarrow")
-    return _bucketed_polars(
-        raw, ["phrase"], per_bucket, auto_num_buckets(raw)
-    )
+    return exchange(raw, ["phrase"], per_bucket)
 
 
 def inverted_index(sf_dir: str) -> ray.data.Dataset:

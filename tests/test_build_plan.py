@@ -90,7 +90,9 @@ def test_graph_queries_log_no_schema_drift(tmp_path):
     split into blocks one of which has 0 rows (as a per-part relation
     filter leaves them): the queries drop 0-row input blocks and their
     exchanges' 0-row, column-less output blocks before any map runs over
-    them, so none reports schema drift."""
+    them, so none reports schema drift.  Distributed PageRank over the
+    same edges in 40 blocks reports none either: each of its exchanges
+    cuts a fixed number of bucket ranges, not one per input block."""
     import pyarrow.compute as pc
 
     from clangd_to_neo4j_ray.sources.fixtures import PRED_PHRASES
@@ -116,10 +118,17 @@ def test_graph_queries_log_no_schema_drift(tmp_path):
         reached = reachable_from_ds(rel_ds, [rel["src"][0].as_py()]).take_all()
         components = connected_components_ds(rel_ds).take_all()
         ranks = pagerank_ds(rel_ds).take_all()
+        cuts = [rel.num_rows * i // 40 for i in range(41)]
+        many = ray.data.from_arrow([rel.slice(a, b - a) for a, b in zip(cuts, cuts[1:])])
+        distributed = pagerank_ds(many, broadcast_threshold=0).take_all()
     finally:
         logger.removeHandler(handler)
     assert handler.hits == []
     assert len(reached) > 1 and components and ranks
+    assert many.num_blocks() == 40 and rel.num_rows >= 40
+    assert sorted(map(tuple, (r.values() for r in distributed))) == sorted(
+        map(tuple, (r.values() for r in ranks))
+    )
 
 
 def _count_executions(monkeypatch) -> list[str]:
@@ -144,31 +153,17 @@ def test_build_runs_one_execution_one_exchange_and_no_actor_pool(tmp_path, monke
     reads nothing back: no ``Dataset.write_parquet``, and ``read_parquet``
     on the input pages only."""
     from ray.data import Dataset
-    from ray.data.grouped_data import GroupedData
 
     fx, path = _flat_corpus_with_silent_page(tmp_path)
     exchanges: list[str] = []
     actor_stages: list[str] = []
     parquet_writes: list[str] = []
     parquet_reads: list = []
-    inside_groupby = [0]
 
     def count_exchange(name, orig):
         def wrapper(self, *args, **kwargs):
-            if not inside_groupby[0]:
-                exchanges.append(name)
+            exchanges.append(name)
             return orig(self, *args, **kwargs)
-
-        return wrapper
-
-    def grouped(orig):
-        # map_groups/aggregate sort internally: part of the counted groupby
-        def wrapper(self, *args, **kwargs):
-            inside_groupby[0] += 1
-            try:
-                return orig(self, *args, **kwargs)
-            finally:
-                inside_groupby[0] -= 1
 
         return wrapper
 
@@ -183,8 +178,6 @@ def test_build_runs_one_execution_one_exchange_and_no_actor_pool(tmp_path, monke
     executions = _count_executions(monkeypatch)
     for name in ("groupby", "sort", "repartition", "random_shuffle", "unique", "join"):
         monkeypatch.setattr(Dataset, name, count_exchange(name, getattr(Dataset, name)))
-    for name in ("map_groups", "aggregate"):
-        monkeypatch.setattr(GroupedData, name, grouped(getattr(GroupedData, name)))
     for name in ("map_batches", "map", "flat_map", "filter"):
         monkeypatch.setattr(Dataset, name, mapping(name, getattr(Dataset, name)))
 
@@ -203,7 +196,7 @@ def test_build_runs_one_execution_one_exchange_and_no_actor_pool(tmp_path, monke
 
     build_graph(path, fx.entities, str(tmp_path / "graph"))
     assert len(executions) == 1, executions
-    assert exchanges == ["groupby"]
+    assert exchanges == ["sort"]
     assert actor_stages == []
     assert parquet_writes == []
     assert parquet_reads == [path]

@@ -13,6 +13,7 @@ import pandas as pd
 import polars as pl
 import pyarrow as pa
 import pytest
+import ray
 import ray.data
 
 from clangd_to_neo4j_ray.stages.joins import asof_join, bucketed_join
@@ -21,8 +22,9 @@ from clangd_to_neo4j_ray.stages.shuffle import (
     MAX_BUCKETS,
     auto_num_buckets,
     dataset_size_hint,
+    exchange,
+    exchange_partitions,
     grouped_sum,
-    salted_group_sum,
 )
 
 
@@ -95,8 +97,7 @@ def test_auto_num_buckets_falls_back_without_hints():
 def test_skewed_two_keys_tiny_bucket_budget(monkeypatch):
     """The judge's property test: a skewed 2-key corpus under a forced tiny
     bucket budget (auto num_buckets >> key count, nearly every bucket
-    empty) must still match pandas exactly — for both the plain bucketed
-    sum and the salted two-phase form."""
+    empty) must still match pandas exactly."""
     rng = np.random.default_rng(7)
     n = 20_000
     keys = np.where(rng.random(n) < 0.9, "hot", "cold")
@@ -111,14 +112,47 @@ def test_skewed_two_keys_tiny_bucket_budget(monkeypatch):
         .sort_values("k")
         .reset_index(drop=True)
     )
-    for fn in (grouped_sum, salted_group_sum):
-        got = (
-            fn(ds, ["k"], {"v": "s"})
-            .to_pandas()
-            .sort_values("k")
-            .reset_index(drop=True)
-        )
-        pd.testing.assert_frame_equal(got, exp, check_dtype=False)
+    got = (
+        grouped_sum(ds, ["k"], {"v": "s"})
+        .to_pandas()
+        .sort_values("k")
+        .reset_index(drop=True)
+    )
+    pd.testing.assert_frame_equal(got, exp, check_dtype=False)
+
+
+def test_exchange_cuts_fixed_bucket_ranges():
+    """200 input blocks through ``exchange`` at B=32 come out as exactly P
+    blocks (``exchange_partitions``), not one per input block.  Every
+    key's rows sit in one block, and the blocks hold the fixed contiguous
+    bucket ranges [i*B//P, (i+1)*B//P) in ascending order, so with every
+    range holding a key no block is empty."""
+    B = 32
+    keys = [f"key-{i}" for i in range(400)]  # hits every one of the 32 buckets
+    t = pa.table({"k": keys * 5, "v": list(range(2000))})
+    ds = ray.data.from_arrow([t.slice(10 * i, 10) for i in range(200)])
+    assert ds.num_blocks() == 200
+    P = exchange_partitions(ds, B)
+    assert 2 <= P <= B
+    out = exchange(ds, ["k"], lambda b: b, B).materialize()
+    assert out.num_blocks() == P
+    blocks = [
+        ray.get(ref)
+        for bundle in out.iter_internal_ref_bundles()
+        for ref in bundle.block_refs
+    ]
+    assert sum(b.num_rows for b in blocks) == 2000
+    ranges = sorted(
+        (min(b["__bucket"].to_pylist()), max(b["__bucket"].to_pylist()))
+        for b in blocks
+        if b.num_rows
+    )
+    assert ranges == [(B * i // P, B * (i + 1) // P - 1) for i in range(P)]
+    owner = {}
+    for i, b in enumerate(blocks):
+        for k in set(b["k"].to_pylist()):
+            assert owner.setdefault(k, i) == i, k
+    assert len(owner) == 400
 
 
 L = pd.DataFrame(

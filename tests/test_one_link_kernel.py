@@ -6,8 +6,9 @@ environment variable, a second fused extract+link+merge composition, spare
 CSV writers, a sink that reads its own Parquet back, single-valued build
 options, a second incremental link path, a second Parquet writer, the
 checkpoint's concurrency/force knobs, the graph layer's per-table
-exchanges and writers, and Dataset-to-driver collections outside the one
-bounded drain (``joins.drain`` / ``joins.collect``) must not come back."""
+exchanges and writers, Dataset-to-driver collections outside the one
+bounded drain (``joins.drain`` / ``joins.collect``) and all-to-alls
+outside the one exchange (``shuffle.exchange``) must not come back."""
 
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ BANNED = (
     "hierarchy_edges", "entity_mention_pairs", "_partial_pairs", "_pairs_bucket",
     "_derive", "write_triples", "_collect_key_set_bounded", "_key_set_ref",
     "broadcast_bytes_limit", "GRAFT_BROADCAST_BYTES", "BOILERPLATE_SET_CAP_BYTES",
-    "_drain(",
+    "_drain(", "salted_group_sum", "state_blocks",
 )
 PACKAGE = sorted((REPO / "clangd_to_neo4j_ray").rglob("*.py"))
 
@@ -126,4 +127,30 @@ def test_driver_collections_go_through_the_bounded_drain():
                 hits.append(f"{where}:{node.lineno}: {name}")
             elif name == "isinstance" and "ObjectRef" in ast.unparse(node):
                 hits.append(f"{where}:{node.lineno}: isinstance(..., ObjectRef)")
+    assert hits == []
+
+
+def test_all_to_alls_go_through_the_one_exchange():
+    """No module of ``stages/`` or ``pipelines/`` runs Ray's grouped
+    shuffle (``map_groups``), imports a Ray aggregate, or repartitions:
+    every all-to-all is ``shuffle.exchange``, whose fixed partition count
+    already bounds the blocks of any exchange output.  (A Dataset
+    ``groupby`` cannot be told from a pandas one statically.)"""
+    scope = [
+        path
+        for sub in ("stages", "pipelines")
+        for path in sorted((REPO / "clangd_to_neo4j_ray" / sub).glob("*.py"))
+    ]
+    hits = []
+    for path in scope:
+        where = path.relative_to(REPO)
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if node.func.attr in ("map_groups", "repartition"):
+                    hits.append(f"{where}:{node.lineno}: {node.func.attr}")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                base = getattr(node, "module", None)
+                names = [f"{base}.{a.name}" if base else a.name for a in node.names]
+                if any(n.startswith("ray.data.aggregate") for n in names):
+                    hits.append(f"{where}:{node.lineno}: ray.data.aggregate")
     assert hits == []

@@ -154,7 +154,8 @@ def test_build_graph_rerun_same_outdir(fixture, tmp_path):
 def test_write_stage_manifest_schema(fixture, tmp_path):
     """Every write stage records the same structured fields, summed from
     the sink's own manifest rows: rows equals the Parquet row count and the
-    part counts equal the files published."""
+    part counts equal the files published.  The graph exchange records its
+    bucket count and its partition count, at most one per bucket."""
     import glob
     import json
     import os
@@ -181,6 +182,9 @@ def test_write_stage_manifest_schema(fixture, tmp_path):
         n_csv += rec["csv_parts"]
     assert stages["write_triples"]["csv_parts"] == 0
     assert n_csv == len(manifest["outputs"]["neo4j_csv"])
+    layout = manifest["exchanges"]["graph_exchange"]
+    assert set(layout) == {"buckets", "partitions"}
+    assert 1 <= layout["partitions"] <= layout["buckets"]
 
 
 def test_sink_csv_equals_parquet_per_label_and_type(fixture, tmp_path):
