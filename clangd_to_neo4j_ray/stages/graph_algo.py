@@ -12,15 +12,17 @@ per-key mention counts, descending — the statistic that drives salting /
 bucket-count decisions for skewed keys.
 
 BFS, connected components, PageRank, HITS and triangles are size-gated
-by the one bounded drain (``joins.drain``): a per-batch map over the edges
-streams to the driver and aborts once it passes ``broadcast_threshold``
+by the one bounded drain (``joins.drain``): a per-block map over the edges
+collects on the driver and aborts once it passes ``broadcast_threshold``
 rows or ``joins.BROADCAST_BYTES`` bytes.  Under the cap the algorithm
-finishes on the driver (one Ray Data execution per BFS to any depth, per
-components, PageRank, HITS or triangles run, no exchange); past it BFS
-drains one hop at a time while its visited set stays under the cap, and
-the distributed plan runs, bucketed exchanges only, so a web-scale
-frontier or edge set (hop-2 of a popular entity can be O(nodes)) never
-lands on the driver (VERDICT r2 next-round #3).
+finishes on the driver with no exchange: a BFS to any depth, components,
+PageRank, HITS or triangles runs no Ray Data execution over a
+materialized edge set whose blocks sum to at most ``BROADCAST_BYTES``
+(the drain reads its blocks on the driver) and one over a lazy one.
+Past the cap BFS drains one hop at a time while its visited set stays
+under the cap, and the distributed plan runs, bucketed exchanges only,
+so a web-scale frontier or edge set (hop-2 of a popular entity can be
+O(nodes)) never lands on the driver.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ log = logging.getLogger(__name__)
 
 def _nonempty_blocks(ds: ray.data.Dataset) -> ray.data.Dataset:
     """``ds`` without the 0-row blocks a map would pass on column-less
-    (logged as schema drift) when it is materialized; a lazy ``ds`` as is."""
+    (logged as schema drift) when it is materialized; a lazy ``ds`` as is.
+    Only a distributed path needs it: the drain skips 0-row blocks."""
     from ray.data.dataset import MaterializedDataset
 
     from .shuffle import drop_empty_blocks
@@ -109,12 +112,13 @@ def reachable_from_ds(
     values kept (dictionary-encoded, not cast).  Under
     ``broadcast_threshold`` rows every hop runs on that driver table
     (frontier ``is_in``, unique destinations, set difference with the
-    visited set), so a BFS to any depth is one Ray Data execution.  Past
-    it, while the visited set is under the threshold, a hop is one drain:
-    the frontier ships as an ``is_in`` value set, each block emits its
-    unique destinations, and the driver subtracts the visited set.  When a
-    hop's drain or the visited set passes the threshold, the hops left run
-    fully bucketed from that state (semi-join of the edges on the
+    visited set), so a BFS to any depth is no Ray Data execution over a
+    materialized edge set under ``joins.BROADCAST_BYTES`` and one over a
+    lazy one.  Past it, while the visited set is under the threshold, a
+    hop is one drain: the frontier ships as an ``is_in`` value set, each
+    block emits its unique destinations, and the driver subtracts the
+    visited set.  When a hop's drain or the visited set passes the
+    threshold, the hops left run fully bucketed from that state (semi-join of the edges on the
     frontier, distinct destinations, anti-join on the visited set, each
     materialized once), so no set past the threshold is ever collected.
     The result is one ``from_arrow`` until the bucketed hops start.
@@ -136,8 +140,9 @@ def reachable_from_ds(
         g = t.group_by([src_col, dst_col]).aggregate([])
         return pa.table({c: pc.dictionary_encode(g[c]) for c in (src_col, dst_col)})
 
-    edges = _nonempty_blocks(edges)
     pairs = drain(edges, distinct_pairs, max_rows=broadcast_threshold)
+    if pairs is None:
+        edges = _nonempty_blocks(edges)
     hops = dict.fromkeys(sorted(set(seeds)), 0)
     frontier, hop = list(hops), 0
     # with the pairs drained the visited set is bounded by their endpoints
@@ -252,11 +257,12 @@ def connected_components_ds(
     (node, label), label = lexicographic min node name of the component.
 
     Size-gated by one drain (``joins.drain``): the per-batch distinct
-    (src, dst) pairs stream to the driver, and when they stay
+    (src, dst) pairs collect on the driver, and when they stay
     under ``broadcast_threshold`` rows a union-find over them finishes the
-    components — one Ray Data execution, no exchange.  Past the cap,
-    distributed min-label propagation with two r5 upgrades over the r4
-    plan:
+    components with no exchange — no Ray Data execution over a
+    materialized edge set under ``joins.BROADCAST_BYTES``, one over a lazy
+    one.  Past the cap, distributed min-label propagation with two r5
+    upgrades over the r4 plan:
 
     - **Delta rounds** (VERDICT r4 next #4): after round 1, only edges
       whose source label changed LAST round enter the contribution join
@@ -287,7 +293,6 @@ def connected_components_ds(
     from .joins import bucketed_join
     from .shuffle import distinct, drop_empty_blocks, grouped_agg
 
-    edges = _nonempty_blocks(edges)
     drained = drain(
         edges, _edge_pairs(src_col, dst_col), max_rows=broadcast_threshold, schema=_PAIRS
     )
@@ -308,6 +313,8 @@ def connected_components_ds(
         roots = np.array([find(i) for i in range(len(nodes))], dtype=np.int64)
         labels = pa.table({"node": nodes, "label": nodes.take(roots)})
         return ray.data.from_arrow(labels)
+
+    edges = _nonempty_blocks(edges)
 
     def both(t: pa.Table) -> pa.Table:
         a = pc.cast(t[src_col], pa.string()).combine_chunks()
@@ -478,18 +485,18 @@ def _pagerank_engine(
       set (scale // |seeds|); absent -> uniform (scale // n_nodes).
 
     Size gate (the ``connected_components_ds`` drain): the per-batch
-    distinct (src, dst) pairs with their summed weights stream to the
+    distinct (src, dst) pairs with their summed weights collect on the
     driver, and under ``broadcast_threshold`` rows a numpy kernel ranks
-    them — one Ray Data execution, no exchange.  Past the cap each
-    distributed round is two bounded bucketed exchanges (state joined
-    onto edges with a per-batch pre-sum combiner; per-destination sum
-    fused with a zero row per node so no left join is needed) — rank
-    state never lands on the driver.
+    them with no exchange — no Ray Data execution over a materialized
+    edge set under ``joins.BROADCAST_BYTES``, one over a lazy one.  Past
+    the cap each distributed round is two bounded bucketed exchanges
+    (state joined onto edges with a per-batch pre-sum combiner;
+    per-destination sum fused with a zero row per node so no left join
+    is needed) — rank state never lands on the driver.
     """
     from .joins import bucketed_join
     from .shuffle import distinct, drop_empty_blocks, grouped_agg
 
-    edges = _nonempty_blocks(edges)
     seed_sorted = sorted(set(seeds)) if seeds is not None else None
     if seed_sorted is not None and not seed_sorted:
         raise ValueError("personalized pagerank needs a non-empty seed set")
@@ -532,6 +539,7 @@ def _pagerank_engine(
             pa.table({"node": node_arr, "pr_scaled": pa.array(pr, type=pa.int64())})
         )
 
+    edges = _nonempty_blocks(edges)
     pairs = grouped_agg(
         edges.map_batches(pair_rows, batch_format="pyarrow"),
         ["src", "dst"],
@@ -899,17 +907,17 @@ def hits_ds(
     auth_scaled=0, pure sinks hub_scaled=0.
 
     Size-gated by one drain (``joins.drain``) of the distinct pairs: a driver
-    numpy kernel under ``broadcast_threshold`` rows; distributed path
-    past it: per round, TWO bucketed joins (state onto
-    edge endpoints, with per-batch pre-sum combiners) + two bounded sum
-    exchanges; the L1 totals come from O(blocks) per-batch partial sums,
+    numpy kernel under ``broadcast_threshold`` rows (no Ray Data execution
+    over a materialized edge set under ``joins.BROADCAST_BYTES``, one over
+    a lazy one); distributed path past it: per round, TWO bucketed joins
+    (state onto edge endpoints, with per-batch pre-sum combiners) + two
+    bounded sum exchanges; the L1 totals come from O(blocks) per-batch partial sums,
     never a full collect.  int64 headroom: scale * total <= 1e6 * 1e6 * n
     — overflows past ~9e18, i.e. n ~ 1e6 at full concentration; raise
     ``scale`` down if ranking larger graphs (disclosed)."""
     from .joins import bucketed_join
     from .shuffle import distinct, grouped_agg
 
-    edges = _nonempty_blocks(edges)
     drained = drain(
         edges, _edge_pairs(src_col, dst_col), max_rows=broadcast_threshold, schema=_PAIRS
     )
@@ -935,6 +943,7 @@ def hits_ds(
             )
         )
 
+    edges = _nonempty_blocks(edges)
     pairs = distinct(
         edges.map_batches(
             lambda t: pa.table(
@@ -1164,9 +1173,10 @@ def triangles_ds(
     Size-gated like ``connected_components_ds``: one drain of the
     per-block canonical (min, max) pairs; under ``broadcast_threshold``
     rows a driver kernel (pairs deduplicated, adjacency sets +
-    lowest-vertex neighbor intersection) finishes — one Ray Data
-    execution, no exchange.  Distributed plan past the cap (node-iterator
-    with id-ordering, all exchanges bounded):
+    lowest-vertex neighbor intersection) finishes with no exchange (no
+    Ray Data execution over a materialized edge set under
+    ``joins.BROADCAST_BYTES``, one over a lazy one).  Distributed plan
+    past the cap (node-iterator with id-ordering, all exchanges bounded):
 
     1. canonicalize: per-batch (min,max) per edge, drop self-loops, one
        ``distinct`` exchange -> e(a<b).
@@ -1199,7 +1209,6 @@ def triangles_ds(
     def canon_distinct(t: pa.Table) -> pa.Table:
         return canon(t).group_by(["a", "b"]).aggregate([])
 
-    edges = _nonempty_blocks(edges)
     drained = drain(
         edges,
         canon_distinct,
@@ -1238,6 +1247,7 @@ def triangles_ds(
             )
         )
 
+    edges = _nonempty_blocks(edges)
     e = distinct(
         edges.map_batches(canon, batch_format="pyarrow"), ["a", "b"]
     ).materialize()

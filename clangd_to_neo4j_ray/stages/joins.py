@@ -4,9 +4,10 @@ the explicit version of the reference's joins (all of which are
 driver-side dict lookups):
 
 - ``drain`` / ``collect``: every Dataset-to-driver collection in
-  ``stages/`` and ``pipelines/``, capped by ``BROADCAST_BYTES``.  Past the
-  cap ``drain`` returns ``None`` (the caller runs its distributed plan)
-  and ``collect`` raises.
+  ``stages/`` and ``pipelines/``, capped by ``BROADCAST_BYTES``; a
+  materialized input under the cap is read on the driver, with no
+  execution.  Past the cap ``drain`` returns ``None`` (the caller runs
+  its distributed plan) and ``collect`` raises.
 - ``broadcast_semi_join`` / ``broadcast_anti_join``: key set broadcast,
   vectorized ``is_in`` mask (J5 subset builder / A8 orphan anti-join);
   ``auto_semi_join`` / ``auto_membership_marker`` drain the key set and
@@ -33,18 +34,43 @@ def drain(
     max_rows: int | None = None,
     schema: pa.Schema | None = None,
 ) -> pa.Table | None:
-    """``fn`` (identity when None) over each block of ``ds``, streamed to
-    the driver in one execution as one table — or ``None`` as soon as the
-    rows pass ``max_rows`` or the bytes pass ``BROADCAST_BYTES`` (read at
-    call time), so driver state stays bounded by the cap.
+    """``fn`` (identity when None) over each block of ``ds`` as one Arrow
+    table on the driver — or ``None`` as soon as the output rows pass
+    ``max_rows`` or its bytes pass ``BROADCAST_BYTES`` (read at call
+    time), so driver state stays bounded by the cap.
 
-    0-row batches are skipped (a 0-row block may be column-less).  With no
+    Two sources, one per-block call (the one ``map_batches(fn,
+    batch_size=None)`` makes): a materialized ``ds`` whose block metadata
+    sums to at most ``BROADCAST_BYTES`` (a block of unknown size counts
+    as over) is read block by block on the driver and ``fn`` runs there,
+    in no Ray Data execution — the whole input could have been drained
+    under the same cap, so driver state keeps its bound; any other ``ds``
+    is mapped by ``fn`` and streamed to the driver in one execution.
+
+    0-row blocks are skipped (a 0-row block may be column-less).  With no
     rows the result is ``schema``'s empty table (column-less without one);
     with ``schema`` every result is cast to it."""
-    if fn is not None:
-        ds = ds.map_batches(fn, batch_format="pyarrow", batch_size=None)
+    from ray.data.block import BlockAccessor
+
+    from .shuffle import _materialized_bundles
+
+    bundles = _materialized_bundles(ds)
+    blocks = [b for bundle in bundles or () for b in bundle.blocks]
+    sizes = [m.size_bytes for _, m in blocks]
+    if bundles is not None and None not in sizes and sum(sizes) <= BROADCAST_BYTES:
+        batches = (
+            BlockAccessor.for_block(ray.get(ref)).to_arrow()
+            for ref, m in blocks
+            if m.num_rows != 0
+        )
+        if fn is not None:
+            batches = map(fn, batches)
+    else:
+        if fn is not None:
+            ds = ds.map_batches(fn, batch_format="pyarrow", batch_size=None)
+        batches = ds.iter_batches(batch_format="pyarrow", batch_size=None)
     parts, rows, nbytes = [], 0, 0
-    for t in ds.iter_batches(batch_format="pyarrow", batch_size=None):
+    for t in batches:
         if not t.num_rows:
             continue
         rows, nbytes = rows + t.num_rows, nbytes + t.nbytes

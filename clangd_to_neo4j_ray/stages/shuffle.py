@@ -225,7 +225,11 @@ def _add_bucket_arrow(keys: list[str], num_buckets: int):
             *parts, _SEP, null_handling="replace", null_replacement="\x00"
         )
         bucket = (_stable_hash64(joined) % num_buckets).astype("int64")
-        return batch.append_column("__bucket", pa.array(bucket, type=pa.int64()))
+        # a pandas block's b"pandas" metadata is an unhashable dict to
+        # Ray's schema dedup, which then unifies every schema in full
+        return batch.replace_schema_metadata(None).append_column(
+            "__bucket", pa.array(bucket, type=pa.int64())
+        )
 
     return f
 
@@ -298,8 +302,22 @@ def bucketed_group_agg(
     return exchange(ds, keys, per_range, num_buckets)
 
 
+def _materialized_bundles(ds: ray.data.Dataset) -> list | None:
+    """The ``RefBundle``s holding a materialized ``ds``'s (ref, metadata)
+    blocks, read from its input operator without executing anything;
+    ``None`` for a lazy ``ds``.  The one reader of Ray's internal block
+    bundles."""
+    from ray.data.dataset import MaterializedDataset
+
+    if not isinstance(ds, MaterializedDataset):
+        return None
+    output_data = getattr(ds._logical_plan.dag, "output_data", None)
+    return output_data() if output_data is not None else None
+
+
 def drop_empty_blocks(ds: ray.data.Dataset) -> ray.data.Dataset:
-    """Materialize ``ds`` without its 0-row blocks.
+    """``ds`` materialized (once: a materialized ``ds`` is not run again)
+    without its 0-row blocks.
 
     An exchange leaves one 0-row block per partition whose bucket range
     holds no row (a frontier or changed set with fewer keys than
@@ -313,14 +331,16 @@ def drop_empty_blocks(ds: ray.data.Dataset) -> ray.data.Dataset:
     from ray.data._internal.plan import ExecutionPlan
     from ray.data.dataset import MaterializedDataset
 
-    mat = ds.materialize()
-    bundles = mat._logical_plan.dag.output_data()
-    kept = [b for b in bundles if b.num_rows()]
+    bundles = _materialized_bundles(ds)
+    if bundles is None:
+        ds = ds.materialize()
+        bundles = _materialized_bundles(ds)
+    kept = [b for b in bundles if b.num_rows() != 0]
     if not kept or len(kept) == len(bundles):
-        return mat
+        return ds
     return MaterializedDataset(
-        ExecutionPlan(mat._plan.stats(), data_context=mat.context),
-        LogicalPlan(InputData(input_data=kept), mat.context),
+        ExecutionPlan(ds._plan.stats(), data_context=ds.context),
+        LogicalPlan(InputData(input_data=kept), ds.context),
     )
 
 

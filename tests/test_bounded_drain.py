@@ -1,11 +1,15 @@
 """The one bounded Dataset-to-driver drain (``joins.drain`` / ``joins.collect``)
 and the sites that moved onto it: the caps hold, past them a site either
-falls back to its distributed plan or raises, and driver reads of the
-embeddings file push their ``vec_id`` predicate down."""
+falls back to its distributed plan or raises, a materialized input under
+the byte cap drains on the driver with no execution and the same rows as
+the streaming path, and driver reads of the embeddings file push their
+``vec_id`` predicate down."""
 
 from __future__ import annotations
 
+import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 import ray
@@ -14,7 +18,7 @@ from clangd_to_neo4j_ray.pipelines import docs_kg
 from clangd_to_neo4j_ray.queries import ORACLE
 from clangd_to_neo4j_ray.stages import joins, relational, similarity, text
 
-from .util import assert_matches_oracle
+from .util import assert_matches_oracle, count_executions
 
 KEYS = pa.schema([("k", pa.int64())])
 
@@ -46,6 +50,55 @@ def test_drain_of_no_rows_is_typed_by_its_schema():
     empty = joins.drain(_blocks(), lambda t: t.slice(0, 0), schema=KEYS)
     assert empty.schema == KEYS and empty.num_rows == 0
     assert joins.collect(_blocks(), "keys", schema=KEYS).schema == KEYS
+
+
+def _mixed_blocks() -> ray.data.Dataset:
+    """A materialized input of an Arrow block, a 0-row block and a pandas
+    block."""
+    return (
+        ray.data.from_arrow([pa.table({"k": [0, 1]}), KEYS.empty_table()])
+        .union(ray.data.from_pandas(pd.DataFrame({"k": [2, 3, 4]})))
+        .materialize()
+    )
+
+
+def _rows(t: pa.Table) -> list:
+    return sorted(t.to_pylist(), key=lambda r: sorted(r.items()))
+
+
+def test_materialized_drain_reads_blocks_on_the_driver(monkeypatch):
+    """Over a materialized input under the byte cap the drain runs no
+    execution and returns what the streaming path over a lazy view of the
+    same blocks returns, with and without ``fn``."""
+    ds = _mixed_blocks()
+    lazy = ds.map_batches(lambda t: t, batch_format="pyarrow")
+    executions = count_executions(monkeypatch)
+    for fn in (None, lambda t: pa.table({"k2": pc.multiply(t["k"], 2)})):
+        executions.clear()
+        got = joins.drain(ds, fn)
+        assert executions == []
+        want = joins.drain(lazy, fn)
+        assert len(executions) == 1
+        assert got.schema.remove_metadata() == want.schema.remove_metadata()
+        assert _rows(got) == _rows(want) and got.num_rows == 5
+
+
+def test_drain_past_the_byte_cap_streams_and_keeps_its_caps(monkeypatch):
+    """A materialized input whose block metadata passes ``BROADCAST_BYTES``
+    is mapped and streamed in one execution; the row and byte caps on the
+    output still return ``None`` (``collect`` raises) as before."""
+    ds = _mixed_blocks()
+    executions = count_executions(monkeypatch)
+    monkeypatch.setattr(joins, "BROADCAST_BYTES", ds.size_bytes() - 1)
+    for kw, rows in (({}, 5), ({"max_rows": 4}, None)):
+        executions.clear()
+        out = joins.drain(ds, lambda t: t, **kw)
+        assert len(executions) == 1
+        assert (out.num_rows if out is not None else None) == rows
+    monkeypatch.setattr(joins, "BROADCAST_BYTES", 8 * 5 - 1)
+    assert joins.drain(ds, lambda t: t) is None
+    with pytest.raises(ValueError, match="key table"):
+        joins.collect(ds, "key table", lambda t: t)
 
 
 @pytest.mark.parametrize(

@@ -25,6 +25,8 @@ from clangd_to_neo4j_ray.sources.fixtures import (
 from clangd_to_neo4j_ray.stages.linking import LinkScan, link_scan_stage
 from clangd_to_neo4j_ray.stages.materialize import validate_graph
 
+from .util import count_executions
+
 
 def _flat_corpus_with_silent_page(tmp_path, n_pages: int = 120):
     """The F1 fixture (flat urls: no FOLDER nodes) plus one page whose text
@@ -131,21 +133,6 @@ def test_graph_queries_log_no_schema_drift(tmp_path):
     )
 
 
-def _count_executions(monkeypatch) -> list[str]:
-    """The names of the Ray Data executions started from here on."""
-    from ray.data._internal.execution.streaming_executor import StreamingExecutor
-
-    executions: list[str] = []
-    execute = StreamingExecutor.execute
-
-    def counted_execute(self, dag, *args, **kwargs):
-        executions.append(dag.name)
-        return execute(self, dag, *args, **kwargs)
-
-    monkeypatch.setattr(StreamingExecutor, "execute", counted_execute)
-    return executions
-
-
 def test_build_runs_one_execution_one_exchange_and_no_actor_pool(tmp_path, monkeypatch):
     """One build_graph (Neo4j CSV included) is ONE Ray Data execution with
     exactly one exchange — the graph exchange, whose reducers feed the
@@ -175,7 +162,7 @@ def test_build_runs_one_execution_one_exchange_and_no_actor_pool(tmp_path, monke
 
         return wrapper
 
-    executions = _count_executions(monkeypatch)
+    executions = count_executions(monkeypatch)
     for name in ("groupby", "sort", "repartition", "random_shuffle", "unique", "join"):
         monkeypatch.setattr(Dataset, name, count_exchange(name, getattr(Dataset, name)))
     for name in ("map_batches", "map", "flat_map", "filter"):
@@ -210,7 +197,7 @@ def test_incremental_stage2_is_one_execution(tmp_path, monkeypatch):
     fx, path = _flat_corpus_with_silent_page(tmp_path)
     work = str(tmp_path / "work")
     incremental_build(path, fx.entities, work, str(tmp_path / "first"))
-    executions = _count_executions(monkeypatch)
+    executions = count_executions(monkeypatch)
     r = incremental_build(path, fx.entities, work, str(tmp_path / "second"))
     assert r["stage1"]["computed"] == []
     assert len(executions) == 1, executions
@@ -246,13 +233,16 @@ def test_link_scan_memo_is_per_dictionary():
 
 def test_graph_queries_stream_their_input_once(monkeypatch):
     """Under ``broadcast_threshold`` a BFS to any depth, components, every
-    PageRank variant and triangles each run exactly one Ray Data
-    execution, none with an exchange; a threshold of 0 or 1 still takes
-    the distributed path (whose first exchange is refused here)."""
+    PageRank variant, HITS and triangles run no exchange: over a
+    materialized input under ``joins.BROADCAST_BYTES`` no Ray Data
+    execution at all (its blocks are read on the driver), over a lazy
+    view of the same edges exactly one.  A threshold of 0 or 1 still
+    takes the distributed path (whose first exchange is refused here)."""
     from ray.data import Dataset
 
     from clangd_to_neo4j_ray.stages.graph_algo import (
         connected_components_ds,
+        hits_ds,
         pagerank_ds,
         pagerank_personalized_ds,
         pagerank_weighted_ds,
@@ -267,37 +257,40 @@ def test_graph_queries_stream_their_input_once(monkeypatch):
         raise Exchange
 
     chain = ["a", "b", "c", "d", "e"]
-    ds = ray.data.from_arrow(
+    materialized = ray.data.from_arrow(
         pa.table(
             {"src": chain[:-1] + ["a"], "dst": chain[1:] + ["c"], "w": [1, 2, 3, 4, 5]}
         )
     )
-    executions = _count_executions(monkeypatch)
+    lazy = materialized.map_batches(lambda t: t, batch_format="pyarrow")
+    executions = count_executions(monkeypatch)
     for name in ("groupby", "sort", "repartition", "random_shuffle", "unique", "join"):
         monkeypatch.setattr(Dataset, name, refuse)
 
-    for max_hops in (3, None):
-        executions.clear()
-        bfs = reachable_from_ds(ds, ["a"], max_hops=max_hops)
-        assert len(executions) == 1, (max_hops, executions)
-        assert {(r["node"], r["hops"]) for r in bfs.take_all()} == {
-            ("a", 0), ("b", 1), ("c", 1), ("d", 2), ("e", 3)
-        }
     queries = {
-        "components": lambda **kw: connected_components_ds(ds, **kw),
-        "pagerank": lambda **kw: pagerank_ds(ds, **kw),
-        "weighted": lambda **kw: pagerank_weighted_ds(ds, **kw),
-        "personalized": lambda **kw: pagerank_personalized_ds(ds, ["a"], **kw),
-        "triangles": lambda **kw: triangles_ds(ds, **kw),
+        "components": connected_components_ds,
+        "pagerank": pagerank_ds,
+        "weighted": pagerank_weighted_ds,
+        "personalized": lambda ds, **kw: pagerank_personalized_ds(ds, ["a"], **kw),
+        "hits": hits_ds,
+        "triangles": triangles_ds,
     }
-    for name, query in queries.items():
-        executions.clear()
-        query()
-        assert len(executions) == 1, (name, executions)
+    for ds, expected in ((materialized, 0), (lazy, 1)):
+        for max_hops in (3, None):
+            executions.clear()
+            bfs = reachable_from_ds(ds, ["a"], max_hops=max_hops)
+            assert len(executions) == expected, (max_hops, executions)
+            assert {(r["node"], r["hops"]) for r in bfs.take_all()} == {
+                ("a", 0), ("b", 1), ("c", 1), ("d", 2), ("e", 3)
+            }
+        for name, query in queries.items():
+            executions.clear()
+            query(ds)
+            assert len(executions) == expected, (name, expected, executions)
 
     for threshold in (0, 1):
         with pytest.raises(Exchange):
-            reachable_from_ds(ds, ["a"], broadcast_threshold=threshold)
+            reachable_from_ds(materialized, ["a"], broadcast_threshold=threshold)
         for name, query in queries.items():
             with pytest.raises(Exchange):
-                query(broadcast_threshold=threshold)
+                query(materialized, broadcast_threshold=threshold)

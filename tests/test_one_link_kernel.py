@@ -7,8 +7,9 @@ CSV writers, a sink that reads its own Parquet back, single-valued build
 options, a second incremental link path, a second Parquet writer, the
 checkpoint's concurrency/force knobs, the graph layer's per-table
 exchanges and writers, Dataset-to-driver collections outside the one
-bounded drain (``joins.drain`` / ``joins.collect``) and all-to-alls
-outside the one exchange (``shuffle.exchange``) must not come back."""
+bounded drain (``joins.drain`` / ``joins.collect``), all-to-alls
+outside the one exchange (``shuffle.exchange``) and readers of Ray's
+internal block bundles outside ``shuffle.py`` must not come back."""
 
 from __future__ import annotations
 
@@ -153,4 +154,22 @@ def test_all_to_alls_go_through_the_one_exchange():
                 names = [f"{base}.{a.name}" if base else a.name for a in node.names]
                 if any(n.startswith("ray.data.aggregate") for n in names):
                     hits.append(f"{where}:{node.lineno}: ray.data.aggregate")
+    assert hits == []
+
+
+BLOCK_READERS = {"_logical_plan", "output_data", "to_arrow_refs", "get_internal_block_refs"}
+
+
+def test_one_helper_reads_the_block_bundles():
+    """Only ``stages/shuffle.py`` (its ``_materialized_bundles`` and the
+    plan-size hint) reaches into a Dataset's logical plan or its block
+    refs: ``joins.drain`` and ``drop_empty_blocks`` read a materialized
+    input's blocks through that one helper."""
+    hits = []
+    for path in PACKAGE + [REPO / "bench.py"] + sorted((REPO / "scripts").glob("*.py")):
+        if path == REPO / "clangd_to_neo4j_ray" / "stages" / "shuffle.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in BLOCK_READERS:
+                hits.append(f"{path.relative_to(REPO)}:{node.lineno}: {node.attr}")
     assert hits == []

@@ -1,4 +1,5 @@
-"""Shared test helpers: DuckDB oracle comparison (mirrors the driver's check)."""
+"""Shared test helpers: DuckDB oracle comparison (result rows checked against
+the same query run in DuckDB) and a counter of Ray Data executions."""
 
 from __future__ import annotations
 
@@ -59,3 +60,18 @@ def assert_matches_oracle(ray_result, sql: str, sf_dir: str) -> None:
     )
     assert len(got) == len(exp), f"row counts differ: {len(got)} vs {len(exp)}"
     pd.testing.assert_frame_equal(got, exp, check_dtype=False, check_exact=False, rtol=1e-9, atol=1e-9)
+
+
+def count_executions(monkeypatch) -> list[str]:
+    """The names of the Ray Data executions started from here on."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    executions: list[str] = []
+    execute = StreamingExecutor.execute
+
+    def counted_execute(self, dag, *args, **kwargs):
+        executions.append(dag.name)
+        return execute(self, dag, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted_execute)
+    return executions
