@@ -2,7 +2,7 @@
 one exchange, the one-pass sink, the per-process linker memo of the
 task-based link stages, and no schema drift in the build or the graph
 queries over it; the graph queries' own plan: one streaming pass per
-query under the broadcast threshold."""
+query under the broadcast threshold, one exchange per round past it."""
 
 from __future__ import annotations
 
@@ -92,9 +92,10 @@ def test_graph_queries_log_no_schema_drift(tmp_path):
     split into blocks one of which has 0 rows (as a per-part relation
     filter leaves them): the queries drop 0-row input blocks and their
     exchanges' 0-row, column-less output blocks before any map runs over
-    them, so none reports schema drift.  Distributed PageRank over the
-    same edges in 40 blocks reports none either: each of its exchanges
-    cuts a fixed number of bucket ranges, not one per input block."""
+    them, so none reports schema drift.  Distributed BFS, components and
+    PageRank over the same edges in 40 blocks report none either: each
+    round's exchange cuts a fixed number of bucket ranges, not one per
+    input block, and its rows, 0-row ranges included, share one schema."""
     import pyarrow.compute as pc
 
     from clangd_to_neo4j_ray.sources.fixtures import PRED_PHRASES
@@ -117,20 +118,26 @@ def test_graph_queries_log_no_schema_drift(tmp_path):
     logger = logging.getLogger("ray.data")
     logger.addHandler(handler)
     try:
-        reached = reachable_from_ds(rel_ds, [rel["src"][0].as_py()]).take_all()
+        seeds = [rel["src"][0].as_py()]
+        reached = reachable_from_ds(rel_ds, seeds).take_all()
         components = connected_components_ds(rel_ds).take_all()
         ranks = pagerank_ds(rel_ds).take_all()
         cuts = [rel.num_rows * i // 40 for i in range(41)]
         many = ray.data.from_arrow([rel.slice(a, b - a) for a, b in zip(cuts, cuts[1:])])
-        distributed = pagerank_ds(many, broadcast_threshold=0).take_all()
+        distributed = (
+            reachable_from_ds(many, seeds, broadcast_threshold=0).take_all(),
+            connected_components_ds(many, broadcast_threshold=0).take_all(),
+            pagerank_ds(many, broadcast_threshold=0).take_all(),
+        )
     finally:
         logger.removeHandler(handler)
     assert handler.hits == []
     assert len(reached) > 1 and components and ranks
     assert many.num_blocks() == 40 and rel.num_rows >= 40
-    assert sorted(map(tuple, (r.values() for r in distributed))) == sorted(
-        map(tuple, (r.values() for r in ranks))
-    )
+    for got, want in zip(distributed, (reached, components, ranks)):
+        assert sorted(map(tuple, (r.values() for r in got))) == sorted(
+            map(tuple, (r.values() for r in want))
+        )
 
 
 def test_build_runs_one_execution_one_exchange_and_no_actor_pool(tmp_path, monkeypatch):
@@ -294,3 +301,60 @@ def test_graph_queries_stream_their_input_once(monkeypatch):
         for name, query in queries.items():
             with pytest.raises(Exchange):
                 query(materialized, broadcast_threshold=threshold)
+
+
+def test_distributed_graph_rounds_are_one_exchange_each(monkeypatch):
+    """Past ``broadcast_threshold`` every graph round is ONE exchange, so
+    one ``Dataset.sort``, and no other all-to-all runs: a k-hop BFS sorts
+    once per hop, PageRank (every variant) ``PR_ITERS + 2`` times, HITS
+    ``2 * HITS_ITERS + 1`` times, and components at most once to start
+    plus twice (the round and its pointer chase) per round."""
+    from ray.data import Dataset
+
+    from clangd_to_neo4j_ray.stages.graph_algo import (
+        HITS_ITERS,
+        PR_ITERS,
+        connected_components_ds,
+        hits_ds,
+        pagerank_ds,
+        pagerank_personalized_ds,
+        pagerank_weighted_ds,
+        reachable_from_ds,
+    )
+
+    sorts: list[str] = []
+    sort = Dataset.sort
+
+    def counted(self, *args, **kwargs):
+        sorts.append("sort")
+        return sort(self, *args, **kwargs)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("an exchange other than shuffle.exchange")
+
+    monkeypatch.setattr(Dataset, "sort", counted)
+    for name in ("groupby", "repartition", "random_shuffle", "unique", "join"):
+        monkeypatch.setattr(Dataset, name, refuse)
+
+    chain = [f"n{i}" for i in range(10)]
+    ds = ray.data.from_arrow(
+        pa.table({"src": chain[:-1], "dst": chain[1:], "w": list(range(1, 10))})
+    )
+    for query, expected in (
+        (lambda: reachable_from_ds(ds, ["n0"], max_hops=3, broadcast_threshold=0), 3),
+        (lambda: pagerank_ds(ds, broadcast_threshold=0), PR_ITERS + 2),
+        (lambda: pagerank_weighted_ds(ds, broadcast_threshold=0), PR_ITERS + 2),
+        (
+            lambda: pagerank_personalized_ds(ds, ["n0"], broadcast_threshold=0),
+            PR_ITERS + 2,
+        ),
+        (lambda: hits_ds(ds, broadcast_threshold=0), 2 * HITS_ITERS + 1),
+    ):
+        sorts.clear()
+        assert query().take_all()
+        assert len(sorts) == expected, (expected, sorts)
+    rounds: list[int] = []
+    sorts.clear()
+    labels = connected_components_ds(ds, broadcast_threshold=0, round_edge_counts=rounds)
+    assert {r["label"] for r in labels.take_all()} == {"n0"}
+    assert rounds and len(sorts) <= 1 + 2 * len(rounds), (rounds, sorts)
