@@ -1,7 +1,7 @@
 """Vectorized text primitives shared by the documents-KG and text-analysis stages.
 
 Tokenization is single-space split, chosen to be exactly reproducible in the
-DuckDB oracle (``string_split(text, ' ')``).  All explode/pair operations are
+DuckDB oracle (``string_split(text, ' ')``).  All explode operations are
 Arrow/numpy-vectorized — no per-row Python loops in the hot path.
 """
 
@@ -11,7 +11,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-__all__ = ["tokenize_column", "explode_tokens", "adjacent_pairs", "prefixed"]
+__all__ = ["tokenize_column", "explode_tokens", "prefixed"]
 
 
 def prefixed(col: pa.Array | pa.ChunkedArray, prefix: str) -> pa.Array:
@@ -52,15 +52,3 @@ def explode_tokens(batch: pa.Table, text_col: str = "text", keep: list[str] | No
     offsets = np.repeat(np.cumsum(lengths) - lengths, lengths)
     positions = np.arange(len(flat), dtype=np.int64) - offsets
     return flat, positions, parents.to_numpy(zero_copy_only=False).astype(np.int64)
-
-
-def adjacent_pairs(parents: np.ndarray):
-    """Indices (i, i+1) of adjacent tokens belonging to the same parent row.
-
-    Vectorized predecessor scan — the analog of the reference's per-file
-    sorted-span adjacency walk (``clangd_call_graph_builder.py:151-195``).
-    """
-    if len(parents) < 2:
-        return np.empty(0, dtype=np.int64)
-    same = parents[1:] == parents[:-1]
-    return np.nonzero(same)[0]

@@ -31,7 +31,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from ..functions.hashing import entity_ids, entity_ids_arrow
-from ..functions.textops import adjacent_pairs, explode_tokens, prefixed
+from ..functions.textops import explode_tokens, prefixed
 from ..stages.joins import collect
 from ..stages.shuffle import grouped_agg, grouped_sum
 
@@ -92,23 +92,57 @@ def _read_documents(sf_dir: str, columns: list[str]) -> ray.data.Dataset:
 # Stage: mention detection (vectorized explode + dictionary membership)
 # ---------------------------------------------------------------------------
 
-def _mention_partials(batch: pa.Table) -> pa.Table:
-    """One batch -> partial (doc_id, name, n) counts of vocabulary mentions.
-
-    Vectorized: Arrow split/flatten + is_in mask + Arrow group_by partial
-    aggregation.  Emitting partials per batch (instead of raw mention rows)
-    is the combiner half of the two-phase aggregation.
-    """
-    flat, _pos, parents = explode_tokens(batch)
-    mask = pc.is_in(flat, value_set=_VOCAB_ARRAY)
-    idx = np.nonzero(mask.to_numpy(zero_copy_only=False))[0]
-    doc_ids = batch["doc_id"].to_numpy(zero_copy_only=False)[parents[idx]]
-    t = pa.table(
-        {"doc_id": pa.array(doc_ids, type=pa.int64()), "name": flat.take(pa.array(idx))}
+def _vocab_scan(batch: pa.Table, key: str = "doc_id"):
+    """The one tokenize + vocabulary scan of a batch's ``text`` (Arrow
+    split/flatten + ``is_in``): ``(flat, parents, hits)`` — every token,
+    the numpy row in ``batch`` of each, and one row per vocabulary token,
+    ``(key, name, i, at)``: its row's ``key``, the token, its 1-based
+    position in its document (the oracles' ``generate_subscripts``) and
+    its index into ``flat``."""
+    flat, pos, parents = explode_tokens(batch)
+    at = np.nonzero(pc.is_in(flat, value_set=_VOCAB_ARRAY).to_numpy(zero_copy_only=False))[0]
+    hits = pa.table(
+        {
+            key: batch[key].take(pa.array(parents[at])),
+            "name": flat.take(pa.array(at)),
+            "i": pa.array(pos[at] + 1),
+            "at": pa.array(at),
+        }
     )
-    return t.group_by(["doc_id", "name"]).aggregate([([], "count_all")]).rename_columns(
+    return flat, parents, hits
+
+
+def _mention_counts(hits: pa.Table) -> pa.Table:
+    """Partial (doc_id, name, n) counts of a batch's vocabulary hits.
+    Emitting partials per batch (instead of raw mention rows) is the
+    combiner half of the two-phase aggregation."""
+    return hits.group_by(["doc_id", "name"]).aggregate([([], "count_all")]).rename_columns(
         ["doc_id", "name", "n"]
     )
+
+
+def _pair_counts(parents: np.ndarray, hits: pa.Table) -> pa.Table:
+    """Partial (w1, w2, evidence_doc, n) rows of a batch's adjacent
+    vocabulary-token pairs: two hits one token apart in one document.
+    The pair scan is the spatial-adjacency linking analog (J4,
+    clangd_call_graph_builder.py:124-201); the partial min/count is the
+    combiner for the global MERGE-dedup shuffle (D5)."""
+    at = hits["at"].to_numpy()
+    k = pa.array(np.nonzero((np.diff(at) == 1) & (np.diff(parents[at]) == 0))[0])
+    t = pa.table(
+        {
+            "w1": hits["name"].take(k),
+            "w2": hits["name"].take(pc.add(k, 1)),
+            "doc_id": hits["doc_id"].take(k),
+        }
+    )
+    out = t.group_by(["w1", "w2"]).aggregate([("doc_id", "min"), ([], "count_all")])
+    return out.rename_columns(["w1", "w2", "evidence_doc", "n"])
+
+
+def _mention_partials(batch: pa.Table) -> pa.Table:
+    """One batch -> partial (doc_id, name, n) counts of vocabulary mentions."""
+    return _mention_counts(_vocab_scan(batch)[2])
 
 
 def kg_mentions(sf_dir: str) -> ray.data.Dataset:
@@ -197,24 +231,11 @@ def kg_entity_salience(sf_dir: str) -> ray.data.Dataset:
     ds = _read_documents(sf_dir, ["doc_id", "text"])
 
     def partials(batch: pa.Table) -> pa.Table:
-        flat, pos, parents = explode_tokens(batch)
-        mask = pc.is_in(flat, value_set=_VOCAB_ARRAY).to_numpy(
-            zero_copy_only=False
-        )
-        idx = np.nonzero(mask)[0]
-        doc_ids = batch["doc_id"].to_numpy(zero_copy_only=False)[parents[idx]]
-        t = pa.table(
-            {
-                "doc_id": pa.array(doc_ids, type=pa.int64()),
-                "name": flat.take(pa.array(idx)),
-                "pos": pa.array(pos[idx] + 1),  # 1-based, as the oracle's i
-            }
-        )
-        per_doc = t.group_by(["doc_id", "name"]).aggregate(
-            [([], "count_all"), ("pos", "min")]
+        per_doc = _vocab_scan(batch)[2].group_by(["doc_id", "name"]).aggregate(
+            [([], "count_all"), ("i", "min")]
         )
         n = per_doc["count_all"].to_numpy(zero_copy_only=False)
-        first = per_doc["pos_min"].to_numpy(zero_copy_only=False)
+        first = per_doc["i_min"].to_numpy(zero_copy_only=False)
         sal = pa.table(
             {
                 "name": per_doc["name"],
@@ -269,18 +290,9 @@ def kg_trending_entities(
     pages = documents_as_pages(sf_dir)
 
     def partials(batch: pa.Table) -> pa.Table:
-        minute = pc.divide(pc.cast(batch["warc_ts"], pa.int64()), 60_000_000)
-        flat, _pos, parents = explode_tokens(batch)
-        mask = pc.is_in(flat, value_set=_VOCAB_ARRAY).to_numpy(
-            zero_copy_only=False
-        )
-        idx = np.nonzero(mask)[0]
-        t = pa.table(
-            {
-                "minute": minute.take(pa.array(parents[idx])),
-                "name": flat.take(pa.array(idx)),
-            }
-        )
+        hits = _vocab_scan(batch, "warc_ts")[2]
+        minute = pc.divide(pc.cast(hits["warc_ts"], pa.int64()), 60_000_000)
+        t = pa.table({"minute": minute, "name": hits["name"]})
         cnt = (
             t.group_by(["minute", "name"])
             .aggregate([([], "count_all")])
@@ -326,28 +338,9 @@ def kg_trending_entities(
 # ---------------------------------------------------------------------------
 
 def _triple_partials(batch: pa.Table) -> pa.Table:
-    """Adjacent vocab-token pairs -> partial (w1, w2, evidence_doc, n) rows.
-
-    The pair scan is the spatial-adjacency linking analog (J4,
-    clangd_call_graph_builder.py:124-201) done fully vectorized; the partial
-    min/count is the combiner for the global MERGE-dedup shuffle (D5).
-    """
-    flat, _pos, parents = explode_tokens(batch)
-    in_vocab = pc.is_in(flat, value_set=_VOCAB_ARRAY).to_numpy(zero_copy_only=False)
-    adj = adjacent_pairs(parents)  # indices i where parents[i] == parents[i+1]
-    if len(adj):
-        both = in_vocab[adj] & in_vocab[adj + 1]
-        adj = adj[both]
-    doc_ids = batch["doc_id"].to_numpy(zero_copy_only=False)[parents[adj]]
-    t = pa.table(
-        {
-            "w1": flat.take(pa.array(adj)),
-            "w2": flat.take(pa.array(adj + 1)),
-            "doc_id": pa.array(doc_ids, type=pa.int64()),
-        }
-    )
-    out = t.group_by(["w1", "w2"]).aggregate([("doc_id", "min"), ([], "count_all")])
-    return out.rename_columns(["w1", "w2", "evidence_doc", "n"])
+    """Adjacent vocab-token pairs -> partial (w1, w2, evidence_doc, n) rows."""
+    _flat, parents, hits = _vocab_scan(batch)
+    return _pair_counts(parents, hits)
 
 
 def kg_triples(sf_dir: str) -> ray.data.Dataset:
@@ -609,72 +602,25 @@ def _fused_edge_partials(batch: pa.Table) -> pa.Table:
     kg_triples plan.  This drops the second full corpus tokenize kg_edges
     used to pay (kg_mentions and kg_triples each re-scanned the text) for
     the price of O(doc x vocab-hit) extra small rows in one exchange."""
-    flat, _pos, parents = explode_tokens(batch)
-    in_vocab = pc.is_in(flat, value_set=_VOCAB_ARRAY).to_numpy(
-        zero_copy_only=False
-    )
-    doc_ids_all = batch["doc_id"].to_numpy(zero_copy_only=False)
-
-    idx = np.nonzero(in_vocab)[0]
-    m = (
-        pa.table(
-            {
-                "doc_g": pa.array(doc_ids_all[parents[idx]], type=pa.int64()),
-                "w1": flat.take(pa.array(idx)),
-            }
-        )
-        .group_by(["doc_g", "w1"])
-        .aggregate([([], "count_all")])
-        .rename_columns(["doc_g", "w1", "n"])
-    )
-
-    adj = adjacent_pairs(parents)
-    if len(adj):
-        both = in_vocab[adj] & in_vocab[adj + 1]
-        adj = adj[both]
-    p = (
-        pa.table(
-            {
-                "w1": flat.take(pa.array(adj)),
-                "w2": flat.take(pa.array(adj + 1)),
-                "doc_id": pa.array(
-                    doc_ids_all[parents[adj]], type=pa.int64()
-                ),
-            }
-        )
-        .group_by(["w1", "w2"])
-        .aggregate([("doc_id", "min"), ([], "count_all")])
-        .rename_columns(["w1", "w2", "evidence", "n"])
-    )
-
-    n_m, n_p = len(m), len(p)
-    return pa.table(
-        {
-            "is_pair": pa.array(
-                np.concatenate(
-                    [np.zeros(n_m, np.int64), np.ones(n_p, np.int64)]
-                )
-            ),
-            "w1": pa.concat_arrays(
-                [m["w1"].combine_chunks(), p["w1"].combine_chunks()]
-            ),
-            "w2": pa.concat_arrays(
-                [pa.repeat(pa.scalar(""), n_m), p["w2"].combine_chunks()]
-            ),
-            "doc_g": pa.concat_arrays(
-                [
-                    m["doc_g"].combine_chunks(),
-                    pa.array(np.zeros(n_p, np.int64)),
-                ]
-            ),
-            "evidence": pa.concat_arrays(
-                [m["doc_g"].combine_chunks(), p["evidence"].combine_chunks()]
-            ),
-            "n": pa.concat_arrays(
-                [m["n"].combine_chunks(), p["n"].combine_chunks()]
-            ),
-        }
-    )
+    _flat, parents, hits = _vocab_scan(batch)
+    m, p = _mention_counts(hits), _pair_counts(parents, hits)
+    mentions = {
+        "is_pair": np.zeros(len(m), np.int64),
+        "w1": m["name"],
+        "w2": pa.repeat(pa.scalar(""), len(m)),
+        "doc_g": m["doc_id"],
+        "evidence": m["doc_id"],
+        "n": m["n"],
+    }
+    pairs = {
+        "is_pair": np.ones(len(p), np.int64),
+        "w1": p["w1"],
+        "w2": p["w2"],
+        "doc_g": np.zeros(len(p), np.int64),
+        "evidence": p["evidence_doc"],
+        "n": p["n"],
+    }
+    return pa.concat_tables([pa.table(mentions), pa.table(pairs)])
 
 
 def kg_edges(sf_dir: str) -> ray.data.Dataset:
@@ -795,16 +741,10 @@ def kg_sources(sf_dir: str) -> ray.data.Dataset:
     ds = _read_documents(sf_dir, ["doc_id", "source", "text"])
 
     def partials(batch: pa.Table) -> pa.Table:
-        flat, _pos, parents = explode_tokens(batch)
-        in_vocab = pc.is_in(flat, value_set=_VOCAB_ARRAY).to_numpy(
-            zero_copy_only=False
-        )
-        srcs = batch["source"].to_numpy(zero_copy_only=False)
+        _flat, parents, hits = _vocab_scan(batch)
         n_rows = len(batch)
         tok_counts = np.bincount(parents, minlength=n_rows)
-        mention_counts = np.bincount(
-            parents[in_vocab], minlength=n_rows
-        )
+        mention_counts = np.bincount(parents[hits["at"].to_numpy()], minlength=n_rows)
         t = pa.table(
             {
                 "source": batch["source"],
@@ -837,28 +777,19 @@ def kg_mention_windows(sf_dir: str) -> ray.data.Dataset:
     ds = _read_documents(sf_dir, ["doc_id", "text"])
 
     def windows(batch: pa.Table) -> pa.Table:
-        flat, pos, parents = explode_tokens(batch)
-        toks = np.asarray(flat.to_pylist(), dtype=object)
-        in_vocab = pc.is_in(flat, value_set=_VOCAB_ARRAY).to_numpy(
-            zero_copy_only=False
-        )
-        idx = np.nonzero(in_vocab)[0]
-        doc_ids = batch["doc_id"].to_numpy(zero_copy_only=False)[parents[idx]]
-        prev_ok = (idx - 1 >= 0) & (
-            parents[np.maximum(idx - 1, 0)] == parents[idx]
-        )
-        next_ok = (idx + 1 < len(toks)) & (
-            parents[np.minimum(idx + 1, len(toks) - 1)] == parents[idx]
-        )
-        prev_tok = np.where(prev_ok, toks[np.maximum(idx - 1, 0)], "")
-        next_tok = np.where(next_ok, toks[np.minimum(idx + 1, len(toks) - 1)], "")
+        flat, parents, hits = _vocab_scan(batch)
+        at = hits["at"].to_numpy()
+        nxt = np.minimum(at + 1, len(flat) - 1)
+        # a hit past its document's first token has its predecessor in it
+        prev_ok = pa.array(hits["i"].to_numpy() > 1)
+        next_ok = pa.array((at + 1 < len(flat)) & (parents[nxt] == parents[at]))
         return pa.table(
             {
-                "doc_id": pa.array(doc_ids, type=pa.int64()),
-                "i": pa.array(pos[idx] + 1, type=pa.int64()),
-                "prev_tok": pa.array(prev_tok, type=pa.string()),
-                "tok": pa.array(toks[idx], type=pa.string()),
-                "next_tok": pa.array(next_tok, type=pa.string()),
+                "doc_id": hits["doc_id"],
+                "i": hits["i"],
+                "prev_tok": pc.if_else(prev_ok, flat.take(pa.array(np.maximum(at - 1, 0))), ""),
+                "tok": hits["name"],
+                "next_tok": pc.if_else(next_ok, flat.take(pa.array(nxt)), ""),
             }
         )
 

@@ -20,15 +20,16 @@ PageRank, HITS or triangles runs no Ray Data execution over a
 materialized edge set whose blocks sum to at most ``BROADCAST_BYTES``
 (the drain reads its blocks on the driver) and one over a lazy one.
 Past the cap BFS drains one hop at a time while its visited set stays
-under the cap.  After that BFS, components, PageRank and HITS run in
-supersteps (``_superstep``, Pregel-style): a round is ONE
-``shuffle.exchange`` of tagged rows keyed by node (out-edges by src,
-per-node state by node, last round's messages by dst), and a
-per-algorithm polars kernel per bucket range writes the new state, the
-carried edges and the next round's messages.  Components adds one
-label-keyed pointer-chase exchange per round.  Only per-block counts and
-sums reach the driver, so a web-scale frontier or edge set (hop-2 of a
-popular entity can be O(nodes)) never does.
+under the cap.  After that every algorithm runs in supersteps
+(``_superstep``, Pregel-style): a round is ONE ``shuffle.exchange`` of
+tagged rows keyed by node (out-edges by src, per-node state by node,
+last round's messages by dst), and a per-algorithm polars kernel per
+bucket range writes the new state, the carried edges and the next
+round's messages.  Components adds one label-keyed pointer-chase
+exchange per round; triangles are three rounds (open wedges, close them,
+count the credits).  Only per-block counts and sums reach the driver,
+so a web-scale frontier or edge set (hop-2 of a popular entity can be
+O(nodes)) never does.
 """
 
 from __future__ import annotations
@@ -94,8 +95,9 @@ def _indexed(pairs: pa.Table):
 
 # The kinds of the tagged rows of a distributed round: out-edge (keyed by
 # its src), node state, message (keyed by its target), in-edge (keyed by
-# its dst) and label pointer (keyed by the label).
-_EDGE, _STATE, _MSG, _BACK, _PTR = range(5)
+# its dst), label pointer (keyed by the label) and open triangle wedge
+# (keyed by its middle corner, ``to`` its high corner, ``via`` its low one).
+_EDGE, _STATE, _MSG, _BACK, _PTR, _WEDGE = range(6)
 
 
 def _rows_schema(key: pa.DataType) -> pa.Schema:
@@ -1164,43 +1166,34 @@ def triangles_ds(
     permille (floor), exact vs a SQL oracle.
 
     Size-gated like ``connected_components_ds``: one drain of the
-    per-block canonical (min, max) pairs; under ``broadcast_threshold``
-    rows a driver kernel (pairs deduplicated, adjacency sets +
-    lowest-vertex neighbor intersection) finishes with no exchange (no
-    Ray Data execution over a materialized edge set under
-    ``joins.BROADCAST_BYTES``, one over a lazy one).  Distributed plan
-    past the cap (node-iterator with id-ordering, all exchanges bounded):
+    per-block canonical (min, max) pairs, self-loops dropped; under
+    ``broadcast_threshold`` rows a driver kernel (pairs deduplicated,
+    adjacency sets + lowest-vertex neighbor intersection) finishes with
+    no exchange (no Ray Data execution over a materialized edge set under
+    ``joins.BROADCAST_BYTES``, one over a lazy one).  Past the cap the
+    same per-block pairs, as out-edges of their low vertex, feed three
+    supersteps (``_superstep``, node-iterator with id-ordering):
 
-    1. canonicalize: per-batch (min,max) per edge, drop self-loops, one
-       ``distinct`` exchange -> e(a<b).
-    2. wedges: ONE bucketed exchange on ``a`` co-locates each vertex's
-       edge list; a per-bucket polars self-join emits (a, b, c) with
-       b < c — each triangle {a<b<c} is generated exactly once, from its
-       lowest vertex.  Wedge volume is sum-of-deg(v)^2 over LOW vertices;
-       at web scale orient by (degree, id) instead of raw id to bound the
-       hot-vertex term (disclosed — id-ordering keeps the oracle a plain
-       3-way self-join).
-    3. close wedges: one bucketed semi-join of wedges(b,c) against
-       e(a,b).
-    4. degree endpoints and triangle corners union into ONE shared sum
-       exchange (a node in no triangle sums its corner column to 0 — no
-       left join), then a vectorized permille kernel.
-
-    Four bounded exchanges total.
+    1. each vertex ``a`` dedups its out-edges, sends a degree message to
+       both ends of each, and for each wedge b < c of its out-edges sends
+       ``(to=c, via=a)`` to ``b`` — each triangle {a<b<c} is opened
+       exactly once, from its lowest vertex.  Wedge volume is
+       sum-of-deg(v)^2 over LOW vertices; at web scale orient by (degree,
+       id) instead of raw id to bound the hot-vertex term (disclosed —
+       id-ordering keeps the oracle a plain 3-way self-join).
+    2. each ``b`` closes its wedges by a semi-join on (b, c) against its
+       own out-edges, keeps its summed degree as state and credits the
+       three corners of every closed wedge.
+    3. each node sums its credits (0 without any) into its triangle count.
     """
-    from .joins import bucketed_join
-    from .shuffle import distinct, exchange, grouped_agg
-
-    def canon(t: pa.Table) -> pa.Table:
-        a = pc.cast(t[src_col], pa.string()).combine_chunks()
-        b = pc.cast(t[dst_col], pa.string()).combine_chunks()
-        lo = pc.min_element_wise(a, b)
-        hi = pc.max_element_wise(a, b)
-        keep = pc.not_equal(lo, hi)
-        return pa.table({"a": lo.filter(keep), "b": hi.filter(keep)})
 
     def canon_distinct(t: pa.Table) -> pa.Table:
-        return canon(t).group_by(["a", "b"]).aggregate([])
+        a = pc.cast(t[src_col], pa.string()).combine_chunks()
+        b = pc.cast(t[dst_col], pa.string()).combine_chunks()
+        lo, hi = pc.min_element_wise(a, b), pc.max_element_wise(a, b)
+        keep = pc.not_equal(lo, hi)
+        pairs = pa.table({"a": lo.filter(keep), "b": hi.filter(keep)})
+        return pairs.group_by(["a", "b"]).aggregate([])
 
     drained = drain(
         edges,
@@ -1241,73 +1234,35 @@ def triangles_ds(
         )
 
     edges = _nonempty_blocks(edges)
-    e = distinct(
-        edges.map_batches(canon, batch_format="pyarrow"), ["a", "b"]
-    ).materialize()
+    schema = _rows_schema(pa.string()).append(pa.field("via", pa.string()))
+    buckets = auto_num_buckets(edges)
 
-    def endpoints(t: pa.Table) -> pa.Table:
-        n = len(t) * 2
-        return pa.table(
-            {
-                "node": pa.concat_arrays(
-                    [t["a"].combine_chunks(), t["b"].combine_chunks()]
-                ),
-                "degree": pa.array([1] * n, type=pa.int64()),
-                "n_triangles": pa.array([0] * n, type=pa.int64()),
-            }
+    def wedges(df: pl.DataFrame) -> pl.DataFrame:
+        e = _of(df, _EDGE).select("node", "to").unique()
+        ends = pl.concat([e["node"], e["to"]]).alias("node")
+        w = e.join(e.rename({"to": "c"}), on="node").filter(pl.col("to") < pl.col("c"))
+        return _rows(
+            (_EDGE, e),
+            (_MSG, ends.value_counts(name="v")),
+            (_WEDGE, w.select(node="to", to="c", via="node")),
         )
 
-    def wedge_bucket(t: pa.Table) -> pa.Table:
-        df = pl.from_arrow(t).drop("__bucket")
-        w = (
-            df.join(df.rename({"b": "c"}), on="a")
-            .filter(pl.col("b") < pl.col("c"))
-            .select(["a", "b", "c"])
-        )
-        return w.to_arrow()
-
-    wedges = exchange(e, ["a"], wedge_bucket)
-
-    closed = bucketed_join(
-        wedges,
-        e.map_batches(
-            lambda t: pa.table({"x": t["a"], "y": t["b"]}),
-            batch_format="pyarrow",
-        ),
-        on=["b", "c"],
-        right_on=["x", "y"],
-        how="semi",
-    )
-
-    def corners(t: pa.Table) -> pa.Table:
-        n = len(t) * 3
-        return pa.table(
-            {
-                "node": pa.concat_arrays(
-                    [
-                        t["a"].combine_chunks(),
-                        t["b"].combine_chunks(),
-                        t["c"].combine_chunks(),
-                    ]
-                ),
-                "degree": pa.array([0] * n, type=pa.int64()),
-                "n_triangles": pa.array([1] * n, type=pa.int64()),
-            }
+    def close(df: pl.DataFrame) -> pl.DataFrame:
+        e = _of(df, _EDGE).select("node", "to")
+        w = _of(df, _WEDGE).join(e, on=["node", "to"], how="semi")
+        corners = pl.concat([w["via"], w["node"], w["to"]]).alias("node")
+        return _rows(
+            (_STATE, _of(df, _MSG).group_by("node").agg(pl.col("v").sum())),
+            (_MSG, corners.value_counts(name="w")),
         )
 
-    # degree and triangle contributions share ONE exchange (a node with no
-    # triangles simply sums its corner column to 0 — no left join needed)
-    joined = grouped_agg(
-        e.map_batches(endpoints, batch_format="pyarrow").union(
-            closed.map_batches(corners, batch_format="pyarrow")
-        ),
-        ["node"],
-        {"degree": ("degree", "sum"), "n_triangles": ("n_triangles", "sum")},
-    )
+    def count(df: pl.DataFrame) -> pl.DataFrame:
+        got = _of(df, _MSG).group_by("node").agg(pl.col("w").sum())
+        s = _of(df, _STATE).select("node", "v").join(got, on="node", how="left")
+        return _rows((_STATE, s.with_columns(pl.col("w").fill_null(0))))
 
     def finish(t: pa.Table) -> pa.Table:
-        deg = pc.cast(t["degree"], pa.int64())
-        tri = pc.cast(t["n_triangles"], pa.int64())
+        deg, tri = t["v"], t["w"]
         denom = pc.multiply(deg, pc.subtract(deg, pa.scalar(1, pa.int64())))
         safe = pc.max_element_wise(denom, pa.scalar(1, pa.int64()))
         # integer division: all terms non-negative, so truncation == floor
@@ -1325,7 +1280,13 @@ def triangles_ds(
             }
         )
 
-    return joined.map_batches(finish, batch_format="pyarrow")
+    rows = edges.map_batches(canon_distinct, batch_format="pyarrow").map_batches(
+        _round_map(lambda df: _rows((_EDGE, df.select(node="a", to="b"))), schema, buckets),
+        batch_format="pyarrow",
+    )
+    for kernel in (wedges, close, count):
+        rows = _superstep(rows, kernel, schema, buckets)
+    return _states(rows, finish)
 
 
 def kg_triangles(sf_dir: str) -> ray.data.Dataset:

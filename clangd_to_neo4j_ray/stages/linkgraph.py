@@ -590,7 +590,8 @@ def link_bowtie(sf_dir: str) -> ray.data.Dataset:
     per-block top-1 by (degree desc, host asc), O(blocks) rows to the
     driver.  Each BFS is ``reachable_from_ds`` (one drain of the edge
     pairs and every hop on the driver under the threshold, per-hop
-    drains or bucketed semi-joins above).  Classification is
+    drains while the visited set stays under it, one superstep per hop
+    after that).  Classification is
     join-free: the host universe and both reach sets are tagged and
     unioned, one ``grouped_agg`` max-fold per host recovers membership
     flags and distances (each host has exactly one row per branch, so

@@ -88,14 +88,15 @@ def test_build_logs_no_schema_drift(tmp_path):
 
 
 def test_graph_queries_log_no_schema_drift(tmp_path):
-    """BFS, components and PageRank over the built graph's relation edges,
-    split into blocks one of which has 0 rows (as a per-part relation
-    filter leaves them): the queries drop 0-row input blocks and their
-    exchanges' 0-row, column-less output blocks before any map runs over
-    them, so none reports schema drift.  Distributed BFS, components and
-    PageRank over the same edges in 40 blocks report none either: each
-    round's exchange cuts a fixed number of bucket ranges, not one per
-    input block, and its rows, 0-row ranges included, share one schema."""
+    """BFS, components, PageRank and triangles over the built graph's
+    relation edges, split into blocks one of which has 0 rows (as a
+    per-part relation filter leaves them): the queries drop 0-row input
+    blocks and their exchanges' 0-row, column-less output blocks before
+    any map runs over them, so none reports schema drift.  The same four
+    queries distributed over the same edges in 40 blocks and a 0-row one
+    report none either: each round's exchange cuts a fixed number of
+    bucket ranges, not one per input block, and its rows, 0-row ranges
+    included, share one schema."""
     import pyarrow.compute as pc
 
     from clangd_to_neo4j_ray.sources.fixtures import PRED_PHRASES
@@ -103,6 +104,7 @@ def test_graph_queries_log_no_schema_drift(tmp_path):
         connected_components_ds,
         pagerank_ds,
         reachable_from_ds,
+        triangles_ds,
     )
 
     fx, path = _flat_corpus_with_silent_page(tmp_path)
@@ -122,19 +124,22 @@ def test_graph_queries_log_no_schema_drift(tmp_path):
         reached = reachable_from_ds(rel_ds, seeds).take_all()
         components = connected_components_ds(rel_ds).take_all()
         ranks = pagerank_ds(rel_ds).take_all()
+        triangles = triangles_ds(rel_ds).take_all()
         cuts = [rel.num_rows * i // 40 for i in range(41)]
-        many = ray.data.from_arrow([rel.slice(a, b - a) for a, b in zip(cuts, cuts[1:])])
+        parts = [rel.slice(a, b - a) for a, b in zip(cuts, cuts[1:])]
+        many = ray.data.from_arrow([*parts[:20], rel.slice(0, 0), *parts[20:]])
         distributed = (
             reachable_from_ds(many, seeds, broadcast_threshold=0).take_all(),
             connected_components_ds(many, broadcast_threshold=0).take_all(),
             pagerank_ds(many, broadcast_threshold=0).take_all(),
+            triangles_ds(many, broadcast_threshold=0).take_all(),
         )
     finally:
         logger.removeHandler(handler)
     assert handler.hits == []
-    assert len(reached) > 1 and components and ranks
-    assert many.num_blocks() == 40 and rel.num_rows >= 40
-    for got, want in zip(distributed, (reached, components, ranks)):
+    assert len(reached) > 1 and components and ranks and triangles
+    assert many.num_blocks() == 41 and rel.num_rows >= 40
+    for got, want in zip(distributed, (reached, components, ranks, triangles)):
         assert sorted(map(tuple, (r.values() for r in got))) == sorted(
             map(tuple, (r.values() for r in want))
         )
@@ -307,8 +312,9 @@ def test_distributed_graph_rounds_are_one_exchange_each(monkeypatch):
     """Past ``broadcast_threshold`` every graph round is ONE exchange, so
     one ``Dataset.sort``, and no other all-to-all runs: a k-hop BFS sorts
     once per hop, PageRank (every variant) ``PR_ITERS + 2`` times, HITS
-    ``2 * HITS_ITERS + 1`` times, and components at most once to start
-    plus twice (the round and its pointer chase) per round."""
+    ``2 * HITS_ITERS + 1`` times, triangles 3 times, and components at
+    most once to start plus twice (the round and its pointer chase) per
+    round."""
     from ray.data import Dataset
 
     from clangd_to_neo4j_ray.stages.graph_algo import (
@@ -320,6 +326,7 @@ def test_distributed_graph_rounds_are_one_exchange_each(monkeypatch):
         pagerank_personalized_ds,
         pagerank_weighted_ds,
         reachable_from_ds,
+        triangles_ds,
     )
 
     sorts: list[str] = []
@@ -353,6 +360,14 @@ def test_distributed_graph_rounds_are_one_exchange_each(monkeypatch):
         sorts.clear()
         assert query().take_all()
         assert len(sorts) == expected, (expected, sorts)
+    # the chain plus one chord closes the triangle n0-n1-n2
+    closed = ray.data.from_arrow(
+        pa.table({"src": [*chain[:-1], "n2"], "dst": [*chain[1:], "n0"]})
+    )
+    sorts.clear()
+    tri = triangles_ds(closed, broadcast_threshold=0).take_all()
+    assert sorted(r["node"] for r in tri if r["n_triangles"]) == ["n0", "n1", "n2"]
+    assert len(sorts) == 3, sorts
     rounds: list[int] = []
     sorts.clear()
     labels = connected_components_ds(ds, broadcast_threshold=0, round_edge_counts=rounds)

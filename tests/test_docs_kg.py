@@ -11,6 +11,8 @@ from .util import assert_matches_oracle
 QUERIES = [
     ("kg_mentions", docs_kg.kg_mentions),
     ("kg_entity_nodes", docs_kg.kg_entity_nodes),
+    ("kg_entity_salience", docs_kg.kg_entity_salience),
+    ("kg_trending_entities", docs_kg.kg_trending_entities),
     ("kg_triples", docs_kg.kg_triples),
     ("kg_cooccurrence", docs_kg.kg_cooccurrence),
     ("kg_nodes", docs_kg.kg_nodes),

@@ -333,6 +333,76 @@ def test_triangles_self_loops_dropped():
         assert out == {"a": 0, "b": 0, "c": 0}
 
 
+def _triangle_census(pairs) -> dict[str, tuple[int, int, int]]:
+    """Plain-Python (degree, n_triangles, clustering_permille) per node of
+    the undirected simple graph of ``pairs``: a node's triangles are the
+    pairs of its neighbours that are themselves adjacent."""
+    from itertools import combinations
+
+    adj: dict[str, set[str]] = {}
+    for u, v in pairs:
+        if u != v:
+            adj.setdefault(u, set()).add(v)
+            adj.setdefault(v, set()).add(u)
+    out = {}
+    for n, nbrs in adj.items():
+        d = len(nbrs)
+        t = sum(y in adj[x] for x, y in combinations(sorted(nbrs), 2))
+        out[n] = (d, t, (2000 * t) // (d * (d - 1)) if d >= 2 else 0)
+    return out
+
+
+def test_triangles_multi_block_graph_both_paths():
+    """About 300 nodes and 1,500 edge rows in 10 blocks: dense 10-node
+    communities (many triangles), three hubs joined to a quarter of the
+    graph, random cross edges, and duplicate, reversed and self-loop
+    rows.  Node names hash to bucket ranges independently, so with 4
+    exchange partitions (conftest's Ray has 4 CPUs) about three wedges in
+    four close in another range than the one they open in.  The driver kernel and the
+    supersteps (threshold 0) must both equal the plain-Python census."""
+    import random
+
+    from clangd_to_neo4j_ray.stages.graph_algo import triangles_ds
+
+    rng = random.Random(15)
+    nodes = [f"v{i:03d}" for i in range(300)]
+    pairs = [
+        (c[i], c[j])
+        for c in (nodes[k : k + 10] for k in range(0, 300, 10))
+        for i in range(10)
+        for j in range(i + 1, 10)
+        if rng.random() < 0.4
+    ]
+    for hub in ("v007", "v123", "v250"):
+        pairs += [(hub, n) for n in rng.sample(nodes, 75)]
+    pairs += [tuple(rng.sample(nodes, 2)) for _ in range(400)]
+    pairs += rng.sample(pairs, 150)  # duplicates
+    pairs += [(v, u) for u, v in rng.sample(pairs, 150)]  # reversed
+    pairs += [(n, n) for n in rng.sample(nodes, 20)]  # self-loops
+    rng.shuffle(pairs)
+    t = pa.table({"src": [u for u, _ in pairs], "dst": [v for _, v in pairs]})
+    cuts = [len(pairs) * i // 10 for i in range(11)]
+    ds = ray.data.from_arrow([t.slice(a, b - a) for a, b in zip(cuts, cuts[1:])])
+    want = _triangle_census(pairs)
+    assert ds.num_blocks() == 10 and len(pairs) >= 1_400 and len(want) == 300
+    assert sum(t_ for _, t_, _ in want.values()) >= 300  # corners of >= 100 triangles
+    for thr in (100_000, 0):
+        got = {
+            r["node"]: (r["degree"], r["n_triangles"], r["clustering_permille"])
+            for r in triangles_ds(ds, broadcast_threshold=thr).take_all()
+        }
+        assert got == want, thr
+
+
+def test_kg_triangles_matches_oracle(sf_dir):
+    """The entity co-occurrence census equals the 3-way self-join oracle."""
+    from clangd_to_neo4j_ray.stages.graph_algo import ORACLE_SQL, kg_triangles
+
+    from .util import assert_matches_oracle
+
+    assert_matches_oracle(kg_triangles(sf_dir), ORACLE_SQL["kg_triangles"], sf_dir)
+
+
 def test_hits_both_paths_agree():
     """HITS: forced-distributed path (threshold 0) must equal the driver
     numpy kernel bit-for-bit; hub/authority ordering sanity on a small
