@@ -3,7 +3,7 @@
 The Ray-Data re-expression of the reference's full build
 (``clangd_graph_rag_builder.py:48-78``, SURVEY §3.1):
 
-    read_parquet(pages)                        Pass 0/1: sources (S1-S6)
+    read_pages(pages) (sources/pages.py)       Pass 0/1: sources (S1-S6)
       -> extract_stage (map_batches)           byte-identical text per url
       -> link_scan_stage (task map, 1 pass)    Passes 2+6: spans + calls (J2-J4),
                                                plus one row per page
@@ -14,7 +14,10 @@ The Ray-Data re-expression of the reference's full build
 
 One linear dataflow, streaming end-to-end, with no ``.materialize()`` in
 it: a build is ONE Ray Data execution with exactly one all-to-all
-exchange (stages/canonicalize.py, bucketed by stages/shuffle.py).  The
+exchange (stages/canonicalize.py, bucketed by stages/shuffle.py).  No
+stage before the exchange sets a batch size, so Ray fuses the read,
+extract, link scan, partials and bucket map into one operator: one task
+per input split, and the html never reaches the object store.  The
 exchange carries the triple partials, the hierarchy's container rows, the
 distinct entity/mention pairs and the page rows under one key column; its
 reducers emit the final node, edge and triple rows, which stream straight
@@ -37,6 +40,7 @@ import ray
 import ray.data
 
 from ..sources.fixtures import EntityRecord
+from ..sources.pages import read_pages
 from ..stages.canonicalize import graph_exchange, tagged_rows
 from ..stages.extract import extract_stage
 from ..stages.linking import link_scan_stage, split_link_scan
@@ -129,7 +133,7 @@ def build_graph(
 
         pages = read_warc(pages_path)
     else:
-        pages = ray.data.read_parquet(pages_path)
+        pages = read_pages(pages_path)
     tagged = link_scan_stage(extract_stage(pages), ray.put(alias_lookup(entities)))
     return publish_graph(
         tagged,

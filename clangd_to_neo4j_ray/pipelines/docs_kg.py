@@ -395,23 +395,24 @@ def kg_cooccurrence(sf_dir: str) -> ray.data.Dataset:
     Output: (e1, e2, w1, w2, n_docs, evidence_doc, lift_permille) with
     w1 < w2 and n_docs >= COOC_MIN_DOCS.
 
-    Plan: ONE scan — per batch a single DuckDB kernel does
-    explode -> vocab filter -> distinct (doc, entity) -> within-doc pair
-    self-join -> partial pair counts (exact batch-locally: a document is
-    one row, so map_batches never splits its tokens).  The pair exchange
-    is vocab^2-bounded; per-entity doc frequencies fold in a second
-    vocab-bounded exchange, are collected under ``joins.BROADCAST_BYTES``
-    (a larger table raises) and broadcast via ``ray.put`` into the lift
-    kernel.  Self-join cost is per-doc O(k^2) in DISTINCT entities per doc
-    (k <= vocab), never corpus-wide all-pairs."""
+    Plan: ONE scan and ONE exchange — per batch a single DuckDB kernel
+    does explode -> vocab filter -> distinct (doc, entity) and emits, in
+    one ``(w1, w2, n, evidence_doc)`` schema, the partial pair counts of a
+    within-doc self-join of that set (exact batch-locally: a document is
+    one row, so map_batches never splits its tokens), the per-entity doc
+    frequencies of the same set (``w2`` null) and the batch's document
+    count (``w1`` and ``w2`` null).  One ``(w1, w2)`` exchange sums them
+    all; its vocab^2-bounded output is materialized once, the frequency
+    and document-count rows are collected from it under
+    ``joins.BROADCAST_BYTES`` (a larger table raises) and broadcast via
+    ``ray.put`` into the lift kernel over its pair rows.  Self-join cost
+    is per-doc O(k^2) in DISTINCT entities per doc (k <= vocab), never
+    corpus-wide all-pairs."""
     import ray as _ray
 
     from ..functions.duck import sql_over
 
-    ds = _read_documents(sf_dir, ["doc_id", "text"])
-    n_total = _read_documents(sf_dir, ["doc_id"]).count()
-
-    def pair_partials(batch: pa.Table) -> pa.Table:
+    def partials(batch: pa.Table) -> pa.Table:
         return sql_over(
             f"""WITH m AS (
               SELECT DISTINCT doc_id, tok
@@ -422,53 +423,47 @@ def kg_cooccurrence(sf_dir: str) -> ray.data.Dataset:
                    CAST(count(*) AS BIGINT) AS n,
                    min(a.doc_id) AS evidence_doc
             FROM m a JOIN m c ON a.doc_id = c.doc_id AND a.tok < c.tok
-            GROUP BY a.tok, c.tok""",
+            GROUP BY a.tok, c.tok
+            UNION ALL
+            SELECT tok, NULL, CAST(count(*) AS BIGINT), NULL
+            FROM m GROUP BY tok
+            UNION ALL
+            SELECT NULL, NULL, CAST(count(*) AS BIGINT), NULL FROM b""",
             b=batch,
         )
 
-    pairs = grouped_agg(
-        ds.map_batches(pair_partials, batch_format="pyarrow"),
-        ["w1", "w2"],
-        {"n_docs": ("n", "sum"), "evidence_doc": ("evidence_doc", "min")},
-    )
-
-    def df_partials(batch: pa.Table) -> pa.Table:
-        return sql_over(
-            f"""SELECT tok, CAST(count(DISTINCT doc_id) AS BIGINT) AS nd
-            FROM (SELECT doc_id, unnest(string_split(text, ' ')) AS tok
-                  FROM b)
-            WHERE tok IN ({_SQL_VOCAB_NAMES}) GROUP BY tok""",
-            b=batch,
-        )
-
-    ent_df = collect(
-        grouped_agg(
-            ds.map_batches(df_partials, batch_format="pyarrow"),
-            ["tok"],
-            {"nd": ("nd", "sum")},
+    sums = grouped_agg(
+        _read_documents(sf_dir, ["doc_id", "text"]).map_batches(
+            partials, batch_format="pyarrow"
         ),
+        ["w1", "w2"],
+        {"n": ("n", "sum"), "evidence_doc": ("evidence_doc", "min")},
+    ).materialize()
+    ent_df = collect(
+        sums,
         "entity df table",
+        lambda t: t.filter(pc.is_null(t["w2"])).select(["w1", "n"]),
     )
-    ref = _ray.put(ent_df)
+    n_total = pc.sum(ent_df.filter(pc.is_null(ent_df["w1"]))["n"]).as_py() or 0
+    ref = _ray.put(ent_df.filter(pc.is_valid(ent_df["w1"])))
 
     def lift(t: pa.Table) -> pa.Table:
-        ed = _ray.get(ref)
         out = sql_over(
-            f"""SELECT b.w1, b.w2, b.n_docs, b.evidence_doc,
-                  CAST((1000 * b.n_docs * {n_total}) // (ea.nd * eb.nd)
+            f"""SELECT b.w1, b.w2, b.n AS n_docs, b.evidence_doc,
+                  CAST((1000 * b.n * {n_total}) // (ea.n * eb.n)
                     AS BIGINT) AS lift_permille
                 FROM b
-                JOIN e ea ON ea.tok = b.w1
-                JOIN e eb ON eb.tok = b.w2
-                WHERE b.n_docs >= {COOC_MIN_DOCS}""",
+                JOIN e ea ON ea.w1 = b.w1
+                JOIN e eb ON eb.w1 = b.w2
+                WHERE b.n >= {COOC_MIN_DOCS}""",
             b=t,
-            e=ed,
+            e=_ray.get(ref),
         )
         return out.append_column(
             "e1", entity_ids_arrow(out["w1"].combine_chunks())
         ).append_column("e2", entity_ids_arrow(out["w2"].combine_chunks()))
 
-    return pairs.map_batches(lift, batch_format="pyarrow")
+    return sums.map_batches(lift, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------

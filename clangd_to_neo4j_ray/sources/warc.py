@@ -10,11 +10,12 @@ the roundtrip test in tests/test_warc.py).
 
 Reference analog: the index reader family (S1/S2,
 ``clangd_index_yaml_parser.py:241-260,310-372`` — schema-on-read bytes in,
-records out).  Scale shape: one WARC file is one read task
-(``read_binary_files`` keeps Ray's block-per-file parallelism; CC shards
-its crawls into ~1 GB WARC files, so file-level parallelism is the
-native partitioning), and the record walk inside a file is a
-sequential header scan exactly like real warcio — IO-dominated, no
+records out).  Scale shape: one WARC file is one block, parsed inside the
+read task of its split of files (``sources.pages.read_split``, the
+Parquet pages' own source; CC shards its crawls into ~1 GB WARC files,
+so file-level parallelism is the native partitioning), so a build fuses
+the parse with extract and the link scan.  The record walk inside a file
+is a sequential header scan exactly like real warcio — IO-dominated, no
 cross-record state, wide rows projected away by the extract stage.
 
 Only ``WARC-Type: response`` records are ingested; request/metadata
@@ -27,10 +28,13 @@ is the response body alone.
 from __future__ import annotations
 
 import gzip
+from collections.abc import Iterable
 from datetime import datetime, timezone
 
 import pyarrow as pa
 import ray.data
+
+from .pages import list_files, read_split
 
 _CRLF = b"\r\n"
 _HDR_END = b"\r\n\r\n"
@@ -115,18 +119,18 @@ def parse_warc_bytes(buf: bytes) -> pa.Table:
     )
 
 
+def _warc_file(path: str) -> Iterable[pa.Table]:
+    with open(path, "rb") as f:
+        yield parse_warc_bytes(f.read())
+
+
 def read_warc(paths: str | list[str]) -> ray.data.Dataset:
     """WARC file(s)/dir -> pages-schema Dataset (url, warc_ts, html, lang).
 
-    One file = one block (the crawl's native sharding); feed the result
-    to ``stages.extract.extract_stage`` to derive ``text``."""
-    files = ray.data.read_binary_files(paths)
-
-    def parse(batch: pa.Table) -> pa.Table:
-        tables = [parse_warc_bytes(b.as_py()) for b in batch["bytes"]]
-        return pa.concat_tables(tables)
-
-    return files.map_batches(parse, batch_format="pyarrow", batch_size=1)
+    One file = one block (the crawl's native sharding), parsed inside its
+    split's read task (``sources.pages.read_split``); feed the result to
+    ``stages.extract.extract_stage`` to derive ``text``."""
+    return read_split(list_files(paths), _warc_file)
 
 
 def write_warc_files(

@@ -6,9 +6,12 @@ normalized records out, embarrassingly parallel, with the per-row invariant
 from BASELINE.json input_hint (extracted text byte-identical per url,
 pytest-gated).
 
-Scale notes: rows are wide (html can be MBs), so this stage runs with a
-small batch size (WIDE_ROW_BATCH_SIZE) and projects ``html`` away
-immediately after extraction so downstream blocks are narrow.
+Scale notes: rows are wide (html can be MBs).  The stage maps whole
+blocks (no batch size, so Ray fuses it with the read before it), and
+``sources.pages.read_pages`` streams its files one Parquet row group at
+a time into blocks of at most the DataContext's ``target_max_block_size``;
+``html`` is projected away right after extraction, so downstream blocks
+are narrow and no html reaches the object store.
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ import re
 
 import pyarrow as pa
 import ray.data
-
-from ..context import WIDE_ROW_BATCH_SIZE
 
 # Boilerplate blocks dropped before paragraph extraction (FIXTURES.md F1:
 # <nav>/<script> must not leak into text) — the tab-sanitizer analog (M2,
@@ -66,6 +67,4 @@ def extract_batch(batch: pa.Table) -> pa.Table:
 
 def extract_stage(pages: ray.data.Dataset) -> ray.data.Dataset:
     """pages(url, warc_ts, html, ...) -> (url, warc_ts, lang, text)."""
-    return pages.map_batches(
-        extract_batch, batch_format="pyarrow", batch_size=WIDE_ROW_BATCH_SIZE
-    )
+    return pages.map_batches(extract_batch, batch_format="pyarrow")

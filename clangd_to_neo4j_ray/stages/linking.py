@@ -51,8 +51,6 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from ..context import DEFAULT_BATCH_SIZE
-
 PRED_PHRASES = {
     "works for": "works_for",
     "is located in": "located_in",
@@ -332,21 +330,14 @@ def _link_batch(batch: pa.Table, alias_ref: ray.ObjectRef) -> pa.Table:
     return _LINKER_MEMO[1](batch)
 
 
-def link_scan_stage(
-    extracted: ray.data.Dataset,
-    alias_ref,
-    *,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-) -> ray.data.Dataset:
+def link_scan_stage(extracted: ray.data.Dataset, alias_ref) -> ray.data.Dataset:
     """extracted(url, text) -> tagged union of candidate-triple, mention and
     page rows (``TAG_SCHEMA``): a task-based ``map_batches`` of ``LinkScan``
-    with no concurrency of its own, so Ray fuses it with the extract
-    stage before it and the graph stage's per-batch partials after it."""
+    over whole blocks, with no concurrency or batch size of its own, so Ray
+    fuses it with the read and extract stages before it and the graph
+    stage's per-batch partials after it."""
     return extracted.select_columns(["url", "text"]).map_batches(
-        _link_batch,
-        fn_args=(alias_ref,),
-        batch_format="pyarrow",
-        batch_size=batch_size,
+        _link_batch, fn_args=(alias_ref,), batch_format="pyarrow"
     )
 
 

@@ -219,7 +219,7 @@ def _add_bucket_arrow(keys: list[str], num_buckets: int):
     not by library-version luck."""
     import pyarrow.compute as pc
 
-    def f(batch: pa.Table) -> pa.Table:
+    def add_bucket(batch: pa.Table) -> pa.Table:
         parts = [pc.cast(batch[k], pa.string()) for k in keys]
         joined = pc.binary_join_element_wise(
             *parts, _SEP, null_handling="replace", null_replacement="\x00"
@@ -231,20 +231,26 @@ def _add_bucket_arrow(keys: list[str], num_buckets: int):
             "__bucket", pa.array(bucket, type=pa.int64())
         )
 
-    return f
+    return add_bucket
 
 
-def exchange_partitions(ds: ray.data.Dataset, num_buckets: int) -> int:
-    """P, the exchange's partition count: at least one per cluster CPU and
-    enough that one partition stays under ``target_bucket_bytes()`` by
-    the input's size hint, never more than the ``num_buckets`` buckets
-    it cuts into ranges."""
+def partition_count(limit: int, size_hint: int | None) -> int:
+    """How many parallel pieces to cut ``size_hint`` bytes into: at least
+    one per cluster CPU and enough that one piece stays under
+    ``target_bucket_bytes()``, never more than ``limit``."""
     try:
         cpus = int(ray.cluster_resources().get("CPU", 1))
     except Exception:
         cpus = os.cpu_count() or 1
-    need = -(-(dataset_size_hint(ds) or 0) // max(1, target_bucket_bytes()))
-    return max(1, min(num_buckets, max(cpus, need)))
+    need = -(-(size_hint or 0) // max(1, target_bucket_bytes()))
+    return max(1, min(limit, max(cpus, need)))
+
+
+def exchange_partitions(ds: ray.data.Dataset, num_buckets: int) -> int:
+    """P, the exchange's partition count: ``partition_count`` of the
+    input's size hint, never more than the ``num_buckets`` buckets it
+    cuts into ranges."""
+    return partition_count(num_buckets, dataset_size_hint(ds))
 
 
 def exchange(

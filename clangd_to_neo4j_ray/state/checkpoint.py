@@ -17,6 +17,9 @@ graph-resident commit stamp (``clangd_graph_rag_builder.py:112-122``):
   §3.2 analog).
   Partitions run one after another, one Ray execution each, and the
   manifest is saved after each, so a crash resumes from whatever finished.
+  A partition and the read-back of every output both read through
+  ``sources.pages.read_pages`` (one read task per split of files, no
+  Parquet sampling), the build's own source.
 
 Fingerprints are content-derived (full-file md5), never wall-clock — mtime
 is what made the reference's cache validation fragile.
@@ -35,6 +38,7 @@ from collections.abc import Callable
 import pyarrow as pa
 import ray.data
 
+from ..sources.pages import read_pages
 from ..stages.materialize import write_table
 
 # Version of the rows a partition holds; a partition written under another
@@ -122,7 +126,7 @@ class StageCheckpoint:
                 continue
             out_dir = os.path.join(self.dir, pid)
             t0 = time.perf_counter()
-            stage = write_table(fn(ray.data.read_parquet(path)), out_dir, self.schema)
+            stage = write_table(fn(read_pages(path)), out_dir, self.schema)
             self.manifest[pid] = {
                 "fingerprint": fp,
                 "contract": ROW_CONTRACT,
@@ -137,13 +141,8 @@ class StageCheckpoint:
         return {"computed": computed, "skipped": skipped, "purged": purged}
 
     def output_dataset(self) -> ray.data.Dataset:
-        """Union of all partition outputs (read back from Parquet)."""
-        files: list[str] = []
-        for e in self.manifest.values():
-            out = e.get("output", "")
-            if os.path.isdir(out):
-                files.extend(glob.glob(os.path.join(out, "*.parquet")))
-        if not files:
-            raise ValueError("no checkpointed partitions with rows")
-        return ray.data.read_parquet(sorted(files))
+        """Union of all partition outputs, read back through ``read_pages``
+        (``ValueError`` when no partition has an output file)."""
+        outs = (e.get("output", "") for e in self.manifest.values())
+        return read_pages(sorted(o for o in outs if os.path.isdir(o)))
 

@@ -145,19 +145,40 @@ def test_graph_queries_log_no_schema_drift(tmp_path):
         )
 
 
+# A build's physical plan: the read fused with extract, the link scan, the
+# partials and the bucket map, the one exchange, the reducer fused with
+# the sink.
+BUILD_PLAN = [
+    "Input",
+    "ReadSplit->MapBatches(extract_batch)->Project->MapBatches(_link_batch)"
+    "->MapBatches(_graph_partials)->MapBatches(add_bucket)",
+    "Sort",
+    "MapBatches(per_bucket)->MapBatches(sink)",
+]
+
+
 def test_build_runs_one_execution_one_exchange_and_no_actor_pool(tmp_path, monkeypatch):
     """One build_graph (Neo4j CSV included) is ONE Ray Data execution with
     exactly one exchange — the graph exchange, whose reducers feed the
     sink — and starts no actor pool.  Its sink writes each row once and
-    reads nothing back: no ``Dataset.write_parquet``, and ``read_parquet``
-    on the input pages only."""
+    reads nothing back: no ``Dataset.write_parquet``.  The pages are read
+    once, by the split source (``read_pages``), never by
+    ``ray.data.read_parquet``, so no Parquet sampling runs, and the read
+    fuses with extract, the link scan, the partials and the bucket map
+    into the execution's first operator."""
     from ray.data import Dataset
+    from ray.data._internal.datasource import parquet_datasource
+
+    from clangd_to_neo4j_ray.pipelines import build_graph as build_graph_mod
 
     fx, path = _flat_corpus_with_silent_page(tmp_path)
     exchanges: list[str] = []
     actor_stages: list[str] = []
     parquet_writes: list[str] = []
     parquet_reads: list = []
+    split_reads: list = []
+    samples: list = []
+    plans: list[list[str]] = []
 
     def count_exchange(name, orig):
         def wrapper(self, *args, **kwargs):
@@ -174,31 +195,45 @@ def test_build_runs_one_execution_one_exchange_and_no_actor_pool(tmp_path, monke
 
         return wrapper
 
-    executions = count_executions(monkeypatch)
+    def counted(calls, orig):
+        def wrapper(*args, **kwargs):
+            calls.append(args[0] if args else kwargs)
+            return orig(*args, **kwargs)
+
+        return wrapper
+
+    executions = count_executions(monkeypatch, plans)
     for name in ("groupby", "sort", "repartition", "random_shuffle", "unique", "join"):
         monkeypatch.setattr(Dataset, name, count_exchange(name, getattr(Dataset, name)))
     for name in ("map_batches", "map", "flat_map", "filter"):
         monkeypatch.setattr(Dataset, name, mapping(name, getattr(Dataset, name)))
 
-    write_parquet, read_parquet = Dataset.write_parquet, ray.data.read_parquet
+    write_parquet = Dataset.write_parquet
 
     def counted_write(self, path, *args, **kwargs):
         parquet_writes.append(path)
         return write_parquet(self, path, *args, **kwargs)
 
-    def counted_read(paths, *args, **kwargs):
-        parquet_reads.append(paths)
-        return read_parquet(paths, *args, **kwargs)
-
     monkeypatch.setattr(Dataset, "write_parquet", counted_write)
-    monkeypatch.setattr(ray.data, "read_parquet", counted_read)
+    monkeypatch.setattr(ray.data, "read_parquet", counted(parquet_reads, ray.data.read_parquet))
+    monkeypatch.setattr(
+        build_graph_mod, "read_pages", counted(split_reads, build_graph_mod.read_pages)
+    )
+    monkeypatch.setattr(
+        parquet_datasource,
+        "sample_fragments",
+        counted(samples, parquet_datasource.sample_fragments),
+    )
 
     build_graph(path, fx.entities, str(tmp_path / "graph"))
     assert len(executions) == 1, executions
     assert exchanges == ["sort"]
     assert actor_stages == []
     assert parquet_writes == []
-    assert parquet_reads == [path]
+    assert parquet_reads == []
+    assert split_reads == [path]
+    assert samples == []
+    assert plans == [BUILD_PLAN]
 
 
 def test_incremental_stage2_is_one_execution(tmp_path, monkeypatch):
@@ -235,7 +270,7 @@ def test_link_scan_memo_is_per_dictionary():
     }
     pages = ray.data.from_arrow(batch).repartition(4)
     for lut in (lut_a, lut_b, lut_a):
-        got = link_scan_stage(pages, ray.put(lut), batch_size=16).to_arrow_refs()
+        got = link_scan_stage(pages, ray.put(lut)).to_arrow_refs()
         got = pa.concat_tables(
             [t for t in ray.get(got) if t.num_rows], promote_options="default"
         )

@@ -50,3 +50,28 @@ def test_kg_cooccurrence_semantics(ray_session, sf_dir):
     for _, r in df.head(25).iterrows():
         expect = (1000 * r["n_docs"] * n_total) // (nd[r["w1"]] * nd[r["w2"]])
         assert r["lift_permille"] == expect
+
+
+def test_kg_cooccurrence_reads_the_documents_once(sf_dir, monkeypatch):
+    """One documents scan feeds the pair counts, the entity doc
+    frequencies and the document count through one exchange: building
+    and consuming the query runs exactly one execution with a read in it
+    (the one that materializes the exchange) and one exchange."""
+    import ray.data
+
+    from .util import count_executions
+
+    exchanges: list[str] = []
+    sort = ray.data.Dataset.sort
+
+    def counted_sort(self, *args, **kwargs):
+        exchanges.append("sort")
+        return sort(self, *args, **kwargs)
+
+    monkeypatch.setattr(ray.data.Dataset, "sort", counted_sort)
+    plans: list[list[str]] = []
+    count_executions(monkeypatch, plans)
+    docs_kg.kg_cooccurrence(sf_dir).take_all()
+    reads = [p for p in plans if any(op.startswith("Read") for op in p)]
+    assert len(reads) == 1, plans
+    assert exchanges == ["sort"]

@@ -76,6 +76,8 @@ def test_build_layers_take_no_single_valued_options():
         build_graph_mod.build_graph,
     ):
         assert "concurrency" not in _params(fn), fn.__name__
+    # a batch size on the link scan would split it from the read it fuses with
+    assert "batch_size" not in _params(linking.link_scan_stage)
     assert "keep_dead_letters" not in _params(canonicalize.canonicalize_triples)
 
 

@@ -62,8 +62,10 @@ def assert_matches_oracle(ray_result, sql: str, sf_dir: str) -> None:
     pd.testing.assert_frame_equal(got, exp, check_dtype=False, check_exact=False, rtol=1e-9, atol=1e-9)
 
 
-def count_executions(monkeypatch) -> list[str]:
-    """The names of the Ray Data executions started from here on."""
+def count_executions(monkeypatch, plans: list | None = None) -> list[str]:
+    """The names of the Ray Data executions started from here on.  With
+    ``plans``, each execution also appends its physical operators' names
+    there, input first (a linear plan's chain)."""
     from ray.data._internal.execution.streaming_executor import StreamingExecutor
 
     executions: list[str] = []
@@ -71,6 +73,12 @@ def count_executions(monkeypatch) -> list[str]:
 
     def counted_execute(self, dag, *args, **kwargs):
         executions.append(dag.name)
+        if plans is not None:
+            chain, op = [], dag
+            while op is not None:
+                chain.insert(0, op.name)
+                op = op.input_dependencies[0] if op.input_dependencies else None
+            plans.append(chain)
         return execute(self, dag, *args, **kwargs)
 
     monkeypatch.setattr(StreamingExecutor, "execute", counted_execute)
