@@ -25,13 +25,14 @@ no broadcast of O(corpus) keys — the chain runs at any corpus size.
 from __future__ import annotations
 
 import numpy as np
+import polars as pl
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from ..stages.dedup import _SQL_MINSIG, _SQL_SHINGLES3, _SQL_TOK, _read_docs
+from ..stages.dedup import _SQL_MINSIG, _SQL_SHINGLES3, _SQL_TOK, _read_docs, band_pairs
 from ..stages.joins import bucketed_join
-from ..stages.shuffle import grouped_agg
+from ..stages.shuffle import _compat, exchange, grouped_agg
 
 MIN_TOKENS = 20  # drop the shortest ~10% of documents
 TYPE_RATIO_PCT = 35  # keep docs with >= 35% distinct tokens (int-exact)
@@ -131,17 +132,6 @@ def corpus_clean(sf_dir: str) -> ray.data.Dataset:
     # the cross-band distinct a standalone dedup_minhash_pairs pays: every
     # consumer below is a semi/anti-style membership check, so duplicate
     # (a, b) rows are harmless — one exchange fewer
-    from ..stages.shuffle import bucketed_group_agg as _bga
-
-    def _expand(g):
-        d = g.drop_duplicates(subset=["band", "sig", "doc_id"])
-        m = d.merge(d, on=["band", "sig"])
-        m = m[m["doc_id_x"] < m["doc_id_y"]]
-        out = m[["doc_id_x", "doc_id_y"]].rename(
-            columns={"doc_id_x": "a_doc", "doc_id_y": "b_doc"}
-        )
-        return out.drop_duplicates()  # within-bucket combine only
-
     sigs = prof.select_columns(["doc_id", "sigs"]).map_batches(
         _explode_sigs, batch_format="pyarrow"
     )
@@ -150,7 +140,7 @@ def corpus_clean(sf_dir: str) -> ray.data.Dataset:
     # construction, replacing the r2 chain's two per-endpoint semi-joins
     # (one exchange instead of two, and the expansion sees fewer rows)
     rep_sigs = bucketed_join(sigs, reps, on="doc_id", how="semi")
-    pairs = _bga(rep_sigs, ["band", "sig"], _expand)
+    pairs = exchange(rep_sigs, ["band", "sig"], band_pairs)
     drop = pairs.map_batches(
         lambda t: pa.table({"doc_id": t["b_doc"]}), batch_format="pyarrow"
     )
@@ -172,8 +162,6 @@ def corpus_clean(sf_dir: str) -> ray.data.Dataset:
     )
 
     def _survivor_ids(df):
-        import polars as pl
-
         return (
             df.group_by("doc_id")
             .agg(pl.col("flag").min().alias("mn"), pl.col("flag").max().alias("mx"))
@@ -223,10 +211,7 @@ def dedup_cluster_quality(
 
     Output: (doc_id, cluster_rep, n_tokens, is_kept) — one row per doc,
     exactly one is_kept=1 per cluster; singletons keep themselves."""
-    import pandas as pd
-
     from ..stages.dedup import minhash_pairs_from_sigs, pairs_to_components
-    from ..stages.shuffle import bucketed_group_agg
 
     prof = _doc_profiles(sf_dir)
     comp = pairs_to_components(
@@ -254,22 +239,16 @@ def dedup_cluster_quality(
         how="left",
     ).map_batches(assign, batch_format="pyarrow")
 
-    def keep(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(
-            ["cluster_rep", "n_tokens", "doc_id"],
-            ascending=[True, False, True],
-            kind="mergesort",
+    def keep(t: pa.Table) -> pa.Table:
+        df = pl.from_arrow(t).sort(
+            ["cluster_rep", "n_tokens", "doc_id"], descending=[False, True, False]
         )
-        return pd.DataFrame(
-            {
-                "doc_id": g["doc_id"].astype("int64"),
-                "cluster_rep": g["cluster_rep"].astype("int64"),
-                "n_tokens": g["n_tokens"].astype("int64"),
-                "is_kept": (~g["cluster_rep"].duplicated()).astype("int64"),
-            }
+        kept = pl.col("cluster_rep").is_first_distinct().cast(pl.Int64)
+        return _compat(
+            df.select("doc_id", "cluster_rep", "n_tokens", is_kept=kept).to_arrow()
         )
 
-    return bucketed_group_agg(asg, ["cluster_rep"], keep)
+    return exchange(asg, ["cluster_rep"], keep)
 
 
 ORACLE_SQL: dict[str, str] = {

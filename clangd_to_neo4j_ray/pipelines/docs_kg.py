@@ -33,7 +33,8 @@ import ray.data
 from ..functions.hashing import entity_ids, entity_ids_arrow
 from ..functions.textops import explode_tokens, prefixed
 from ..stages.joins import collect
-from ..stages.shuffle import grouped_agg, grouped_sum
+from ..sources.pages import read_pages
+from ..stages.shuffle import grouped_agg
 
 # ---------------------------------------------------------------------------
 # Entity dictionary (side input) — the analog of the reference's symbol table
@@ -81,11 +82,6 @@ SQL_TOK = (
     "generate_subscripts(string_split(text, ' '), 1) AS i FROM documents)"
 )
 SQL_VOCAB = f"vocab AS (SELECT * FROM (VALUES {SQL_VOCAB_VALUES}) v(name, kind))"
-
-
-def _read_documents(sf_dir: str, columns: list[str]) -> ray.data.Dataset:
-    """Column-pruned read of the documents table (prune at the read)."""
-    return ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=columns)
 
 
 # ---------------------------------------------------------------------------
@@ -153,9 +149,9 @@ def kg_mentions(sf_dir: str) -> ray.data.Dataset:
     ZERO exchanges (r3): a document is one row and ``map_batches`` never
     splits a row across batches, so each batch holds every token of its
     docs and the per-batch (doc_id, name) counts are already globally
-    complete — the r2 plan's grouped_sum merged nothing.  The operator is
+    complete — the r2 plan's grouped sum merged nothing.  The operator is
     a pure streaming scan."""
-    ds = _read_documents(sf_dir, ["doc_id", "text"])
+    ds = read_pages(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     partials = ds.map_batches(_mention_partials, batch_format="pyarrow")
 
     def rename(batch: pa.Table) -> pa.Table:
@@ -185,7 +181,7 @@ def kg_entity_nodes(sf_dir: str) -> ray.data.Dataset:
     count-distinct expressed shuffle-free as a count over the per-doc partial
     rows (one row per (doc, name) after the first aggregation).
     """
-    ds = _read_documents(sf_dir, ["doc_id", "text"])
+    ds = read_pages(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     # the per-batch partials are already one complete row per (doc, name)
     # (doc atomicity — see kg_mentions), so the r2 per-doc merge exchange
     # is skipped and the single remaining exchange is the per-entity one
@@ -228,7 +224,7 @@ def kg_entity_salience(sf_dir: str) -> ray.data.Dataset:
     per block into one ``grouped_agg``."""
     from ..stages.shuffle import grouped_agg
 
-    ds = _read_documents(sf_dir, ["doc_id", "text"])
+    ds = read_pages(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
     def partials(batch: pa.Table) -> pa.Table:
         per_doc = _vocab_scan(batch)[2].group_by(["doc_id", "name"]).aggregate(
@@ -351,7 +347,7 @@ def kg_triples(sf_dir: str) -> ray.data.Dataset:
     evidence witness — the order-independent replacement for the reference's
     last-wins dict semantics (SURVEY §7.5; D5 MERGE idempotency).
     """
-    ds = _read_documents(sf_dir, ["doc_id", "text"])
+    ds = read_pages(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     partials = ds.map_batches(_triple_partials, batch_format="pyarrow")
     agg = grouped_agg(
         partials,
@@ -432,10 +428,9 @@ def kg_cooccurrence(sf_dir: str) -> ray.data.Dataset:
             b=batch,
         )
 
+    docs = read_pages(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     sums = grouped_agg(
-        _read_documents(sf_dir, ["doc_id", "text"]).map_batches(
-            partials, batch_format="pyarrow"
-        ),
+        docs.map_batches(partials, batch_format="pyarrow"),
         ["w1", "w2"],
         {"n": ("n", "sum"), "evidence_doc": ("evidence_doc", "min")},
     ).materialize()
@@ -512,7 +507,7 @@ def kg_nodes(sf_dir: str) -> ray.data.Dataset:
     stages/hierarchy.py for the url-driven form).
     Output: (node_id, label, name).
     """
-    docs = _read_documents(sf_dir, ["doc_id", "source"])
+    docs = read_pages(f"{sf_dir}/documents.parquet", columns=["doc_id", "source"])
 
     def doc_nodes(batch: pa.Table) -> pa.Table:
         ids = batch["doc_id"].to_pylist()
@@ -634,7 +629,7 @@ def kg_edges(sf_dir: str) -> ray.data.Dataset:
     """
     from ..stages.shuffle import distinct
 
-    docs = _read_documents(sf_dir, ["doc_id", "source"])
+    docs = read_pages(f"{sf_dir}/documents.parquet", columns=["doc_id", "source"])
 
     def _edge_table(src: pa.Array, dst: pa.Array) -> pa.Table:
         return pa.table(
@@ -691,9 +686,8 @@ def kg_edges(sf_dir: str) -> ray.data.Dataset:
         leaf_contains, batch_format="pyarrow"
     ).union(ancestor_ds)
 
-    fused = _read_documents(sf_dir, ["doc_id", "text"]).map_batches(
-        _fused_edge_partials, batch_format="pyarrow"
-    )
+    texts = read_pages(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    fused = texts.map_batches(_fused_edge_partials, batch_format="pyarrow")
     merged = grouped_agg(
         fused,
         ["is_pair", "w1", "w2", "doc_g"],
@@ -733,7 +727,7 @@ def kg_sources(sf_dir: str) -> ray.data.Dataset:
     analog (code_graph_rag_generator.py:368-423) without the LLM: group
     children stats up one hierarchy level.
     """
-    ds = _read_documents(sf_dir, ["doc_id", "source", "text"])
+    ds = read_pages(f"{sf_dir}/documents.parquet", columns=["doc_id", "source", "text"])
 
     def partials(batch: pa.Table) -> pa.Table:
         _flat, parents, hits = _vocab_scan(batch)
@@ -753,10 +747,14 @@ def kg_sources(sf_dir: str) -> ray.data.Dataset:
         )
         return out.rename_columns(["source", "docs", "toks", "ments"])
 
-    return grouped_sum(
+    return grouped_agg(
         ds.map_batches(partials, batch_format="pyarrow"),
         ["source"],
-        {"docs": "n_docs", "toks": "n_tokens", "ments": "n_mention_tokens"},
+        {
+            "n_docs": ("docs", "sum"),
+            "n_tokens": ("toks", "sum"),
+            "n_mention_tokens": ("ments", "sum"),
+        },
     )
 
 
@@ -769,7 +767,7 @@ def kg_mention_windows(sf_dir: str) -> ray.data.Dataset:
     ``code_graph_rag_generator.py:506-522``): recover surrounding context
     for a located reference without re-reading the source.
     """
-    ds = _read_documents(sf_dir, ["doc_id", "text"])
+    ds = read_pages(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
     def windows(batch: pa.Table) -> pa.Table:
         flat, parents, hits = _vocab_scan(batch)

@@ -24,7 +24,7 @@ from ``remote_concurrency()`` (the reference's 100-thread default).
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
+import polars as pl
 import pyarrow as pa
 import ray
 import ray.data
@@ -41,6 +41,7 @@ from ..functions.llm_client import (
 )
 from ..stages.hierarchy import domain_of
 from ..stages.joins import collect
+from ..stages.shuffle import exchange
 
 
 def _pool_size(
@@ -59,6 +60,18 @@ def _pool_size(
     if n_rows is not None:
         hi = max(1, min(hi, -(-int(n_rows) // max(1, batch_size))))
     return (1, hi)
+
+
+def _groups(t: pa.Table, key: str):
+    """(key value, rows) of every group in an exchange's bucket range: the
+    rollups call the LLM once per group, so they iterate in Python."""
+    for (k,), rows in pl.from_arrow(t).partition_by(key, as_dict=True).items():
+        yield k, rows
+
+
+def _table(rows: list[tuple], schema: pa.Schema) -> pa.Table:
+    """Row tuples in ``schema``'s column order as one typed table."""
+    return pa.Table.from_pylist([dict(zip(schema.names, r)) for r in rows], schema)
 
 
 class PageSummarizer:
@@ -115,26 +128,29 @@ def rollup_domains(
     llm = get_llm_client(llm_api)
     embedder = get_embedding_client(embed_api)
 
-    from ..stages.shuffle import bucketed_group_agg
+    schema = pa.schema(
+        [
+            ("domain", pa.string()),
+            ("n_pages", pa.int64()),
+            ("summary", pa.string()),
+            ("embedding", pa.list_(pa.float64())),
+        ]
+    )
 
-    def roll_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        # one bucket holds MANY domains (bucketed exchange — the VERDICT r3
-        # native-groupby sweep, What's-wrong #5 / next-round item #2); the
-        # per-domain LLM call is
-        # inherently one Python call per domain, but the shuffle and the
-        # UDF-invocation count are per-bucket, not per-key
+    def roll_bucket(t: pa.Table) -> pa.Table:
+        # one bucket range holds MANY domains (bucketed exchange — the
+        # VERDICT r3 native-groupby sweep, What's-wrong #5 / next-round
+        # item #2); the per-domain LLM call is inherently one Python call
+        # per domain, but the shuffle and the UDF-invocation count are per
+        # bucket range, not per key
         rows = []
-        for domain, grp in g.groupby("domain", sort=False):
-            s = llm.summarize(domain, grp["summary"].tolist(), None)
+        for domain, grp in _groups(t, "domain"):
+            s = llm.summarize(domain, grp["summary"].to_list(), None)
             emb = embedder.encode([s])[0]
-            rows.append((domain, len(grp), s, list(emb)))
-        out = pd.DataFrame(
-            rows, columns=["domain", "n_pages", "summary", "embedding"]
-        )
-        out["n_pages"] = out["n_pages"].astype("int64")
-        return out
+            rows.append((domain, grp.height, s, list(emb)))
+        return _table(rows, schema)
 
-    return bucketed_group_agg(page_summaries, ["domain"], roll_bucket)
+    return exchange(page_summaries, ["domain"], roll_bucket)
 
 
 def _node_parent(node_id: str) -> tuple[str, int]:
@@ -197,10 +213,6 @@ def rollup_hierarchy(
     group is unchanged."""
     import hashlib
 
-    import pandas as pd
-
-    from ..stages.shuffle import bucketed_group_agg
-
     llm = get_llm_client(llm_api)
     embedder = get_embedding_client(embed_api)
     manifest_ref = ray.put(manifest or {})
@@ -217,11 +229,25 @@ def rollup_hierarchy(
         ).max("m")
     )
 
-    def roll_bucket(g: pd.DataFrame) -> pd.DataFrame:
+    schema = pa.schema(
+        [
+            ("node_id", pa.string()),
+            ("name", pa.string()),
+            ("parent", pa.string()),
+            ("depth", pa.int64()),
+            ("n_children", pa.int64()),
+            ("fp", pa.string()),
+            ("recomputed", pa.bool_()),
+            ("summary", pa.string()),
+            ("embedding", pa.list_(pa.float64())),
+        ]
+    )
+
+    def roll_bucket(t: pa.Table) -> pa.Table:
         cached = ray.get(manifest_ref)
         rows = []
-        for node_id, grp in g.groupby("parent", sort=False):
-            children = sorted(grp["summary"].tolist())
+        for node_id, grp in _groups(t, "parent"):
+            children = sorted(grp["summary"].to_list())
             fp = hashlib.md5("\n".join(children).encode()).hexdigest()
             parent, depth = _node_parent(node_id)
             name = node_id.split(":", 1)[1]
@@ -235,16 +261,7 @@ def rollup_hierarchy(
             rows.append(
                 (node_id, name, parent, depth, len(children), fp, rec, summary, emb)
             )
-        out = pd.DataFrame(
-            rows,
-            columns=[
-                "node_id", "name", "parent", "depth", "n_children",
-                "fp", "recomputed", "summary", "embedding",
-            ],
-        )
-        out["depth"] = out["depth"].astype("int64")
-        out["n_children"] = out["n_children"].astype("int64")
-        return out
+        return _table(rows, schema)
 
     levels: list[ray.data.Dataset] = []
     carry: ray.data.Dataset | None = None
@@ -256,7 +273,7 @@ def rollup_hierarchy(
             batch_format="pyarrow",
         )
         inp = pages_d if carry is None else pages_d.union(carry)
-        lvl = bucketed_group_agg(inp, ["parent"], roll_bucket).materialize()
+        lvl = exchange(inp, ["parent"], roll_bucket).materialize()
         levels.append(lvl)
         carry = lvl.map_batches(
             lambda t: pa.table(
@@ -286,10 +303,7 @@ def project_summary(
     or under ``fan_in`` (every fixture, and any corpus with few domains)
     take the single final summarize call directly, so small-scale output
     is byte-identical to the r4 flat reduce."""
-    import pandas as pd
-
     from ..functions.hashing import md5_int60_many
-    from ..stages.shuffle import bucketed_group_agg
 
     llm = get_llm_client(llm_api)
     cur = domain_summaries.select_columns(["domain", "summary"])
@@ -309,14 +323,14 @@ def project_summary(
                 }
             )
 
-        def fold(g: pd.DataFrame) -> pd.DataFrame:
+        def fold(t: pa.Table) -> pa.Table:
             rows = [
-                (name, llm.summarize(name, grp["summary"].tolist(), None))
-                for name, grp in g.groupby("domain", sort=False)
+                (name, llm.summarize(name, grp["summary"].to_list(), None))
+                for name, grp in _groups(t, "domain")
             ]
-            return pd.DataFrame(rows, columns=["domain", "summary"])
+            return _table(rows, t.schema)
 
-        cur = bucketed_group_agg(
+        cur = exchange(
             cur.map_batches(assign, batch_format="pyarrow"), ["domain"], fold
         ).materialize()
         n = cur.count()
@@ -509,28 +523,28 @@ def enrich_rollup_sources(
     summarize-of-summaries is value-checked end-to-end, not just pytested).
 
     Output: (source, n_docs, summary, emb_norm_int)."""
-    import pandas as pd
-
-    from ..stages.shuffle import bucketed_group_agg
-
     llm = get_llm_client(llm_api)
     embedder = get_embedding_client(embed_api)
     leaves = _doc_summaries_with_source(sf_dir, llm_api, embed_api)
 
-    def roll(g: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for source, grp in g.groupby("source", sort=False):
-            s = llm.summarize(source, grp["summary"].tolist(), None)
-            norm = int(np.rint(np.linalg.norm(embedder.encode([s])[0]) * 1000))
-            rows.append((source, len(grp), s, norm))
-        out = pd.DataFrame(
-            rows, columns=["source", "n_docs", "summary", "emb_norm_int"]
-        )
-        out["n_docs"] = out["n_docs"].astype("int64")
-        out["emb_norm_int"] = out["emb_norm_int"].astype("int64")
-        return out
+    schema = pa.schema(
+        [
+            ("source", pa.string()),
+            ("n_docs", pa.int64()),
+            ("summary", pa.string()),
+            ("emb_norm_int", pa.int64()),
+        ]
+    )
 
-    return bucketed_group_agg(leaves, ["source"], roll)
+    def roll(t: pa.Table) -> pa.Table:
+        rows = []
+        for source, grp in _groups(t, "source"):
+            s = llm.summarize(source, grp["summary"].to_list(), None)
+            norm = int(np.rint(np.linalg.norm(embedder.encode([s])[0]) * 1000))
+            rows.append((source, grp.height, s, norm))
+        return _table(rows, schema)
+
+    return exchange(leaves, ["source"], roll)
 
 
 def enrich_project(

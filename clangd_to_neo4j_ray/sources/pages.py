@@ -6,7 +6,8 @@ The pages schema is the BASELINE.json input_hint contract::
           text: string, lang: string)
 
 ``read_pages`` is the one Parquet source of stage 1 (the full build, every
-checkpointed partition and the checkpoint read-back), and
+checkpointed partition and the checkpoint read-back) and of the
+``documents`` table in ``documents_as_pages`` and the ``kg_*`` queries, and
 ``sources.warc.read_warc`` the same source over WARC files: a
 ``SplitSource`` plans one read task per split of whole files and streams
 each Parquet file one row group at a time, in place of the reference's
@@ -118,7 +119,7 @@ def read_pages(
 
 def documents_as_pages(sf_dir: str) -> ray.data.Dataset:
     """documents(doc_id, text, lang, source, ...) -> pages schema."""
-    docs = ray.data.read_parquet(
+    docs = read_pages(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang", "source"]
     )
 

@@ -24,13 +24,13 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
-import pandas as pd
+import polars as pl
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
 from .joins import collect
-from .shuffle import bucketed_group_agg, distinct, grouped_agg
+from .shuffle import _compat, distinct, exchange, grouped_agg
 
 N_MINHASH = 16  # 4-hex-char minhashes per doc (slices of two salted md5s)
 N_BANDS = 8  # LSH bands of r=2 minhashes each (catch threshold ~(1/8)^(1/2)~0.35)
@@ -264,6 +264,16 @@ def minhash_signatures(sf_dir: str) -> ray.data.Dataset:
     return _read_docs(sf_dir).map_batches(_minhash_rows, batch_format="pyarrow")
 
 
+def band_pairs(t: pa.Table) -> pa.Table:
+    """The LSH exchange's reducer: every (band, sig) bucket of ``t``
+    (doc_id, band, sig) expanded into its distinct doc pairs (a_doc,
+    b_doc), a_doc < b_doc, by one vectorized self-join."""
+    d = pl.from_arrow(t).select("band", "sig", "doc_id").unique()
+    m = d.join(d, on=["band", "sig"], suffix="_b")
+    m = m.filter(pl.col("doc_id") < pl.col("doc_id_b"))
+    return _compat(m.select(a_doc="doc_id", b_doc="doc_id_b").unique().to_arrow())
+
+
 def minhash_pairs_from_sigs(sigs: ray.data.Dataset) -> ray.data.Dataset:
     """Candidate near-dup pairs from a (doc_id, band, sig) signature
     dataset: docs sharing any (band, sig) bucket.
@@ -272,23 +282,10 @@ def minhash_pairs_from_sigs(sigs: ray.data.Dataset) -> ray.data.Dataset:
     (band, sig) is the LSH shuffle; pair expansion happens in its reducer.
     Takes the signature dataset (rather than reading the corpus) so
     callers can feed signatures from their own scan; note corpus_clean
-    runs its own expansion WITHOUT the cross-band distinct (its
-    membership checks ignore duplicate pairs), so this full form is the
-    standalone query's."""
-
-    def pairs(g: pd.DataFrame) -> pd.DataFrame:
-        # vectorized within-bucket pair expansion: self-merge per (band, sig)
-        d = g.drop_duplicates(subset=["band", "sig", "doc_id"])
-        m = d.merge(d, on=["band", "sig"])
-        m = m[m["doc_id_x"] < m["doc_id_y"]]
-        return pd.DataFrame(
-            {
-                "a_doc": m["doc_id_x"].astype("int64"),
-                "b_doc": m["doc_id_y"].astype("int64"),
-            }
-        )
-
-    cand = bucketed_group_agg(sigs, ["band", "sig"], pairs)
+    runs the same ``band_pairs`` exchange WITHOUT the cross-band distinct
+    (its membership checks ignore duplicate pairs), so this full form is
+    the standalone query's."""
+    cand = exchange(sigs, ["band", "sig"], band_pairs)
     # distinct across buckets (a pair can collide in several bands)
     return distinct(cand, ["a_doc", "b_doc"])
 
@@ -477,41 +474,24 @@ def _ngram_shingle_rows(batch: pa.Table) -> pa.Table:
 
 def _expand_posting_chunked(
     ids: "np.ndarray", ns: "np.ndarray", chunk: int
-) -> pd.DataFrame:
-    """Exact pair partials for ONE posting list, chunk-grid style (the
-    embedding near-dup cell pattern): iterate cells of at most chunk x
-    chunk id pairs so peak temporary memory is O(chunk^2) regardless of
-    posting length.  Output is one partial row per ordered pair (already
-    per-pair aggregated: a pair occurs once per posting list)."""
+) -> pl.DataFrame:
+    """Exact pair partials (a_doc, b_doc, na, nb) for ONE posting list,
+    chunk-grid style (the embedding near-dup cell pattern): iterate cells
+    of at most chunk x chunk id pairs so peak temporary memory is
+    O(chunk^2) regardless of posting length.  A pair occurs once per
+    posting list."""
     order = np.argsort(ids)
     ids, ns = ids[order], ns[order]
-    outs = []
+    outs = [pl.DataFrame(schema=dict.fromkeys(("a_doc", "b_doc", "na", "nb"), pl.Int64))]
     for i0 in range(0, len(ids), chunk):
         ai, an = ids[i0 : i0 + chunk], ns[i0 : i0 + chunk]
         for j0 in range(i0, len(ids), chunk):
             bi, bn = ids[j0 : j0 + chunk], ns[j0 : j0 + chunk]
             ii, jj = np.nonzero(ai[:, None] < bi[None, :])
-            if len(ii):
-                outs.append(
-                    pd.DataFrame(
-                        {
-                            "a_doc": ai[ii],
-                            "b_doc": bi[jj],
-                            "na": an[ii],
-                            "nb": bn[jj],
-                        }
-                    )
-                )
-    if not outs:
-        return pd.DataFrame(
-            {
-                c: pd.Series([], dtype="int64")
-                for c in ("a_doc", "b_doc", "na", "nb", "ni")
-            }
-        )
-    out = pd.concat(outs, ignore_index=True)
-    out["ni"] = np.int64(1)
-    return out
+            outs.append(
+                pl.DataFrame({"a_doc": ai[ii], "b_doc": bi[jj], "na": an[ii], "nb": bn[jj]})
+            )
+    return pl.concat(outs)
 
 
 def _ngram_pair_partials(
@@ -526,46 +506,28 @@ def _ngram_pair_partials(
     are SKIPPED here — the lossy scale escape hatch; the skipped postings
     are exactly the rows ``ngram_jaccard_dead_letters`` accounts for."""
 
-    def expand(g: pd.DataFrame) -> pd.DataFrame:
-        sizes = g.groupby(["source", "s"])["doc_id"].transform("size")
+    def expand(t: pa.Table) -> pa.Table:
+        g = pl.from_arrow(t).with_columns(size=pl.len().over("source", "s"))
         if df_cap is not None:
-            g = g[sizes <= df_cap]
-            sizes = sizes[sizes <= df_cap]
-        small = g[sizes <= POSTING_CHUNK]
-        outs = []
-        if len(small):
-            m = small.merge(small, on=["source", "s"])
-            m = m[m["doc_id_x"] < m["doc_id_y"]]
-            o = pd.DataFrame(
-                {
-                    "a_doc": m["doc_id_x"],
-                    "b_doc": m["doc_id_y"],
-                    "na": m["n_sh_x"],
-                    "nb": m["n_sh_y"],
-                }
-            )
-            o["ni"] = np.int64(1)
-            outs.append(o)
-        big = g[sizes > POSTING_CHUNK]
-        for _, grp in big.groupby(["source", "s"], sort=False):
+            g = g.filter(pl.col("size") <= df_cap)
+        small = g.filter(pl.col("size") <= POSTING_CHUNK)
+        m = small.join(small, on=["source", "s"], suffix="_b")
+        m = m.filter(pl.col("doc_id") < pl.col("doc_id_b"))
+        outs = [m.select(a_doc="doc_id", b_doc="doc_id_b", na="n_sh", nb="n_sh_b")]
+        big = g.filter(pl.col("size") > POSTING_CHUNK)
+        for grp in big.partition_by(["source", "s"]):
             outs.append(
                 _expand_posting_chunked(
-                    grp["doc_id"].to_numpy(np.int64),
-                    grp["n_sh"].to_numpy(np.int64),
-                    POSTING_CHUNK,
+                    grp["doc_id"].to_numpy(), grp["n_sh"].to_numpy(), POSTING_CHUNK
                 )
             )
-        if not outs:
-            return _expand_posting_chunked(
-                np.array([], dtype=np.int64), np.array([], dtype=np.int64), 1
-            )
-        out = pd.concat(outs, ignore_index=True)
         # per-bucket partial combine: one row per pair leaves the task
-        return out.groupby(["a_doc", "b_doc"], as_index=False).agg(
-            ni=("ni", "sum"), na=("na", "first"), nb=("nb", "first")
+        out = pl.concat(outs).group_by("a_doc", "b_doc").agg(
+            ni=pl.len().cast(pl.Int64), na=pl.col("na").first(), nb=pl.col("nb").first()
         )
+        return _compat(out.to_arrow())
 
-    return bucketed_group_agg(shingles, ["source", "s"], expand)
+    return exchange(shingles, ["source", "s"], expand)
 
 
 def dedup_ngram_jaccard(
@@ -715,28 +677,22 @@ def dedup_embedding_pairs(sf_dir: str) -> ray.data.Dataset:
             .append_column("chunk", pa.array(mine))
         )
 
-    def cells(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.concat(
-            [cell(g) for _, g in df.groupby(["label", "ci", "cj"], sort=False)],
-            ignore_index=True,
-        )
+    def cells(t: pa.Table) -> pa.Table:
+        groups = pl.from_arrow(t).partition_by(["label", "ci", "cj"], as_dict=True)
+        outs = [cell(ci, cj, g) for (_, ci, cj), g in groups.items()]
+        return _compat(pl.concat(outs).to_arrow())
 
-    def cell(g: pd.DataFrame) -> pd.DataFrame:
-        ci, cj = int(g["ci"].iloc[0]), int(g["cj"].iloc[0])
-        g = g.drop_duplicates(subset=["vec_id"]).sort_values("vec_id")
-        a = g[g["chunk"] == ci]
-        b = g[g["chunk"] == cj]
-        ids_a = a["vec_id"].to_numpy()
-        ids_b = b["vec_id"].to_numpy()
-        if len(ids_a) == 0 or len(ids_b) == 0:
-            return pd.DataFrame(
-                {
-                    "a_id": pd.Series([], dtype="int64"),
-                    "b_id": pd.Series([], dtype="int64"),
-                }
-            )
-        ma = np.stack(a["embedding"].to_numpy()).astype(np.float64)
-        mb = np.stack(b["embedding"].to_numpy()).astype(np.float64)
+    def cell(ci: int, cj: int, g: pl.DataFrame) -> pl.DataFrame:
+        g = g.unique("vec_id", keep="first").sort("vec_id")
+        a = g.filter(pl.col("chunk") == ci)
+        b = g.filter(pl.col("chunk") == cj)
+        if a.height == 0 or b.height == 0:
+            return pl.DataFrame(schema={"a_id": pl.Int64, "b_id": pl.Int64})
+        ids_a, ids_b = a["vec_id"].to_numpy(), b["vec_id"].to_numpy()
+        ma, mb = (
+            x["embedding"].explode().to_numpy().reshape(x.height, -1).astype(np.float64)
+            for x in (a, b)
+        )
         sims = (ma @ mb.T) / np.outer(
             np.linalg.norm(ma, axis=1), np.linalg.norm(mb, axis=1)
         )
@@ -744,17 +700,12 @@ def dedup_embedding_pairs(sf_dir: str) -> ray.data.Dataset:
         lo = np.minimum(ids_a[ii], ids_b[jj])
         hi = np.maximum(ids_a[ii], ids_b[jj])
         keep = lo < hi  # drop self-pairs (diagonal cell)
-        return pd.DataFrame(
-            {
-                "a_id": pd.Series(lo[keep], dtype="int64"),
-                "b_id": pd.Series(hi[keep], dtype="int64"),
-            }
-        ).drop_duplicates()
+        return pl.DataFrame({"a_id": lo[keep], "b_id": hi[keep]}).unique()
 
     replicated = ds.map_batches(replicate, batch_format="pyarrow")
     # a pair lands in exactly one grid cell, so cell outputs are disjoint;
     # a bucket range holds many cells, compared one at a time
-    return bucketed_group_agg(replicated, ["label", "ci", "cj"], cells)
+    return exchange(replicated, ["label", "ci", "cj"], cells)
 
 
 # ---------------------------------------------------------------------------

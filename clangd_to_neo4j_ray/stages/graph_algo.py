@@ -130,8 +130,6 @@ def _round_map(kernel, schema: pa.Schema, num_buckets: int):
     bucket = _add_bucket_arrow(["node"], num_buckets)
 
     def f(t: pa.Table) -> pa.Table:
-        if "__bucket" in t.column_names:
-            t = t.drop_columns(["__bucket"])
         out = _compat(kernel(pl.from_arrow(t)).to_arrow())
         cols = [
             out[c.name].cast(c.type) if c.name in out.column_names

@@ -299,7 +299,7 @@ def link_cocitation(sf_dir: str) -> ray.data.Dataset:
     e = distinct(edges, ["src_host", "dst_host"]).materialize()
 
     def pair_bucket(t: pa.Table) -> pa.Table:
-        df = pl.from_arrow(t).drop("__bucket")
+        df = pl.from_arrow(t)
         w = (
             df.join(
                 df.rename({"dst_host": "host_b"}), on="src_host"

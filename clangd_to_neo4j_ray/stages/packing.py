@@ -35,13 +35,13 @@ from bisect import bisect_right
 from collections import defaultdict
 
 import numpy as np
-import pandas as pd
+import polars as pl
 import pyarrow as pa
 import ray
 import ray.data
 
 from .joins import collect
-from .shuffle import bucketed_group_agg
+from .shuffle import _compat, exchange
 
 PACK_BUDGET = 256  # tokens per packed training sequence (driver query)
 TOP_K = 5  # docs kept per source (driver query)
@@ -93,6 +93,13 @@ def _doc_tokens(sf_dir: str) -> ray.data.Dataset:
             columns=["doc_id", "text", "source"],
         )
     )
+
+
+def _shards(t: pa.Table):
+    """((source, shard), rows in doc_id order) for every packing shard of
+    an exchange's bucket range."""
+    df = pl.from_arrow(t).sort("doc_id")
+    return df.partition_by(["source", "__shard"], as_dict=True).items()
 
 
 def _greedy_tables(toks: np.ndarray, budget: int):
@@ -215,39 +222,26 @@ def _pack_plan(tok_in: ray.data.Dataset, budget: int):
         .materialize()  # two exchanges below read it; avoid lineage re-exec
     )
 
-    def summarize(g: pd.DataFrame) -> pd.DataFrame:
+    def summarize(t: pa.Table) -> pa.Table:
         rows = []
-        for (src, sh), grp in g.groupby(["source", "__shard"], sort=False):
-            toks = (
-                grp.sort_values("doc_id")["n_tokens"].to_numpy(np.int64)
-            )
+        for (src, sh), grp in _shards(t):
+            toks = grp["n_tokens"].to_numpy()
             c, _nxt, m, cnt_from, acc_from = _greedy_tables(toks, budget)
             rows.append(
-                (
-                    src,
-                    int(sh),
-                    len(toks),
-                    int(c[-1]),
-                    c[1 : m + 1].tolist(),
-                    cnt_from,
-                    acc_from,
-                )
+                {
+                    "source": src,
+                    "shard": sh,
+                    "n": len(toks),
+                    "total": int(c[-1]),
+                    "prefix": c[1 : m + 1].tolist(),
+                    "cnt_from": cnt_from,
+                    "acc_from": acc_from,
+                }
             )
-        return pd.DataFrame(
-            rows,
-            columns=[
-                "source",
-                "shard",
-                "n",
-                "total",
-                "prefix",
-                "cnt_from",
-                "acc_from",
-            ],
-        )
+        return pa.Table.from_pylist(rows)
 
     summaries = collect(
-        bucketed_group_agg(tok, ["source", "__shard"], summarize),
+        exchange(tok, ["source", "__shard"], summarize),
         "packing shard summaries",
     ).to_pylist()
 
@@ -290,14 +284,13 @@ def pack_tokens(
     tok, res, _stats = _pack_plan(tok_in, budget)
     res_ref = ray.put(res)
 
-    def assign(g: pd.DataFrame) -> pd.DataFrame:
+    def assign(t: pa.Table) -> pa.Table:
         rmap = ray.get(res_ref)
         outs = []
-        for (src, sh), grp in g.groupby(["source", "__shard"], sort=False):
-            grp = grp.sort_values("doc_id")
-            toks = grp["n_tokens"].to_numpy(np.int64)
+        for (src, sh), grp in _shards(t):
+            toks = grp["n_tokens"].to_numpy()
             n = len(toks)
-            absorb_pid, a, base = rmap[(src, int(sh))]
+            absorb_pid, a, base = rmap[(src, sh)]
             pack = np.empty(n, dtype=np.int64)
             pack[:a] = absorb_pid
             if a < n:
@@ -311,23 +304,14 @@ def pack_tokens(
                 pack[a:] = base + (
                     np.searchsorted(bs, np.arange(a, n), side="right") - 1
                 )
-            out = grp[["source", "doc_id", "n_tokens"]].copy()
-            out["pack_id"] = pack
-            outs.append(out)
-        return (
-            pd.concat(outs, ignore_index=True)
-            if outs
-            else pd.DataFrame(
-                {
-                    "source": pd.Series([], dtype="object"),
-                    "doc_id": pd.Series([], dtype="int64"),
-                    "n_tokens": pd.Series([], dtype="int64"),
-                    "pack_id": pd.Series([], dtype="int64"),
-                }
+            outs.append(
+                grp.select("source", "doc_id", "n_tokens").with_columns(
+                    pack_id=pl.Series(pack)
+                )
             )
-        )
+        return _compat(pl.concat(outs).to_arrow())
 
-    return bucketed_group_agg(tok, ["source", "__shard"], assign)
+    return exchange(tok, ["source", "__shard"], assign)
 
 
 def pack_stats(sf_dir: str, *, budget: int = PACK_BUDGET) -> pa.Table:
@@ -376,15 +360,13 @@ def grouped_head_n(
     head-n per group inside one bucketed exchange.  ``sort_cols`` must be
     a total order (include a unique tiebreaker) for determinism."""
 
-    def head(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(sort_cols, ascending=ascending)
-        out = df.groupby(group_col, sort=False).head(n)
-        if out_cols is not None:
-            out = out[out_cols]
-        return out.reset_index(drop=True)
+    def head(t: pa.Table) -> pa.Table:
+        df = pl.from_arrow(t).sort(sort_cols, descending=[not a for a in ascending])
+        out = df.filter(pl.int_range(pl.len()).over(group_col) < n)
+        return _compat((out if out_cols is None else out.select(out_cols)).to_arrow())
 
-    partials = ds.map_batches(head, batch_format="pandas")
-    return bucketed_group_agg(partials, [group_col], head)
+    partials = ds.map_batches(head, batch_format="pyarrow")
+    return exchange(partials, [group_col], head)
 
 
 def top_docs_per_source(sf_dir: str, *, k: int = TOP_K) -> ray.data.Dataset:
@@ -439,43 +421,32 @@ def quality_filter_tokens(tok_in: ray.data.Dataset) -> ray.data.Dataset:
             .rename_columns(["source", "n_tokens", "cnt"])
         )
 
-    def bucket_thresholds(g: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for src, grp in g.groupby("source", sort=False):
-            grp = (
-                grp.groupby("n_tokens", as_index=False)["cnt"].sum()
-            ).sort_values("n_tokens")
-            cnt = grp["cnt"].to_numpy(np.int64)
-            n = int(cnt.sum())
-            rank = max(int(np.ceil(QUALITY_P * n)) - 1, 0)
-            cum = np.cumsum(cnt)
-            val = grp["n_tokens"].to_numpy(np.int64)[
-                np.searchsorted(cum, rank + 1)
-            ]
-            rows.append((src, int(val)))
-        return pd.DataFrame(rows, columns=["source", "p10"])
+    def thresholds(t: pa.Table) -> pa.Table:
+        hist = (
+            pl.from_arrow(t)
+            .group_by("source", "n_tokens")
+            .agg(pl.col("cnt").sum())
+            .sort("source", "n_tokens")
+            .with_columns(cum=pl.col("cnt").cum_sum().over("source"))
+        )
+        n = pl.col("cum").last()
+        rank = ((QUALITY_P * n).ceil().cast(pl.Int64) - 1).clip(lower_bound=0)
+        p10 = pl.col("n_tokens").filter(pl.col("cum") > rank).first()
+        return _compat(hist.group_by("source").agg(p10.alias("p10")).to_arrow())
 
-    th = bucketed_group_agg(
+    th = exchange(
         tok.map_batches(hist_partial, batch_format="pyarrow"),
         ["source"],
-        bucket_thresholds,
+        thresholds,
     )
-    th = collect(th, "per-source quality thresholds")
-    p10 = dict(zip(th["source"].to_pylist(), th["p10"].to_pylist()))
-    import ray as _ray
-
-    ref = _ray.put(p10)
+    ref = ray.put(collect(th, "per-source quality thresholds"))
 
     def keep(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        m = _ray.get(ref)
-        # C-level hash lookups instead of a per-row Python listcomp
-        thr = pa.array(
-            batch["source"].to_pandas().map(m).to_numpy(dtype=np.int64),
-            type=pa.int64(),
-        )
-        return batch.filter(pc.greater_equal(batch["n_tokens"], thr))
+        th = ray.get(ref)
+        at = pc.index_in(batch["source"], value_set=th["source"].combine_chunks())
+        return batch.filter(pc.greater_equal(batch["n_tokens"], th["p10"].take(at)))
 
     return tok.map_batches(keep, batch_format="pyarrow")
 

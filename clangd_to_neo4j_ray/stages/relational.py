@@ -15,14 +15,14 @@ table (lineitem) always streams.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
+import polars as pl
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
 from ..functions.numerics import round_col, round_half_away
 from .joins import broadcast_semi_join, bucketed_join, collect, drain
-from .shuffle import bucketed_group_agg, grouped_sum
+from .shuffle import _compat, exchange, grouped_agg
 
 Q1_CUTOFF = "1998-09-02"
 Q3_SEGMENT = "BUILDING"
@@ -32,12 +32,6 @@ TOP_PARTS_K = 10
 
 def _read(sf_dir: str, table: str, cols: list[str] | None = None) -> ray.data.Dataset:
     return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=cols)
-
-
-def _small_df(sf_dir: str, table: str, cols: list[str]) -> pd.DataFrame:
-    import pyarrow.parquet as pq
-
-    return pq.read_table(f"{sf_dir}/{table}.parquet", columns=cols).to_pandas()
 
 
 def q1_pricing_summary(sf_dir: str) -> ray.data.Dataset:
@@ -107,16 +101,16 @@ def q1_pricing_summary(sf_dir: str) -> ray.data.Dataset:
             )
         )
 
-    agg = grouped_sum(
+    agg = grouped_agg(
         ds.map_batches(partials, batch_format="pyarrow"),
         ["l_returnflag", "l_linestatus"],
         {
-            "qty": "s_qty",
-            "price": "s_price",
-            "disc_price": "s_disc_price",
-            "charge": "s_charge",
-            "disc": "s_disc",
-            "n": "n",
+            "s_qty": ("qty", "sum"),
+            "s_price": ("price", "sum"),
+            "s_disc_price": ("disc_price", "sum"),
+            "s_charge": ("charge", "sum"),
+            "s_disc": ("disc", "sum"),
+            "n": ("n", "sum"),
         },
     )
 
@@ -193,8 +187,6 @@ def q3_top_orders(sf_dir: str) -> ray.data.Dataset:
             )
         )
 
-    import polars as pl
-
     # the per-order revenue combine fuses into the join's bucket exchange
     # (both key on o_orderkey): one all-to-all instead of two
     joined = bucketed_join(
@@ -224,7 +216,7 @@ def q3_top_orders(sf_dir: str) -> ray.data.Dataset:
     return top.map_batches(finish, batch_format="pyarrow")
 
 
-def top_parts_by_revenue(sf_dir: str) -> pd.DataFrame:
+def top_parts_by_revenue(sf_dir: str) -> pa.Table:
     """Top-10 parts by lineitem revenue, with part attributes.
 
     Output: (p_partkey, p_name, p_brand, revenue) — broadcast-join the part
@@ -243,30 +235,33 @@ def top_parts_by_revenue(sf_dir: str) -> pd.DataFrame:
         )
 
     top = collect(
-        grouped_sum(
+        grouped_agg(
             li.map_batches(partials, batch_format="pyarrow"),
             ["p_partkey"],
-            {"rev": "rev"},
+            {"rev": ("rev", "sum")},
         )
         .map_batches(lambda t: round_col(t, "rev", 2), batch_format="pyarrow")
         .sort(["rev", "p_partkey"], descending=[True, False])
         .limit(TOP_PARTS_K),
         "top parts",  # K rows — the one legitimate driver materialization
-    ).to_pandas()
+    )
     # attach attributes for just the K winners: distributed is_in filter of
     # the part dimension (never a full-dimension driver read), then a K-row
-    # pandas merge on the driver
-    keys = top["p_partkey"].tolist()
+    # join on the driver
     attrs = collect(
         broadcast_semi_join(
             _read(sf_dir, "part", ["p_partkey", "p_name", "p_brand"]),
             "p_partkey",
-            keys,
+            top["p_partkey"].to_pylist(),
         ),
         "top part attributes",
-    ).to_pandas()
-    out = top.merge(attrs, on="p_partkey").rename(columns={"rev": "revenue"})
-    return out[["p_partkey", "p_name", "p_brand", "revenue"]]
+    )
+    out = pl.from_arrow(top).join(
+        pl.from_arrow(attrs), on="p_partkey", maintain_order="left"
+    )
+    return _compat(
+        out.select("p_partkey", "p_name", "p_brand", revenue="rev").to_arrow()
+    )
 
 
 def customers_without_orders(sf_dir: str) -> ray.data.Dataset:
@@ -278,10 +273,6 @@ def customers_without_orders(sf_dir: str) -> ray.data.Dataset:
     (per-batch pre-dedup, then one low-cardinality exchange), then a
     bucketed LEFT join with a match marker — no fact column ever lands on
     the driver (A8 orphan-cleanup semantics, ``neo4j_manager.py:124-128``)."""
-    import polars as pl
-
-    from .shuffle import grouped_agg
-
     # per-batch pre-dedup shrinks the exchange; the final distinct fuses
     # into the join bucket (right_combine) — one all-to-all total
     okey_partials = _read(sf_dir, "orders", ["o_custkey"]).map_batches(
@@ -326,8 +317,6 @@ def nation_order_stats(sf_dir: str) -> ray.data.Dataset:
     100 TB customer table) the customer dimension joins via the
     distributed bucketed hash join.  The 25-row nation lookup is always
     broadcast."""
-    from .shuffle import grouped_agg
-
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
 
     def partials(batch: pa.Table) -> pa.Table:
@@ -343,8 +332,6 @@ def nation_order_stats(sf_dir: str) -> ray.data.Dataset:
             .aggregate([("n", "sum"), ("v", "sum")])
             .rename_columns(["o_custkey", "n", "v"])
         )
-
-    import polars as pl
 
     cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
     cmap = drain(
@@ -413,7 +400,9 @@ def nation_order_stats(sf_dir: str) -> ray.data.Dataset:
         {"n_orders": ("n", "sum"), "v": ("v", "sum")},
     )
 
-    nation = _small_df(sf_dir, "nation", ["n_nationkey", "n_name"])
+    import pyarrow.parquet as pq
+
+    nation = pq.read_table(f"{sf_dir}/nation.parquet").to_pydict()
     name_of = dict(zip(nation["n_nationkey"], nation["n_name"]))
 
     def finish(t: pa.Table) -> pa.Table:
@@ -455,8 +444,6 @@ def customer_order_totals(sf_dir: str) -> ray.data.Dataset:
             .rename_columns(["o_custkey", "n", "v"])
         )
 
-    import polars as pl
-
     cust = _read(sf_dir, "customer", ["c_custkey", "c_name"])
     # bucketed_join replaces Ray's JoinOperator here: the fixed-partition
     # hash-shuffle join was 4x slower than every sibling query at sf0.1
@@ -496,19 +483,13 @@ def orders_rank_window(sf_dir: str) -> ray.data.Dataset:
     O2-style within-group ordering inside the exchange's reducer."""
     orders = _read(sf_dir, "orders", ["o_custkey", "o_orderkey", "o_orderdate"])
 
-    def rank(g: pd.DataFrame) -> pd.DataFrame:
-        # vectorized rank within every customer in the bucket
-        g = g.sort_values(["o_custkey", "o_orderdate", "o_orderkey"])
-        rn = g.groupby("o_custkey").cumcount() + 1
-        return pd.DataFrame(
-            {
-                "o_custkey": g["o_custkey"].to_numpy(),
-                "o_orderkey": g["o_orderkey"].to_numpy(),
-                "rn": rn.astype("int64").to_numpy(),
-            }
-        )
+    def rank(t: pa.Table) -> pa.Table:
+        # vectorized rank within every customer in the bucket range
+        df = pl.from_arrow(t).sort(["o_custkey", "o_orderdate", "o_orderkey"])
+        rn = pl.int_range(1, pl.len() + 1, dtype=pl.Int64).over("o_custkey")
+        return _compat(df.select("o_custkey", "o_orderkey", rn=rn).to_arrow())
 
-    return bucketed_group_agg(orders, ["o_custkey"], rank)
+    return exchange(orders, ["o_custkey"], rank)
 
 
 QUANTILE_PS = (0.5, 0.9, 0.99)
@@ -543,39 +524,38 @@ def lineitem_quantiles(sf_dir: str) -> ray.data.Dataset:
             .rename_columns(["l_returnflag", "q", "n"])
         )
 
-    def quants(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            [_flag_quantiles(flag, g) for flag, g in df.groupby("l_returnflag")],
-            columns=["l_returnflag", "p50", "p90", "p99"],
+    def quants(t: pa.Table) -> pa.Table:
+        hist = (
+            pl.from_arrow(t)
+            .group_by("l_returnflag", "q")
+            .agg(pl.col("n").sum())
+            .sort("l_returnflag", "q")
+            .with_columns(cum=pl.col("n").cum_sum().over("l_returnflag"))
         )
+
+        def at_rank(r: pl.Expr) -> pl.Expr:
+            # value at 0-indexed rank r = first histogram bin with cum > r
+            return pl.col("q").filter(pl.col("cum") > r).first()
+
+        picks = []
+        for p, name in zip(QUANTILE_PS, ("p50", "p90", "p99")):
+            h = p * (pl.col("cum").last() - 1)  # quantile_cont: type 7
+            lo, hi = h.floor(), h.ceil()
+            x_lo, x_hi = at_rank(lo), at_rank(hi)
+            picks.append((x_lo + (h - lo) * (x_hi - x_lo)).alias(name))
+        out = _compat(hist.group_by("l_returnflag").agg(picks).to_arrow())
+        # DuckDB round() is half AWAY FROM ZERO; builtin round() is
+        # half-to-even and silently diverges on .xx5 boundaries (ADVICE
+        # r2) — every oracle-matched rounding goes through round_half_away
+        for c in out.column_names[1:]:
+            out = round_col(out, c, 2)
+        return out
 
     # (flag, value) partials are few per block: one exchange on the flag
     # folds them into each flag's histogram and interpolates it
-    return bucketed_group_agg(
+    return exchange(
         ds.map_batches(partials, batch_format="pyarrow"), ["l_returnflag"], quants
     )
-
-
-def _flag_quantiles(flag, rows: pd.DataFrame) -> tuple:
-    """One flag's (flag, p50, p90, p99) from its (q, n) partial rows."""
-    g = rows.groupby("q", as_index=False)["n"].sum().sort_values("q")
-    vals = g["q"].to_numpy(dtype=np.float64)
-    cum = np.cumsum(g["n"].to_numpy(dtype=np.int64))
-    n = int(cum[-1])
-
-    def qc(p: float) -> float:
-        h = p * (n - 1)
-        lo, hi = int(np.floor(h)), int(np.ceil(h))
-        # value at 0-indexed rank r = first histogram bin with cum > r
-        xlo = vals[np.searchsorted(cum, lo + 1)]
-        xhi = vals[np.searchsorted(cum, hi + 1)]
-        # DuckDB round() is half AWAY FROM ZERO; builtin round() is
-        # half-to-even and silently diverges on .xx5 boundaries
-        # (ADVICE r2) — every oracle-matched rounding goes through
-        # round_half_away (functions/numerics convention)
-        return round_half_away(xlo + (h - lo) * (xhi - xlo), 2)
-
-    return (flag, *(qc(p) for p in QUANTILE_PS))
 
 
 ORACLE_SQL: dict[str, str] = {

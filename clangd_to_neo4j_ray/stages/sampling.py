@@ -15,6 +15,7 @@ eval splits cut BEFORE dedup/filtering so leakage checks can join back).
 
 from __future__ import annotations
 
+import polars as pl
 import pyarrow as pa
 import ray.data
 
@@ -162,8 +163,6 @@ def split_contamination(sf_dir: str) -> ray.data.Dataset:
     keyed on fp joins val docs against train fingerprint counts, with the
     count aggregation fused into the join's right side (``right_combine``)
     instead of paying its own exchange."""
-    import polars as pl
-
     from .joins import bucketed_join
     from .text import text_fingerprint
 
@@ -255,21 +254,16 @@ def decontam_ngram(sf_dir: str) -> ray.data.Dataset:
     Plan: one scan (``_decontam_shingle_rows``) -> one bucketed exchange
     on the shingle (per-bucket: df cap, train-presence semi-filter,
     per-doc partial counts) -> one bounded doc_id-keyed sum exchange."""
-    import pandas as pd
+    from .shuffle import _compat, exchange, grouped_agg
 
-    from .shuffle import bucketed_group_agg, grouped_agg
+    def per_bucket(t: pa.Table) -> pa.Table:
+        g = pl.from_arrow(t).filter(pl.len().over("s") <= DECONTAM_DF_CAP)
+        in_train = (pl.col("split") == "train").any().over("s")
+        hits = g.filter((pl.col("split") == "val") & in_train)
+        out = hits.group_by("doc_id").agg(pl.len().cast(pl.Int64).alias("n"))
+        return _compat(out.to_arrow())
 
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        sizes = g.groupby("s")["doc_id"].transform("size")
-        g = g[sizes <= DECONTAM_DF_CAP]
-        tr = g.loc[g["split"] == "train", "s"].unique()
-        hits = g[(g["split"] == "val") & g["s"].isin(tr)]
-        out = hits.groupby("doc_id").size().reset_index(name="n")
-        return pd.DataFrame(
-            {"doc_id": out["doc_id"].astype("int64"), "n": out["n"].astype("int64")}
-        )
-
-    partials = bucketed_group_agg(_decontam_shingle_rows(sf_dir), ["s"], per_bucket)
+    partials = exchange(_decontam_shingle_rows(sf_dir), ["s"], per_bucket)
     return grouped_agg(
         partials, ["doc_id"], {"n_shared_ngrams": ("n", "sum")}
     )
@@ -282,18 +276,13 @@ def decontam_dead_letters(sf_dir: str) -> ray.data.Dataset:
     or the inverted index's posting lists explode).
 
     Output: (s, n_docs).  One scan + one bucketed exchange."""
-    import pandas as pd
+    from .shuffle import _compat, exchange
 
-    from .shuffle import bucketed_group_agg
+    def per_bucket(t: pa.Table) -> pa.Table:
+        c = pl.from_arrow(t).group_by("s").agg(pl.len().cast(pl.Int64).alias("n_docs"))
+        return _compat(c.filter(pl.col("n_docs") > DECONTAM_DF_CAP).to_arrow())
 
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        c = g.groupby("s").size()
-        c = c[c > DECONTAM_DF_CAP]
-        return pd.DataFrame(
-            {"s": c.index.astype(str), "n_docs": c.values.astype("int64")}
-        )
-
-    return bucketed_group_agg(_decontam_shingle_rows(sf_dir), ["s"], per_bucket)
+    return exchange(_decontam_shingle_rows(sf_dir), ["s"], per_bucket)
 
 
 _SQL_DECONTAM_BASE = f"""
@@ -331,10 +320,7 @@ def training_shuffle(
     vectorized scan-kernel idiom), then ONE bucketed exchange keyed on
     shard; each shard sorts its own rows (corpus_size / n_shards each,
     never the corpus) for positions."""
-    import numpy as np
-    import pandas as pd
-
-    from .shuffle import bucketed_group_agg
+    from .shuffle import _compat, exchange
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id"]
@@ -352,22 +338,12 @@ def training_shuffle(
 
     tagged = ds.map_batches(tag, batch_format="pyarrow")
 
-    def positions(df: pd.DataFrame) -> pd.DataFrame:
-        out = []
-        for shard, g in df.groupby("shard", sort=False):
-            g = g.sort_values(["h", "doc_id"])
-            out.append(
-                pd.DataFrame(
-                    {
-                        "doc_id": g["doc_id"].to_numpy(),
-                        "shard": shard,
-                        "pos": np.arange(1, len(g) + 1, dtype=np.int64),
-                    }
-                )
-            )
-        return pd.concat(out, ignore_index=True)
+    def positions(t: pa.Table) -> pa.Table:
+        df = pl.from_arrow(t).sort(["h", "doc_id"])
+        pos = pl.int_range(1, pl.len() + 1, dtype=pl.Int64).over("shard")
+        return _compat(df.select("doc_id", "shard", pos=pos).to_arrow())
 
-    return bucketed_group_agg(tagged, ["shard"], positions)
+    return exchange(tagged, ["shard"], positions)
 
 
 def curriculum_rank(sf_dir: str) -> ray.data.Dataset:
@@ -384,11 +360,8 @@ def curriculum_rank(sf_dir: str) -> ray.data.Dataset:
     not rows).  (2) one bucketed exchange keyed on n_chars co-locates
     equal-length docs; each value group sorts its doc_ids and adds the
     broadcast offset.  No step ever holds more than a value group."""
-    import numpy as np
-    import pandas as pd
-
     from .joins import collect
-    from .shuffle import bucketed_group_agg, grouped_agg
+    from .shuffle import _compat, exchange, grouped_agg
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "n_chars"]
@@ -409,32 +382,21 @@ def curriculum_rank(sf_dir: str) -> ray.data.Dataset:
             {"n": ("n", "sum")},
         ),
         "length histogram",  # O(distinct lengths) driver fold
-    ).to_pylist()
-    hist.sort(key=lambda r: -r["n_chars"])
-    offsets: dict[int, int] = {}
-    acc = 0
-    for r in hist:
-        offsets[r["n_chars"]] = acc
-        acc += r["n"]
+    )
+    # a length's rank offset: the count of every longer document
+    offsets = (
+        pl.from_arrow(hist)
+        .sort("n_chars", descending=True)
+        .select("n_chars", off=pl.col("n").cum_sum() - pl.col("n"))
+    )
     ref = ray.put(offsets)  # broadcast once, read per bucket task
 
-    def rank_groups(df: pd.DataFrame) -> pd.DataFrame:
-        offs = ray.get(ref)
-        out = []
-        for v, g in df.groupby("n_chars", sort=False):
-            ids = np.sort(g["doc_id"].to_numpy())
-            out.append(
-                pd.DataFrame(
-                    {
-                        "doc_id": ids,
-                        "n_chars": v,
-                        "rk": offs[int(v)] + np.arange(1, len(ids) + 1),
-                    }
-                )
-            )
-        return pd.concat(out, ignore_index=True)
+    def rank_groups(t: pa.Table) -> pa.Table:
+        df = pl.from_arrow(t).join(ray.get(ref), on="n_chars").sort("doc_id")
+        rk = pl.col("off") + pl.int_range(1, pl.len() + 1).over("n_chars")
+        return _compat(df.select("doc_id", "n_chars", rk=rk.cast(pl.Int64)).to_arrow())
 
-    return bucketed_group_agg(ds, ["n_chars"], rank_groups)
+    return exchange(ds, ["n_chars"], rank_groups)
 
 
 ORACLE_SQL: dict[str, str] = {

@@ -8,9 +8,8 @@ LOW-cardinality one with fixed boundaries:
     map_batches:  __bucket = hash(keys) % B             (vectorized, pinned)
     sort("__bucket", boundaries=...)                    (P contiguous bucket
                                                          ranges, no sampling)
-    map_batches(reducer, batch_size=None)               (one call per range;
-                                                         one vectorized polars
-                                                         groupby inside)
+    map_batches(reducer, batch_size=None)               (one call per range,
+                                                         __bucket dropped)
 
 B (``auto_num_buckets``) bounds what one key's bucket holds; P
 (``exchange_partitions``) is how many reducer blocks come out: at least one
@@ -30,6 +29,13 @@ by the per-batch partial aggregation upstream (each block contributes at
 most one row per key), so bucket sizes stay bounded by #blocks x
 keys/bucket.
 
+Every reducer has one contract: an Arrow table in (one bucket range, every
+key of it, no ``__bucket``) and an Arrow table out.  A reducer groups by
+key itself: a plain aggregate is a ``grouped_agg`` spec, a per-key rank,
+running sum or share a polars ``.over(key)`` expression, and per-key
+Python that must stay Python (an LLM call per group, a greedy table)
+iterates ``partition_by(key)``.
+
 This module is the physical twin of the reference's isolated-parallel
 strategy (group rows by FILE so each transaction owns its keys,
 ``clangd_symbol_nodes_builder.py:259-333``) — one writer per key range.
@@ -37,10 +43,10 @@ strategy (group rows by FILE so each transaction owns its keys,
 
 from __future__ import annotations
 
+import functools
 import os
 from collections.abc import Callable
 
-import pandas as pd
 import polars as pl
 import pyarrow as pa
 import ray
@@ -263,7 +269,7 @@ def exchange(
     buckets (``auto_num_buckets`` when None) as an int64 ``__bucket``
     column, range-partition on it at fixed boundaries into
     ``exchange_partitions`` contiguous bucket ranges, then run ``reducer``
-    once per partition on the whole Arrow block (``__bucket`` included).
+    once per partition on the whole Arrow block, ``__bucket`` dropped.
 
     Every key's rows reach exactly one reducer call, which sees every key
     of its bucket range, so a reducer must do its own per-key grouping.
@@ -280,32 +286,14 @@ def exchange(
     # an empty boundary list would make Ray sample boundaries instead:
     # one partition is cut as [all buckets) + an always-empty tail
     bounds = [num_buckets * i // parts for i in range(1, parts)] or [num_buckets]
+
+    @functools.wraps(reducer)  # the reducer names the plan's operator
+    def per_range(t: pa.Table) -> pa.Table:
+        return reducer(t.drop_columns(["__bucket"]))
+
     return ds.sort("__bucket", boundaries=bounds).map_batches(
-        reducer, batch_format="pyarrow", batch_size=None
+        per_range, batch_format="pyarrow", batch_size=None
     )
-
-
-def bucketed_group_agg(
-    ds: ray.data.Dataset,
-    keys: list[str],
-    agg: Callable[[pd.DataFrame], pd.DataFrame],
-    *,
-    num_buckets: int | None = None,
-) -> ray.data.Dataset:
-    """``exchange`` with a PANDAS reducer, for custom Python logic (pair
-    expansion, ranking...).
-
-    ``agg`` receives one partition of the exchange as a DataFrame without
-    ``__bucket``: a contiguous range of buckets, never one bucket, so all
-    rows of every key hashing into that range.  It must do the per-key
-    aggregation itself (one vectorized ``df.groupby(keys)``) and must NOT
-    assume it sees a single key."""
-    from ray.data.block import BlockAccessor
-
-    def per_range(t: pa.Table) -> pd.DataFrame:
-        return agg(BlockAccessor.for_block(t.drop_columns(["__bucket"])).to_pandas())
-
-    return exchange(ds, keys, per_range, num_buckets)
 
 
 def _materialized_bundles(ds: ray.data.Dataset) -> list | None:
@@ -368,34 +356,17 @@ def grouped_agg(
 ) -> ray.data.Dataset:
     """Bucketed named aggregation: ``spec`` maps output column ->
     (input column, agg name in {sum,min,max,size,mean}).  Vectorized polars
-    aggregation per bucket range (no pandas object-dtype round-trip).
+    aggregation per bucket range.
     ``num_buckets=None`` auto-sizes from the input's size estimate."""
     exprs = [
         _POLARS_AGGS[fn](col).alias(out) for out, (col, fn) in spec.items()
     ]
 
     def per_bucket(batch: pa.Table) -> pa.Table:
-        df = pl.from_arrow(batch).drop("__bucket")
-        out = df.group_by(keys, maintain_order=False).agg(exprs)
+        out = pl.from_arrow(batch).group_by(keys, maintain_order=False).agg(exprs)
         return _compat(out.select(keys + list(spec)).to_arrow())
 
     return exchange(ds, keys, per_bucket, num_buckets)
-
-
-def grouped_sum(
-    ds: ray.data.Dataset,
-    keys: list[str],
-    sums: dict[str, str],
-    *,
-    num_buckets: int | None = None,
-) -> ray.data.Dataset:
-    """Bucketed sum aggregation: ``sums`` maps input column -> output name."""
-    return grouped_agg(
-        ds,
-        keys,
-        {out: (col, "sum") for col, out in sums.items()},
-        num_buckets=num_buckets,
-    )
 
 
 def distinct(
@@ -406,17 +377,14 @@ def distinct(
 ) -> ray.data.Dataset:
     """Bucketed exact distinct on the key columns (D2/D3 analog).
 
-    Per-batch pre-dedup (combiner) first, so a fact-key column shrinks to
-    its per-block distinct set before the exchange."""
+    The same unique runs per batch first (combiner), so a fact-key column
+    shrinks to its per-block distinct set before the exchange, and then
+    per bucket range."""
 
-    def pre_dedup(batch: pa.Table) -> pa.Table:
+    def unique(batch: pa.Table) -> pa.Table:
         return _compat(
             pl.from_arrow(batch).select(keys).unique(maintain_order=False).to_arrow()
         )
 
-    def per_bucket(batch: pa.Table) -> pa.Table:
-        df = pl.from_arrow(batch).drop("__bucket")
-        return _compat(df.select(keys).unique(maintain_order=False).to_arrow())
-
-    pre = ds.map_batches(pre_dedup, batch_format="pyarrow")
-    return exchange(pre, keys, per_bucket, num_buckets)
+    pre = ds.map_batches(unique, batch_format="pyarrow")
+    return exchange(pre, keys, unique, num_buckets)

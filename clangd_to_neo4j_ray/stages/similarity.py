@@ -309,45 +309,36 @@ def ann_recall(sf_dir: str) -> pa.Table:
     (approximate method, query).  All three inputs are the already-oracled
     top-k queries; their results are bounded by query count x k by
     construction, so the final intersection runs driver-side on O(Q x k)
-    rows — never on the corpus."""
-    from concurrent.futures import ThreadPoolExecutor
+    rows — never on the corpus.  The three top-k queries run one after
+    the other: run at once from driver threads, their actor pools hung
+    a 2-CPU cluster."""
+    import polars as pl
 
     from .joins import collect
+    from .shuffle import _compat
 
-    # the three top-k pipelines are independent scans — build the plans
-    # sequentially (dataset construction is cheap driver work, and the
-    # parquet datasource import path is not thread-safe on this Ray
-    # version), then overlap their EXECUTION in driver threads
-    ds_brute = ann_brute_topk(sf_dir)
-    ds_ivf = ann_ivf_topk(sf_dir)
-    ds_lsh = ann_lsh_topk(sf_dir)
-    with ThreadPoolExecutor(max_workers=3) as ex:
-        f_brute = ex.submit(collect, ds_brute, "brute-force top-k")
-        f_ivf = ex.submit(collect, ds_ivf, "IVF top-k")
-        f_lsh = ex.submit(collect, ds_lsh, "LSH top-k")
-        brute = f_brute.result().to_pandas()
-        truth = brute.groupby("qid")["nid"].apply(set).to_dict()
-        ivf, lsh = f_ivf.result().to_pandas(), f_lsh.result().to_pandas()
-    rows = []
-    for method, df in (("ivf", ivf), ("lsh", lsh)):
-        got = df.groupby("qid")["nid"].apply(set).to_dict()
-        for qid in sorted(truth):
-            t = truth[qid]
-            hits = len(got.get(qid, set()) & t)
-            rows.append(
-                (method, int(qid), len(t), hits, hits * 1000 // len(t))
+    def topk(ds: ray.data.Dataset, what: str) -> pl.DataFrame:
+        return pl.from_arrow(collect(ds, what)).select("qid", "nid").unique()
+
+    truth = topk(ann_brute_topk(sf_dir), "brute-force top-k")
+    n_true = truth.group_by("qid").agg(pl.len().cast(pl.Int64).alias("n_true"))
+    reports = []
+    for method, ds in (("ivf", ann_ivf_topk(sf_dir)), ("lsh", ann_lsh_topk(sf_dir))):
+        got = topk(ds, f"{method.upper()} top-k")
+        hits = truth.join(got, on=["qid", "nid"]).group_by("qid").agg(
+            pl.len().cast(pl.Int64).alias("n_hits")
+        )
+        n_hits = pl.col("n_hits").fill_null(0)
+        reports.append(
+            n_true.join(hits, on="qid", how="left").select(
+                method=pl.lit(method),
+                qid=pl.col("qid").cast(pl.Int64),
+                n_true="n_true",
+                n_hits=n_hits,
+                recall_permille=n_hits * 1000 // pl.col("n_true"),
             )
-    return pa.table(
-        {
-            "method": pa.array([r[0] for r in rows], type=pa.string()),
-            "qid": pa.array([r[1] for r in rows], type=pa.int64()),
-            "n_true": pa.array([r[2] for r in rows], type=pa.int64()),
-            "n_hits": pa.array([r[3] for r in rows], type=pa.int64()),
-            "recall_permille": pa.array(
-                [r[4] for r in rows], type=pa.int64()
-            ),
-        }
-    )
+        )
+    return _compat(pl.concat(reports).sort("method", "qid").to_arrow())
 
 
 def _lsh_oracle_sql(dim: int = 64, n_planes: int = LSH_PLANES) -> str:

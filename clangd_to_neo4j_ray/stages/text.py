@@ -9,7 +9,7 @@ integer-valued to keep the oracle comparison rounding-free.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
+import polars as pl
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
@@ -355,8 +355,6 @@ def _posting_groups(sf_dir: str) -> ray.data.Dataset:
     globally distinct), ONE token-keyed exchange, per-bucket polars
     grouping into (tok, df, postings) — postings joined sorted doc_ids
     for tokens under the df cap, NULL above it."""
-    import polars as pl
-
     from .shuffle import exchange
 
     ds = _read_docs(sf_dir, ["doc_id", "text"])
@@ -376,7 +374,7 @@ def _posting_groups(sf_dir: str) -> ray.data.Dataset:
         )
 
     def per_bucket(t: pa.Table) -> pa.Table:
-        df = pl.from_arrow(t).drop("__bucket")
+        df = pl.from_arrow(t)
         out = (
             df.group_by("phrase")
             .agg(
@@ -744,7 +742,7 @@ def source_lang_mix(sf_dir: str) -> ray.data.Dataset:
     exchange, then the per-source total rides a second pass over the
     O(sources x langs) folded rows (bounded, so the window-style share
     is computed in one bucketed group per source)."""
-    from .shuffle import bucketed_group_agg, grouped_agg
+    from .shuffle import _compat, exchange, grouped_agg
 
     ds = _read_docs(sf_dir, ["source", "lang"])
 
@@ -761,18 +759,14 @@ def source_lang_mix(sf_dir: str) -> ray.data.Dataset:
         {"n_docs": ("n_docs", "sum")},
     )
 
-    def share(df: pd.DataFrame) -> pd.DataFrame:
-        out = []
-        for source, g in df.groupby("source", sort=False):
-            total = int(g["n_docs"].sum())
-            g = g.copy()
-            g["share_permille"] = (g["n_docs"] * 1000) // total
-            out.append(g)
-        return pd.concat(out, ignore_index=True)[
-            ["source", "lang", "n_docs", "share_permille"]
-        ]
+    def share(t: pa.Table) -> pa.Table:
+        total = pl.col("n_docs").sum().over("source")
+        df = pl.from_arrow(t).select(
+            "source", "lang", "n_docs", share_permille=pl.col("n_docs") * 1000 // total
+        )
+        return _compat(df.to_arrow())
 
-    return bucketed_group_agg(counts, ["source"], share)
+    return exchange(counts, ["source"], share)
 
 
 def doc_length_hist(sf_dir: str) -> ray.data.Dataset:
@@ -826,7 +820,7 @@ def source_length_quantiles(sf_dir: str) -> ray.data.Dataset:
     ships each block's distinct lengths per source, not rows — one
     bucketed exchange keyed on source, then a vectorized per-source
     cumsum pick inside the bucket."""
-    from .shuffle import bucketed_group_agg, grouped_agg
+    from .shuffle import _compat, exchange, grouped_agg
 
     ds = _read_docs(sf_dir, ["source", "n_chars"])
 
@@ -843,23 +837,19 @@ def source_length_quantiles(sf_dir: str) -> ray.data.Dataset:
         {"n": ("n", "sum")},
     )
 
-    def pick(df: pd.DataFrame) -> pd.DataFrame:
-        out = []
-        for source, g in df.groupby("source", sort=False):
-            g = g.sort_values("n_chars")
-            vals = g["n_chars"].to_numpy()
-            cum = g["n"].to_numpy().cumsum()
-            n = int(cum[-1])
-            row = [source]
-            for num, den in ((1, 10), (1, 2), (9, 10)):
-                rank = (num * n + den - 1) // den  # ceil(q * n), >= 1
-                row.append(int(vals[np.searchsorted(cum, rank)]))
-            out.append(row)
-        return pd.DataFrame(
-            out, columns=["source", "p10_chars", "median_chars", "p90_chars"]
+    def pick(t: pa.Table) -> pa.Table:
+        df = pl.from_arrow(t).sort("source", "n_chars").with_columns(
+            cum=pl.col("n").cum_sum().over("source")
         )
+        picks = {}
+        for name, num, den in (
+            ("p10_chars", 1, 10), ("median_chars", 1, 2), ("p90_chars", 9, 10)
+        ):
+            rank = (num * pl.col("cum").last() + den - 1) // den  # ceil(q * n), >= 1
+            picks[name] = pl.col("n_chars").filter(pl.col("cum") >= rank).first()
+        return _compat(df.group_by("source").agg(**picks).to_arrow())
 
-    return bucketed_group_agg(counts, ["source"], pick)
+    return exchange(counts, ["source"], pick)
 
 
 def source_overlap(sf_dir: str, *, k: int = FINGERPRINT_K) -> ray.data.Dataset:
@@ -880,7 +870,7 @@ def source_overlap(sf_dir: str, *, k: int = FINGERPRINT_K) -> ray.data.Dataset:
     bounded by #sources^2 regardless of how many documents share the
     shingle (sets are deduplicated before pairing), so there is no hot-key
     blowup and no df cap is needed — unlike the doc-level inverted index."""
-    from .shuffle import bucketed_group_agg, grouped_agg
+    from .shuffle import _compat, exchange, grouped_agg
 
     ds = _read_docs(sf_dir, ["text", "source"])
 
@@ -893,20 +883,16 @@ def source_overlap(sf_dir: str, *, k: int = FINGERPRINT_K) -> ray.data.Dataset:
 
     distinct_pairs = ds.map_batches(partials, batch_format="pyarrow")
 
-    def pair_counts(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.drop_duplicates(["s", "source"])
-        m = df.merge(df, on="s")
-        m = m[m["source_x"] < m["source_y"]]
-        out = (
-            m.groupby(["source_x", "source_y"], sort=False)
-            .size()
-            .reset_index(name="n_shared")
+    def pair_counts(t: pa.Table) -> pa.Table:
+        d = pl.from_arrow(t).select("s", "source").unique()
+        m = d.join(d, on="s", suffix="_b")
+        m = m.filter(pl.col("source") < pl.col("source_b"))
+        out = m.group_by(source_a="source", source_b="source_b").agg(
+            n_shared=pl.len().cast(pl.Int64)
         )
-        return out.rename(
-            columns={"source_x": "source_a", "source_y": "source_b"}
-        )
+        return _compat(out.to_arrow())
 
-    partial_counts = bucketed_group_agg(distinct_pairs, ["s"], pair_counts)
+    partial_counts = exchange(distinct_pairs, ["s"], pair_counts)
     return grouped_agg(
         partial_counts,
         ["source_a", "source_b"],
@@ -1308,8 +1294,6 @@ def rag_chunks(sf_dir: str) -> ray.data.Dataset:
     parallel at any corpus size.
 
     Output: (doc_id, chunk_id, n_tokens, chunk_text)."""
-    import polars as pl
-
     ds = _read_docs(sf_dir, ["doc_id", "text"])
 
     def chunk(batch: pa.Table) -> pa.Table:

@@ -13,13 +13,14 @@ per-bucket sort totally orders them.
 from __future__ import annotations
 
 import numpy as np
+import polars as pl
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
 from ..functions.numerics import round_col
 from .joins import collect
-from .shuffle import grouped_agg, grouped_sum
+from .shuffle import grouped_agg
 
 TUMBLE_US = 3_600_000_000  # 1-hour tumbling windows
 SESSION_GAP_US = 1_800_000_000  # 30-min inactivity gap
@@ -55,10 +56,10 @@ def events_tumbling(sf_dir: str) -> ray.data.Dataset:
             .rename_columns(["user_id", "window_start_us", "n", "v"])
         )
 
-    agg = grouped_sum(
+    agg = grouped_agg(
         ds.map_batches(partials, batch_format="pyarrow"),
         ["user_id", "window_start_us"],
-        {"n": "n_events", "v": "sum_value"},
+        {"n_events": ("n", "sum"), "sum_value": ("v", "sum")},
     )
     return agg.map_batches(
         lambda t: round_col(t, "sum_value", 2), batch_format="pyarrow"
@@ -98,10 +99,10 @@ def events_hopping(sf_dir: str) -> ray.data.Dataset:
             .rename_columns(["user_id", "window_start_us", "n", "v"])
         )
 
-    agg = grouped_sum(
+    agg = grouped_agg(
         ds.map_batches(partials, batch_format="pyarrow"),
         ["user_id", "window_start_us"],
-        {"n": "n_events", "v": "sum_value"},
+        {"n_events": ("n", "sum"), "sum_value": ("v", "sum")},
     )
     return agg.map_batches(
         lambda t: round_col(t, "sum_value", 2), batch_format="pyarrow"
@@ -123,8 +124,6 @@ def events_asof(sf_dir: str) -> ray.data.Dataset:
     # polars join_asof inside ONE bucketed exchange keyed on user_id
     # (3.4 s -> ~1.7 s at sf0.1).  Cross-table as-ofs still use
     # ``joins.asof_join``.
-    import polars as pl
-
     from .shuffle import _compat, exchange
 
     ds = _read_events(sf_dir, ["event_id", "user_id", "ts", "event_type"])
@@ -148,7 +147,7 @@ def events_asof(sf_dir: str) -> ray.data.Dataset:
     filtered = ds.map_batches(keep, batch_format="pyarrow")
 
     def per_bucket(t: pa.Table) -> pa.Table:
-        lf = pl.from_arrow(t).drop("__bucket")
+        lf = pl.from_arrow(t)
         p = (
             lf.filter(pl.col("event_type") == "purchase")
             .select(["event_id", "user_id", "ts_us"])
@@ -185,8 +184,6 @@ def events_sessions(sf_dir: str) -> ray.data.Dataset:
     cumsum, one groupby-agg.  Deterministic because every (user_id, ts)
     pair of a user lands in the same bucket range and the per-range sort
     totally orders them."""
-    import polars as pl
-
     from .shuffle import _compat, exchange
 
     ds = _read_events(sf_dir, ["user_id", "ts"])
@@ -197,7 +194,7 @@ def events_sessions(sf_dir: str) -> ray.data.Dataset:
         )
 
     def per_bucket(t: pa.Table) -> pa.Table:
-        df = pl.from_arrow(t).drop("__bucket").sort(["user_id", "ts_us"])
+        df = pl.from_arrow(t).sort(["user_id", "ts_us"])
         brk = (
             (pl.col("user_id") != pl.col("user_id").shift(1))
             | ((pl.col("ts_us") - pl.col("ts_us").shift(1)) > SESSION_GAP_US)
@@ -236,8 +233,6 @@ def events_interarrival(sf_dir: str) -> ray.data.Dataset:
     all rows of a user land in one bucket; (ts, event_id) is a total
     order); per-bucket partial (type, bucket) counts make the second
     exchange O(types x 64) rows per block."""
-    import polars as pl
-
     from .shuffle import _compat, exchange, grouped_agg
 
     ds = _read_events(sf_dir, ["user_id", "ts", "event_id", "event_type"])
@@ -253,11 +248,7 @@ def events_interarrival(sf_dir: str) -> ray.data.Dataset:
         )
 
     def per_bucket(t: pa.Table) -> pa.Table:
-        df = (
-            pl.from_arrow(t)
-            .drop("__bucket")
-            .sort(["user_id", "ts_us", "event_id"])
-        )
+        df = pl.from_arrow(t).sort(["user_id", "ts_us", "event_id"])
         same_user = pl.col("user_id") == pl.col("user_id").shift(1)
         gap = (
             pl.when(same_user)
@@ -411,10 +402,8 @@ def events_watermark_lateness(sf_dir: str) -> ray.data.Dataset:
     where each shard runs a vectorized running-max seeded by its carry
     and pre-counts lateness per type.  No step ever orders more than one
     shard; the tagged scan is materialized once and feeds both passes."""
-    import pandas as pd
-
     from ..functions.duck import sql_over
-    from .shuffle import bucketed_group_agg, grouped_agg
+    from .shuffle import _compat, exchange, grouped_agg
 
     ds = _read_events(sf_dir, ["event_id", "ts", "event_type"])
 
@@ -444,43 +433,33 @@ def events_watermark_lateness(sf_dir: str) -> ray.data.Dataset:
             {"ts_max": ("ts_max", "max")},
         ),
         "watermark carry fold",  # <= 256 rows
-    ).to_pylist()
-    folded.sort(key=lambda r: r["shard"])
-    carry: dict[str, int | None] = {}
-    run: int | None = None
-    for r in folded:
-        carry[r["shard"]] = run
-        run = r["ts_max"] if run is None else max(run, r["ts_max"])
-    import ray as _ray
-
-    carry_ref = _ray.put(carry)
+    )
+    # each shard's carry: the max event time of every shard before it
+    carry = (
+        pl.from_arrow(folded)
+        .sort("shard")
+        .select("shard", pl.col("ts_max").cum_max().shift(1).alias("carry"))
+    )
+    carry_ref = ray.put(carry)
     _SENTINEL = -(2**62)  # "no preceding arrival": never late, no overflow
 
-    def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        cmap = _ray.get(carry_ref)
-        out = []
-        for shard, g in df.groupby("shard", sort=False):
-            g = g.sort_values(["ak", "event_id"])
-            ts = g["ts_us"].to_numpy()
-            wm = np.empty(len(ts), dtype=np.int64)
-            c = cmap.get(shard)
-            wm[0] = _SENTINEL if c is None else c
-            if len(ts) > 1:
-                wm[1:] = np.maximum.accumulate(ts)[:-1]
-                if c is not None:
-                    wm[1:] = np.maximum(wm[1:], c)
-            late = ts < wm - WATERMARK_DELAY_US
-            part = pd.DataFrame(
-                {"event_type": g["event_type"].to_numpy(), "late": late}
-            )
-            out.append(
-                part.groupby("event_type", sort=False)
-                .agg(n_events=("late", "size"), n_late=("late", "sum"))
-                .reset_index()
-            )
-        return pd.concat(out, ignore_index=True)
+    def per_bucket(t: pa.Table) -> pa.Table:
+        df = (
+            pl.from_arrow(t)
+            .join(ray.get(carry_ref), on="shard", how="left")
+            .sort(["ak", "event_id"])
+        )
+        wm = pl.max_horizontal(
+            pl.col("ts_us").cum_max().shift(1).over("shard"), "carry"
+        ).fill_null(_SENTINEL)
+        late = df.select("event_type", late=pl.col("ts_us") < wm - WATERMARK_DELAY_US)
+        out = late.group_by("event_type").agg(
+            pl.len().cast(pl.Int64).alias("n_events"),
+            pl.col("late").sum().cast(pl.Int64).alias("n_late"),
+        )
+        return _compat(out.to_arrow())
 
-    partials = bucketed_group_agg(tagged, ["shard"], per_bucket)
+    partials = exchange(tagged, ["shard"], per_bucket)
     return grouped_agg(
         partials,
         ["event_type"],
@@ -507,8 +486,6 @@ def events_cohorts(sf_dir: str) -> pa.Table:
     (w, w) diagonal cell — every user is active in their first week).
     Returns an eager Table (registry contract for driver-finished
     bounded aggregates)."""
-    import polars as pl
-
     from ..functions.duck import sql_over
     from .shuffle import _compat, exchange
 
@@ -524,7 +501,7 @@ def events_cohorts(sf_dir: str) -> pa.Table:
         )
 
     def per_bucket(t: pa.Table) -> pa.Table:
-        df = pl.from_arrow(t).drop("__bucket").unique()
+        df = pl.from_arrow(t).unique()
         coh = df.group_by("user_id").agg(
             pl.col("week").min().alias("cohort_week")
         )
@@ -566,8 +543,6 @@ def events_funnel(sf_dir: str) -> pa.Table:
     and emits 3 partial step counts; the O(steps) fold and the
     conversion division finish on the driver.  Returns an eager Table
     (registry contract for bounded driver-finished aggregates)."""
-    import polars as pl
-
     from .shuffle import _compat, exchange
 
     ds = _read_events(sf_dir, ["user_id", "ts", "event_type"])
@@ -583,7 +558,7 @@ def events_funnel(sf_dir: str) -> pa.Table:
         )
 
     def per_bucket(t: pa.Table) -> pa.Table:
-        df = pl.from_arrow(t).drop("__bucket")
+        df = pl.from_arrow(t)
         t1 = (
             df.filter(pl.col("event_type") == s1)
             .group_by("user_id")
@@ -654,10 +629,10 @@ def events_type_stats(sf_dir: str) -> ray.data.Dataset:
             .rename_columns(["event_type", "user_id", "n", "v"])
         )
 
-    per_user = grouped_sum(
+    per_user = grouped_agg(
         ds.map_batches(partials, batch_format="pyarrow"),
         ["event_type", "user_id"],
-        {"n": "n", "v": "v"},
+        {"n": ("n", "sum"), "v": ("v", "sum")},
     )
     agg = grouped_agg(
         per_user,
@@ -701,10 +676,10 @@ def events_props_stats(sf_dir: str) -> ray.data.Dataset:
             .rename_columns(["event_type", "n", "k"])
         )
 
-    return grouped_sum(
+    return grouped_agg(
         ds.map_batches(partials, batch_format="pyarrow"),
         ["event_type"],
-        {"n": "n_events", "k": "sum_k"},
+        {"n_events": ("n", "sum"), "sum_k": ("k", "sum")},
     )
 
 

@@ -22,9 +22,10 @@ from clangd_to_neo4j_ray.stages.shuffle import (
     MAX_BUCKETS,
     auto_num_buckets,
     dataset_size_hint,
+    _add_bucket_arrow,
     exchange,
     exchange_partitions,
-    grouped_sum,
+    grouped_agg,
 )
 
 
@@ -113,7 +114,7 @@ def test_skewed_two_keys_tiny_bucket_budget(monkeypatch):
         .reset_index(drop=True)
     )
     got = (
-        grouped_sum(ds, ["k"], {"v": "s"})
+        grouped_agg(ds, ["k"], {"s": ("v", "sum")})
         .to_pandas()
         .sort_values("k")
         .reset_index(drop=True)
@@ -126,7 +127,8 @@ def test_exchange_cuts_fixed_bucket_ranges():
     blocks (``exchange_partitions``), not one per input block.  Every
     key's rows sit in one block, and the blocks hold the fixed contiguous
     bucket ranges [i*B//P, (i+1)*B//P) in ascending order, so with every
-    range holding a key no block is empty."""
+    range holding a key no block is empty.  The reducer never sees
+    ``__bucket``: each row's bucket is recomputed from its key."""
     B = 32
     keys = [f"key-{i}" for i in range(400)]  # hits every one of the 32 buckets
     t = pa.table({"k": keys * 5, "v": list(range(2000))})
@@ -134,7 +136,11 @@ def test_exchange_cuts_fixed_bucket_ranges():
     assert ds.num_blocks() == 200
     P = exchange_partitions(ds, B)
     assert 2 <= P <= B
-    out = exchange(ds, ["k"], lambda b: b, B).materialize()
+    def reducer(b: pa.Table) -> pa.Table:
+        assert b.column_names == ["k", "v"]
+        return _add_bucket_arrow(["k"], B)(b)
+
+    out = exchange(ds, ["k"], reducer, B).materialize()
     assert out.num_blocks() == P
     blocks = [
         ray.get(ref)

@@ -8,8 +8,9 @@ options, a second incremental link path, a second Parquet writer, the
 checkpoint's concurrency/force knobs, the graph layer's per-table
 exchanges and writers, Dataset-to-driver collections outside the one
 bounded drain (``joins.drain`` / ``joins.collect``), all-to-alls
-outside the one exchange (``shuffle.exchange``) and readers of Ray's
-internal block bundles outside ``shuffle.py`` must not come back."""
+outside the one exchange (``shuffle.exchange``), pandas hops in the
+engine and readers of Ray's internal block bundles outside ``shuffle.py``
+must not come back."""
 
 from __future__ import annotations
 
@@ -35,7 +36,8 @@ BANNED = (
     "hierarchy_edges", "entity_mention_pairs", "_partial_pairs", "_pairs_bucket",
     "_derive", "write_triples", "_collect_key_set_bounded", "_key_set_ref",
     "broadcast_bytes_limit", "GRAFT_BROADCAST_BYTES", "BOILERPLATE_SET_CAP_BYTES",
-    "_drain(", "salted_group_sum", "state_blocks",
+    "_drain(", "salted_group_sum", "state_blocks", "bucketed_group_agg",
+    "grouped_sum",
 )
 PACKAGE = sorted((REPO / "clangd_to_neo4j_ray").rglob("*.py"))
 
@@ -156,6 +158,34 @@ def test_all_to_alls_go_through_the_one_exchange():
                 names = [f"{base}.{a.name}" if base else a.name for a in node.names]
                 if any(n.startswith("ray.data.aggregate") for n in names):
                     hits.append(f"{where}:{node.lineno}: ray.data.aggregate")
+    assert hits == []
+
+
+def test_engine_has_no_pandas_hop():
+    """No module of ``stages/`` or ``pipelines/`` imports pandas or
+    ``concurrent.futures``, calls ``to_pandas``, or maps with
+    ``batch_format="pandas"``: every exchange reducer takes and returns
+    Arrow, and no query runs Ray executions from driver threads."""
+    scope = [
+        path
+        for sub in ("stages", "pipelines")
+        for path in sorted((REPO / "clangd_to_neo4j_ray" / sub).glob("*.py"))
+    ]
+    hits = []
+    for path in scope:
+        where = path.relative_to(REPO)
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                base = getattr(node, "module", None)
+                names = [base] if base else [a.name for a in node.names]
+                for n in names:
+                    if n.split(".")[0] == "pandas" or n.startswith("concurrent.futures"):
+                        hits.append(f"{where}:{node.lineno}: import {n}")
+            elif isinstance(node, ast.Attribute) and node.attr == "to_pandas":
+                hits.append(f"{where}:{node.lineno}: to_pandas")
+            elif isinstance(node, ast.keyword) and node.arg == "batch_format":
+                if isinstance(node.value, ast.Constant) and node.value.value == "pandas":
+                    hits.append(f"{where}:{node.lineno}: batch_format='pandas'")
     assert hits == []
 
 

@@ -50,6 +50,10 @@ NAMES = [
     "ann_ivf_topk",
     "ann_recall",
     "enrich_documents",
+    "enrich_rollup_sources",
+    "enrich_project",
+    "decontam_ngram",
+    "decontam_dead_letters",
     "corpus_clean",
     "events_tumbling",
     "events_hopping",

@@ -9,7 +9,7 @@ import ray.data
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from clangd_to_neo4j_ray.stages.shuffle import distinct, grouped_agg, grouped_sum
+from clangd_to_neo4j_ray.stages.shuffle import distinct, grouped_agg
 
 KEYS = st.sampled_from(["a", "b", "c", "d", "e", "f", "g", "h"])
 ROWS = st.lists(
@@ -29,7 +29,7 @@ def test_grouped_sum_matches_pandas(rows, buckets):
     df = pd.DataFrame(rows, columns=["k1", "k2", "v"])
     ds = ray.data.from_pandas(df)
     got = (
-        grouped_sum(ds, ["k1", "k2"], {"v": "s"}, num_buckets=buckets)
+        grouped_agg(ds, ["k1", "k2"], {"s": ("v", "sum")}, num_buckets=buckets)
         .to_pandas()
         .sort_values(["k1", "k2"])
         .reset_index(drop=True)
