@@ -39,6 +39,7 @@ from ..functions.llm_client import (
     llm_is_local,
     remote_concurrency,
 )
+from ..sources.pages import read_pages
 from ..stages.hierarchy import domain_of
 from ..stages.joins import collect
 from ..stages.shuffle import exchange
@@ -443,7 +444,7 @@ def enrich_documents(
     checked invariant.  ``llm_api``/``embed_api`` select real clients via
     the factory (T4 extension surface)."""
     path = f"{sf_dir}/documents.parquet"
-    ds = ray.data.read_parquet(path, columns=["doc_id", "text"])
+    ds = read_pages(path, columns=["doc_id", "text"])
     n_rows = parquet_rows_hint(path)
 
     class DocSummarizer:

@@ -29,6 +29,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from ..sources.pages import read_pages
 from .joins import collect
 from .shuffle import _compat, distinct, exchange, grouped_agg
 
@@ -39,9 +40,7 @@ SIMHASH_BITS = 60  # fits signed int64; = 15 hex chars of md5
 
 
 def _read_docs(sf_dir: str) -> ray.data.Dataset:
-    return ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "source"]
-    )
+    return read_pages(f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "source"])
 
 
 # ---------------------------------------------------------------------------

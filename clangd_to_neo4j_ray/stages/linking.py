@@ -18,24 +18,30 @@ One scan kernel, plus the spec it is tested against (the reference's
 ``--source-parser {clang,treesitter}`` pair, ``compilation_manager.py:113-123``,
 is likewise one fast parser and one slow one):
 
-- ``token``: the kernel every stage runs.  Aliases are token sequences; a
-  first-token hash lookup prunes almost every position, then candidates are
-  verified longest-first.  About 3x faster than the regex scan (CPython
-  ``re`` alternation tries each branch per position).  It assumes dictionary
-  surfaces are whole space-separated tokens with punctuation only at token
-  edges (``_EDGE_PUNCT``), which holds for natural-language entity aliases.
-  Punctuation inside a token hides an alias: in ``Alpha-Beta`` or
-  ``Google's`` the regex spec finds ``Alpha`` / ``Google``, the token scan
-  finds nothing.
-- ``regex`` (``EntityLinker(lut, strategy="regex")``): one longest-first
-  alternation with hard non-alnum boundaries, the reference semantics the
-  oracle implements.  No stage selects it; the property tests pin the token
-  scan to it on whole-token text.
+- ``LinkScan``: the columnar kernel every stage runs, one pass per Arrow
+  block over the text column's UTF-8 buffer with numpy and Arrow compute,
+  with no Python per document.  The tokens are the maximal ASCII-alnum
+  runs (never across a row); every run and every gap between two runs of
+  one sentence gets its id from one ``pc.index_in`` against the aliases'
+  runs and separators; a walk down the alias trie, one ``searchsorted``
+  over sorted int64 edge keys per token, finds the longest alias at each
+  run; greedy leftmost-longest selection drops overlaps (Python loops only
+  over overlapping multi-run matches); ambiguous aliases resolve against
+  the row's unambiguous entity ids; the text between a sentence's mentions
+  is trimmed and looked up with ``pc.index_in``, and a pronoun's subject
+  is found with ``searchsorted``.  Byte offsets become char offsets through
+  a running count of UTF-8 lead bytes.  An alias matches whole runs, so
+  every dictionary surface must start and end with an ASCII letter or
+  digit: ``LinkScan`` refuses any other (``C++``, ``.NET``).
+- ``EntityLinker``: the spec, one document at a time (``link_text``): one
+  longest-first alternation with hard non-alnum boundaries, the reference
+  semantics the oracle implements.  No stage runs it; the tests pin
+  ``LinkScan`` to it row for row, char offsets included.
 
 The stage linker ``LinkScan`` is a callable class; ``link_scan_stage`` runs
 it from a module-level task function that keeps a one-entry per-process
 memo keyed by the broadcast alias object ref (``ray.put`` once on the
-driver).  ``ray.get`` and the token index build therefore run once per
+driver).  ``ray.get`` and the alias trie build therefore run once per
 worker process per dictionary, mirroring the reference's per-process
 ``_worker_impl_instance`` initializer (T1, ``compilation_parser.py:161-187``)
 without starting a dedicated actor process on every build.  Unresolvable
@@ -46,8 +52,11 @@ silent drops — SURVEY §7.5.
 from __future__ import annotations
 
 import re
+import string
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data
 
@@ -59,62 +68,15 @@ PRED_PHRASES = {
 }
 DEAD_LETTER = "__dead_letter__"
 _SENTENCE_SPLIT = re.compile(r"(?<=\.) ")
-_EDGE_PUNCT = ".,;:!?\"'()[]"
-
-
-def compile_alias_regex(aliases) -> re.Pattern:
-    """Single alternation over all surfaces, longest-first so the regex
-    engine's leftmost-alternative preference yields longest-match semantics
-    (e.g. 'The Entity0001' beats its substring 'Entity0001')."""
-    ordered = sorted(aliases, key=len, reverse=True)
-    return re.compile(
-        r"(?<![A-Za-z0-9])(" + "|".join(re.escape(a) for a in ordered) + r")(?![A-Za-z0-9])"
-    )
-
-
-def build_token_index(aliases) -> dict[str, list[tuple[list[str], str]]]:
-    """first token -> [(alias tokens, alias surface)], longest first."""
-    idx: dict[str, list[tuple[list[str], str]]] = {}
-    for a in aliases:
-        toks = a.split(" ")
-        idx.setdefault(toks[0], []).append((toks, a))
-    for lst in idx.values():
-        lst.sort(key=lambda t: len(t[0]), reverse=True)
-    return idx
-
-
-def _assemble(triples: list, mentions: list):
-    """Row tuples -> (candidate table, mention table), one zip transpose
-    per table (no per-field append loops)."""
-    if triples:
-        subj, pred, obj, eurl, s_arr, e_arr = zip(*triples)
-    else:
-        subj = pred = obj = eurl = s_arr = e_arr = ()
-    cand_tbl = pa.table(
-        {
-            "subj": pa.array(subj, type=pa.string()),
-            "pred": pa.array(pred, type=pa.string()),
-            "obj": pa.array(obj, type=pa.string()),
-            "evidence_url": pa.array(eurl, type=pa.string()),
-            "evidence_start": pa.array(s_arr, type=pa.int32()),
-            "evidence_end": pa.array(e_arr, type=pa.int32()),
-        }
-    )
-    if mentions:
-        m_url, m_eid, m_surf, m_s, m_e, m_anch = zip(*mentions)
-    else:
-        m_url = m_eid = m_surf = m_s = m_e = m_anch = ()
-    ment_tbl = pa.table(
-        {
-            "url": pa.array(m_url, type=pa.string()),
-            "entity_id": pa.array(m_eid, type=pa.string()),
-            "surface": pa.array(m_surf, type=pa.string()),
-            "start": pa.array(m_s, type=pa.int32()),
-            "end": pa.array(m_e, type=pa.int32()),
-            "anchored": pa.array(m_anch, type=pa.bool_()),
-        }
-    )
-    return cand_tbl, ment_tbl
+_ALNUM_RUN = re.compile(r"([A-Za-z0-9]+)")
+_IS_ALNUM = np.zeros(256, dtype=bool)
+_IS_ALNUM[np.frombuffer((string.ascii_letters + string.digits).encode(), np.uint8)] = True
+# what ``str.strip()`` removes: the spec trims the text between mentions
+# with it
+_PY_WHITESPACE = (
+    "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003"
+    "\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
+)
 
 
 # Row type of the link scan: the tagged union of candidate-triple rows
@@ -128,109 +90,30 @@ TAG_SCHEMA = pa.schema(
 )
 
 
-def _tag_union(cand: pa.Table, ment: pa.Table, urls) -> pa.Table:
-    """Arrow-native tagged union of candidate, mention and page rows: concat
-    with column promotion null-pads the missing sides — no ``to_pylist``
-    round trip (the old ``pad`` helper was ~30% of the whole scan stage)."""
-    c = cand.select(["subj", "pred", "obj", "evidence_url"]).append_column(
-        "kind", pa.array(["triple"] * cand.num_rows, type=pa.string())
-    )
-    m = ment.append_column(
-        "kind", pa.array(["mention"] * ment.num_rows, type=pa.string())
-    )
-    p = pa.table({"url": urls, "kind": pa.array(["page"] * len(urls), type=pa.string())})
-    out = pa.concat_tables([c, m, p], promote_options="default")
-    return out.select(TAG_SCHEMA.names)
-
-
 class EntityLinker:
-    """Link stage state: text -> (mentions, candidate triples) per batch.
+    """The link spec: text -> (mentions, candidate triples), one document
+    at a time, with the longest-first alias regex.
 
     ``lut`` is the alias->entity_id dict; the Ray stages broadcast it once
     as an object ref (no shuffle join for the small side, SURVEY §7.4).
-    ``strategy`` is ``"token"`` (the kernel) or ``"regex"`` (the spec).
     """
 
-    def __init__(self, lut: dict, strategy: str = "token"):
+    def __init__(self, lut: dict):
         self.lut: dict[str, str] = lut
-        self.strategy = strategy
-        if strategy == "regex":
-            self.pattern = compile_alias_regex(lut.keys())
-        else:
-            self.index = build_token_index(lut.keys())
+        # one alternation over all surfaces, longest-first so the regex
+        # engine's leftmost-alternative preference yields longest-match
+        # semantics ('The Entity0001' beats its substring 'Entity0001')
+        ordered = sorted(lut, key=len, reverse=True)
+        self.pattern = re.compile(
+            r"(?<![A-Za-z0-9])(" + "|".join(map(re.escape, ordered)) + r")(?![A-Za-z0-9])"
+        )
 
-    # -- scan: find dictionary surfaces with [start, end) char spans --
-
-    def _scan_regex(self, sent: str, base: int):
+    def scan(self, sent: str, base: int):
+        """Dictionary surfaces in ``sent`` as [start, end) char spans."""
         return [
             (m.start() + base, m.end() + base, m.group(1))
             for m in self.pattern.finditer(sent)
         ]
-
-    def _scan_token(self, sent: str, base: int):
-        toks = sent.split(" ")
-        # char offset of each token within the sentence
-        offs = []
-        run = 0
-        for t in toks:
-            offs.append(run)
-            run += len(t) + 1
-        found = []
-        index = self.index
-        i = 0
-        n = len(toks)
-        while i < n:
-            raw = toks[i]
-            lead = 0
-            while lead < len(raw) and raw[lead] in _EDGE_PUNCT:
-                lead += 1
-            core = raw[lead:].rstrip(_EDGE_PUNCT)
-            cands = index.get(core)
-            matched = False
-            if cands:
-                for alias_toks, alias in cands:
-                    k = len(alias_toks)
-                    if i + k > n:
-                        continue
-                    # a multi-token alias's FIRST token must carry no
-                    # trailing punctuation: 'New, York' must not match
-                    # 'New York' (the rstripped core is only a lookup key)
-                    if k > 1 and raw[lead:] != alias_toks[0]:
-                        continue
-                    ok = True
-                    # middle tokens must match exactly; last token may carry
-                    # trailing punctuation (first may carry leading)
-                    for j in range(1, k):
-                        tj = toks[i + j]
-                        cj = tj.rstrip(_EDGE_PUNCT) if j == k - 1 else tj
-                        if cj != alias_toks[j]:
-                            ok = False
-                            break
-                    if ok:
-                        start = base + offs[i] + lead
-                        found.append((start, start + len(alias), alias))
-                        i += k
-                        matched = True
-                        break
-            if not matched:
-                i += 1
-        return found
-
-    def scan(self, sent: str, base: int):
-        if self.strategy == "regex":
-            return self._scan_regex(sent, base)
-        return self._scan_token(sent, base)
-
-    # -- per-document link pass: one scan, both outputs --
-
-    def link_text(self, url: str, text: str):
-        """Returns (mention_rows, triple_rows) for one document."""
-        sentence_founds = []
-        offset = 0
-        for sent in _SENTENCE_SPLIT.split(text):
-            sentence_founds.append((offset, self.scan(sent, offset)))
-            offset += len(sent) + 1  # +1 for the split space
-        return self.doc_relations(url, text, sentence_founds)
 
     def resolve(self, alias: str, doc_eids: set[str]) -> str:
         """Dictionary + context-scored entity resolution.
@@ -249,12 +132,16 @@ class EntityLinker:
                 return eid
         return v[0][0]
 
-    def doc_relations(self, url: str, text: str, sentence_founds):
-        """Shared relation logic given per-sentence mention spans.
-
-        ``sentence_founds``: [(sent_start_char, [(start, end, alias), ...])]
-        in document order.  Spans are absolute char offsets into ``text``.
-        Sentences without mentions may be omitted (they affect nothing)."""
+    def link_text(self, url: str, text: str):
+        """Returns (mention_rows, triple_rows) for one document: mention
+        rows (url, entity_id, surface, start, end, anchored) and triple
+        rows (subj, pred, obj, url, start, end), char offsets into
+        ``text``."""
+        sentence_founds = []  # (sentence start, [(start, end, alias), ...])
+        offset = 0
+        for sent in _SENTENCE_SPLIT.split(text):
+            sentence_founds.append((offset, self.scan(sent, offset)))
+            offset += len(sent) + 1  # +1 for the split space
         # pass 1: page-context entity set from unambiguous mentions
         doc_eids = {
             v
@@ -293,26 +180,258 @@ class EntityLinker:
                 )
         return mentions, triples
 
-    def _tables(self, batch: pa.Table):
-        urls = batch["url"].to_pylist()
-        texts = batch["text"].to_pylist()
-        all_m, all_t = [], []
-        for url, text in zip(urls, texts):
-            mentions, triples = self.link_text(url, text)
-            all_t.extend(triples)
-            all_m.extend(mentions)
-        return _assemble(all_t, all_m)
+
+def _utf8(column) -> tuple[np.ndarray, np.ndarray]:
+    """A string or large_string column -> (row offsets, UTF-8 bytes): row
+    ``r`` is ``data[off[r]:off[r + 1]]``; a null row reads as empty."""
+    arr = column.combine_chunks() if isinstance(column, pa.ChunkedArray) else column
+    if len(arr) == 0:
+        return np.zeros(1, np.int64), np.zeros(0, np.uint8)
+    if arr.null_count:
+        arr = pc.fill_null(arr, "")
+    width = np.int64 if pa.types.is_large_string(arr.type) else np.int32
+    _validity, offsets, values = arr.buffers()
+    off = np.frombuffer(offsets, width)[arr.offset : arr.offset + len(arr) + 1]
+    off = off.astype(np.int64)
+    data = np.frombuffer(values, np.uint8)[off[0] : off[-1]]
+    return off - off[0], data
 
 
-class LinkScan(EntityLinker):
-    """Combined one-pass output: tagged union of candidate-triple rows,
-    mention rows and one row per scanned page (kind column).  One scan
-    instead of two — the hot stage runs once — and with the page rows its
-    output is all the graph stage needs."""
+def _strings(data: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> pa.Array:
+    """The large_string array of the byte spans ``data[lo[i]:hi[i]]``."""
+    lens = hi - lo
+    offs = np.zeros(len(lo) + 1, np.int64)
+    np.cumsum(lens, out=offs[1:])
+    gather = np.arange(offs[-1]) + np.repeat(lo - offs[:-1], lens)
+    return pa.LargeStringArray.from_buffers(
+        len(lo), pa.py_buffer(offs), pa.py_buffer(data[gather])
+    )
+
+
+class LinkScan:
+    """The link stage kernel: an Arrow batch (url, text, ...) ->
+    ``TAG_SCHEMA`` rows, the candidate triples and mentions
+    ``EntityLinker(lut).link_text`` gives for each row plus one page row
+    per row.  ``lut`` maps each alias to an entity id, or to a list of
+    (entity_id, canonical name) candidates for an ambiguous alias."""
+
+    def __init__(self, lut: dict):
+        bad = []
+        words: dict[str, int] = {}  # alias runs and separators -> token id
+        eids: dict[str, int] = {}
+        seqs, alias_eid, cand_eid, cand_off = [], [], [], [0]
+        for alias, v in lut.items():
+            toks = _ALNUM_RUN.split(alias)  # '', run, sep, run, ..., run, ''
+            if len(toks) == 1 or toks[0] or toks[-1]:
+                bad.append(alias)
+                continue
+            seqs.append([words.setdefault(t, len(words)) for t in toks[1:-1]])
+            if isinstance(v, str):
+                alias_eid.append(eids.setdefault(v, len(eids)))
+            else:
+                alias_eid.append(-1)
+                cand_eid += [eids.setdefault(e, len(eids)) for e, _canonical in v]
+            cand_off.append(len(cand_eid))
+        if bad:
+            raise ValueError(
+                "alias surfaces must start and end with an ASCII letter or "
+                f"digit: {sorted(bad)!r}"
+            )
+        # the alias trie: edge key (parent node + 1) * n_words + token, the
+        # root being node -1; ``_first`` maps a token id + 1 to its root edge
+        n_words = self._n_words = len(words)
+        trie: dict[int, int] = {}
+        ends = []
+        for seq in seqs:
+            node = -1
+            for t in seq:
+                node = trie.setdefault((node + 1) * n_words + t, len(trie))
+            ends.append(node)
+        self._terminal = np.full(len(trie), -1)
+        self._terminal[ends] = np.arange(len(seqs))
+        self._edge_key = np.array(sorted(trie), np.int64)
+        self._edge_node = np.array([trie[k] for k in self._edge_key.tolist()], np.int64)
+        root = self._edge_key < n_words
+        self._first = np.full(n_words + 1, -1)
+        self._first[self._edge_key[root] + 1] = self._edge_node[root]
+        self._depth = max((len(s) + 1) // 2 for s in seqs) if seqs else 1
+        self._words = pa.array(list(words), type=pa.large_string())
+        self._surface = pa.array(list(lut), type=pa.string())
+        self._alias_eid = np.array(alias_eid, np.int64)
+        self._cand_eid = np.array(cand_eid, np.int64)
+        self._cand_off = np.array(cand_off, np.int64)
+        self._eids = pa.array(list(eids), type=pa.string())
+        self._phrases = pa.array(list(PRED_PHRASES), type=pa.large_string())
+        self._preds = pa.array([*PRED_PHRASES.values(), DEAD_LETTER], type=pa.string())
+        self._kinds = pa.array(["triple", "mention", "page"], type=pa.string())
+
+    def _longest(self, tok: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Token ids (run i at ``2i``, the gap after it at ``2i + 1``, -1
+        for no alias token) -> (alias id, runs) of the longest alias at
+        each run, -1 / 0 where none starts."""
+        n_runs = len(tok) // 2
+        alias = np.full(n_runs, -1, np.int64)
+        length = np.zeros(n_runs, np.int64)
+        node = self._first[tok[0::2] + 1]
+        run = np.flatnonzero(node >= 0)
+        node = node[run]
+        for j in range(2 * self._depth - 1):
+            if j:
+                t = tok[2 * run + j]
+                key = (node + 1) * self._n_words + t
+                pos = np.searchsorted(self._edge_key, key).clip(max=len(self._edge_key) - 1)
+                live = (t >= 0) & (self._edge_key[pos] == key)
+                run, node = run[live], self._edge_node[pos[live]]
+            if j % 2 == 0:  # the walk has just read a run: a whole alias?
+                hit = self._terminal[node]
+                ok = hit >= 0
+                alias[run[ok]] = hit[ok]
+                length[run[ok]] = j // 2 + 1
+        return alias, length
+
+    def _resolve(self, m_alias: np.ndarray, m_row: np.ndarray) -> np.ndarray:
+        """Entity id of each mention: an ambiguous alias takes its first
+        candidate mentioned unambiguously in the same row, else its first."""
+        eid = self._alias_eid[m_alias]
+        amb = np.flatnonzero(eid < 0)
+        if len(amb):
+            n_eids = len(self._eids)
+            known = np.unique(m_row[eid >= 0] * n_eids + eid[eid >= 0])
+            lo = self._cand_off[m_alias[amb]]
+            cnt = self._cand_off[m_alias[amb] + 1] - lo
+            first = np.cumsum(cnt) - cnt
+            group = np.repeat(np.arange(len(amb)), cnt)
+            cand = self._cand_eid[lo[group] + np.arange(len(group)) - first[group]]
+            hit = np.isin(m_row[amb][group] * n_eids + cand, known)
+            pick = np.minimum.reduceat(np.where(hit, np.arange(len(group)), len(group)), first)
+            eid[amb] = cand[np.where(pick < len(group), pick, first)]
+        return eid
+
+    def _mentions(self, off: np.ndarray, data: np.ndarray):
+        """-> (alias, row, sentence, byte start, byte end) of each mention,
+        in document order, and the byte offset each sentence starts at."""
+        size = len(data)
+        row_start = np.zeros(size + 1, dtype=bool)
+        row_start[off[:-1]] = True
+
+        # tokens: maximal ASCII-alnum runs, cut at row starts
+        alnum = _IS_ALNUM[data]
+        before = np.zeros(size, dtype=bool)
+        before[1:] = alnum[:-1]
+        after = np.zeros(size, dtype=bool)
+        after[:-1] = alnum[1:]
+        start = np.flatnonzero(alnum & ~(before & ~row_start[:-1]))
+        end = np.flatnonzero(alnum & ~(after & ~row_start[1:])) + 1
+        n_runs = len(start)
+
+        # sentences start at a row start or after a space that follows "."
+        split = np.zeros(size, dtype=bool)
+        split[1:] = (data[1:] == ord(" ")) & (data[:-1] == ord("."))
+        mark = np.flatnonzero(split | row_start[:-1])
+        sent_start = mark + ~row_start[mark]
+        run_sent = np.searchsorted(mark, start, side="right") - 1
+
+        # one id per run and per gap; a gap that ends a sentence joins none
+        bounds = np.empty(2 * n_runs + 2, np.int64)
+        bounds[0], bounds[-1] = 0, size
+        bounds[1:-1:2], bounds[2:-1:2] = start, end
+        pieces = pa.LargeStringArray.from_buffers(
+            2 * n_runs + 1, pa.py_buffer(bounds), pa.py_buffer(data)
+        )
+        ids = pc.fill_null(pc.index_in(pieces, value_set=self._words), -1)
+        tok = ids.to_numpy()[1:].astype(np.int64)
+        brk = np.ones(n_runs, dtype=bool)
+        brk[:-1] = run_sent[1:] != run_sent[:-1]
+        tok[1::2][brk] = -1
+        alias, length = self._longest(tok)
+
+        # greedy leftmost-longest: a kept multi-run match covers the runs
+        # after its first, and only a multi-run match can overlap a later one
+        cand = np.flatnonzero(alias >= 0)
+        multi = cand[length[cand] > 1]
+        stop = multi + length[multi]
+        if len(multi) > 1 and (multi[1:] < np.maximum.accumulate(stop)[:-1]).any():
+            keep, reach = np.zeros(len(multi), dtype=bool), 0
+            for i, (s, e) in enumerate(zip(multi.tolist(), stop.tolist())):
+                if s >= reach:
+                    keep[i], reach = True, e
+            multi, stop = multi[keep], stop[keep]
+        cover = np.zeros(n_runs + 1, np.int64)
+        cover[multi + 1] += 1
+        cover[stop] -= 1
+        m = cand[np.cumsum(cover[:-1])[cand] == 0]
+        row = np.searchsorted(off, start[m], side="right") - 1
+        return alias[m], row, run_sent[m], start[m], end[m + length[m] - 1], sent_start
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        cand, ment = self._tables(batch)
-        return _tag_union(cand, ment, batch["url"])
+        off, data = _utf8(batch["text"])
+        m_alias, m_row, m_sent, lo, hi, sent_start = self._mentions(off, data)
+        eid = self._resolve(m_alias, m_row)
+
+        # relations: a sentence with exactly two mentions, or with one
+        # mention that starts "It "; the text between names the predicate
+        _sent, at, count = np.unique(m_sent, return_index=True, return_counts=True)
+        pair, one = at[count == 2], at[count == 1]
+        ss = sent_start[m_sent[one]]
+        fits = ss + 3 <= off[m_row[one] + 1]
+        one, ss = one[fits], ss[fits]
+        it = (data[ss] == ord("I")) & (data[ss + 1] == ord("t")) & (data[ss + 2] == ord(" "))
+        one, ss = one[it], ss[it]
+        between = _strings(
+            data,
+            np.concatenate([hi[pair], ss + 3]),
+            np.concatenate([lo[pair + 1], np.maximum(lo[one], ss + 3)]),
+        )
+        between = pc.utf8_trim(between, characters=_PY_WHITESPACE)
+        phrase = pc.fill_null(pc.index_in(between, value_set=self._phrases), -1).to_numpy()
+        a_pred, p_pred = phrase[: len(pair)], phrase[len(pair) :]
+        anch, a_pred = pair[a_pred >= 0], a_pred[a_pred >= 0]
+        pron, p_pred = one[p_pred >= 0], p_pred[p_pred >= 0]
+        # a pronoun's subject: the last anchored subject earlier in its row
+        j = np.searchsorted(m_sent[anch], m_sent[pron]) - 1
+        found = np.append(m_row[anch], -1)[j] == m_row[pron]
+        p_subj = np.where(found, np.append(eid[anch], -1)[j], -1)
+        order = np.argsort(np.concatenate([m_sent[anch], m_sent[pron]]), kind="stable")
+        t_subj = np.concatenate([eid[anch], p_subj])[order]
+        t_pred = np.concatenate([a_pred, np.where(found, p_pred, len(PRED_PHRASES))])[order]
+        t_obj = np.concatenate([eid[anch + 1], eid[pron]])[order]
+        t_row = np.concatenate([m_row[anch], m_row[pron]])[order]
+        anchored = np.zeros(len(m_alias), dtype=bool)
+        anchored[anch] = True
+
+        # char offsets: count the UTF-8 lead bytes before each byte offset
+        base = off[m_row]
+        if len(data) and data.max() >= 0x80:
+            chars = np.zeros(len(data) + 1, np.int64)
+            np.cumsum((data & 0xC0) != 0x80, out=chars[1:])
+            lo, hi, base = chars[lo], chars[hi], chars[base]
+
+        url = batch["url"]
+        url = (url.combine_chunks() if isinstance(url, pa.ChunkedArray) else url).cast(pa.string())
+        sizes = (len(t_row), len(m_alias), len(url))
+
+        def col(typ, *parts):
+            return pa.concat_arrays(
+                [pa.nulls(n, typ) if p is None else p for p, n in zip(parts, sizes)]
+            )
+
+        s = pa.string()
+        return pa.Table.from_arrays(
+            [
+                self._kinds.take(np.repeat([0, 1, 2], sizes)),
+                col(s, self._eids.take(pa.array(t_subj, mask=t_subj < 0)), None, None),
+                col(s, self._preds.take(t_pred), None, None),
+                col(s, self._eids.take(t_obj), None, None),
+                col(s, url.take(t_row), None, None),
+                col(s, None, url.take(m_row), url),
+                col(s, None, self._eids.take(eid), None),
+                col(s, None, self._surface.take(m_alias), None),
+                col(pa.int32(), None, pa.array(lo - base, pa.int32()), None),
+                col(pa.int32(), None, pa.array(hi - base, pa.int32()), None),
+                col(pa.bool_(), None, pa.array(anchored), None),
+            ],
+            schema=TAG_SCHEMA,
+        )
 
 
 # One-entry per-process linker memo: (alias ref hex, LinkScan).  Keyed by

@@ -40,6 +40,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from ..sources.pages import read_pages
 from .joins import collect
 from .shuffle import _compat, exchange
 
@@ -88,10 +89,7 @@ def _doc_tokens(sf_dir: str) -> ray.data.Dataset:
     """(source, doc_id, n_tokens) from the sf-dir documents table
     (column-pruned read + ``token_profile``)."""
     return token_profile(
-        ray.data.read_parquet(
-            f"{sf_dir}/documents.parquet",
-            columns=["doc_id", "text", "source"],
-        )
+        read_pages(f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "source"])
     )
 
 

@@ -14,7 +14,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from ..context import parquet_rows_hint
 from ..functions.textops import explode_tokens
+from ..sources.pages import read_pages
 from .joins import collect
 
 STOPWORDS = ("the", "a")
@@ -23,7 +25,7 @@ LANGID_MIN_STOPWORDS = 2  # >=2 stopword tokens -> 'en'
 
 
 def _read_docs(sf_dir: str, cols: list[str]) -> ray.data.Dataset:
-    return ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=cols)
+    return read_pages(f"{sf_dir}/documents.parquet", columns=cols)
 
 
 def text_quality(sf_dir: str) -> ray.data.Dataset:
@@ -550,7 +552,7 @@ def tfidf_top_terms(sf_dir: str, *, k: int = TFIDF_K) -> ray.data.Dataset:
     from .shuffle import grouped_agg
 
     ds = _read_docs(sf_dir, ["doc_id", "text"])
-    n_docs = _read_docs(sf_dir, ["doc_id"]).count()  # parquet metadata count
+    n_docs = parquet_rows_hint(f"{sf_dir}/documents.parquet")
 
     def df_partials(batch: pa.Table) -> pa.Table:
         return sql_over(

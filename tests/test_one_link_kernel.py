@@ -1,7 +1,8 @@
 """Guard: every build layer keeps the one path the build runs.
 
-The token scanner is the only kernel the link stage runs; the regex
-scanner is its test spec.  Alternative kernels selected by a keyword or an
+The columnar scan (``LinkScan``) is the only kernel the link stage runs;
+the regex scanner (``EntityLinker``) is its test spec.  The per-token
+scanner it replaced, alternative kernels selected by a keyword or an
 environment variable, a second fused extract+link+merge composition, spare
 CSV writers, a sink that reads its own Parquet back, single-valued build
 options, a second incremental link path, a second Parquet writer, the
@@ -37,7 +38,7 @@ BANNED = (
     "_derive", "write_triples", "_collect_key_set_bounded", "_key_set_ref",
     "broadcast_bytes_limit", "GRAFT_BROADCAST_BYTES", "BOILERPLATE_SET_CAP_BYTES",
     "_drain(", "salted_group_sum", "state_blocks", "bucketed_group_agg",
-    "grouped_sum",
+    "grouped_sum", "_scan_token", "build_token_index", "_EDGE_PUNCT",
 )
 PACKAGE = sorted((REPO / "clangd_to_neo4j_ray").rglob("*.py"))
 

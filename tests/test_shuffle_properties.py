@@ -1,10 +1,11 @@
 """Property-based tests (hypothesis) for the bucketed shuffle engine and the
-token-scan/regex-scan equivalence — the engine's two most load-bearing
-custom components."""
+link kernel's equivalence to its regex spec — the engine's two most
+load-bearing custom components."""
 
 from __future__ import annotations
 
 import pandas as pd
+import pyarrow as pa
 import ray.data
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -193,14 +194,17 @@ def test_stable_hash_slice_and_chunk_invariant():
     assert list(_stable_hash64(chunked)) == full
 
 
-# whole tokens with edge punctuation, pronoun subjects, relation phrases and
-# sentence ends: the inputs on which the token scan must equal the regex spec
+# words with edge and inner punctuation, non-ASCII letters, pronoun
+# subjects, relation phrases and sentence ends: the inputs on which the link
+# kernel must equal the regex spec
 WORDS = st.sampled_from(
     [
         "Alpha", "Beta", "Alpha Beta", "Gamma", "The Alpha", "it", "It",
         "works", "for", "for.", "x9", "x.", "links", "to", "(Gamma)",
         '"Alpha"', "Alpha.", "The", "works for", "Alpha,", "Alpha;", "The,",
         '"Alpha', "New", "New,", "York", "New York", "links to",
+        "Alpha-Beta", "Alpha's", "Alpha.Beta", "Zürich", "ÄAlpha", "AT&T",
+        "AT", "&T", "Corp", "Corp.",
     ]
 )
 
@@ -220,13 +224,16 @@ WORDS = st.sampled_from(
         ["It", "links to", "Alpha;"],
     ]
 )
+@example(sentences=[["Alpha-Beta", "works for", "Zürich"], ["It", "links to", "Corp"]])
 @settings(max_examples=60, deadline=None)
 def test_token_scan_equals_regex_scan(sentences):
-    """For any document of space-joined token sentences, the fast token
-    scanner and the reference regex scanner find identical (start, end,
-    surface) spans, and ``link_text`` built on each yields identical mention
-    and triple rows (anchored, pronoun and dead-letter relations)."""
-    from clangd_to_neo4j_ray.stages.linking import EntityLinker
+    """For any document of space-joined word sentences, the columnar link
+    kernel ``LinkScan`` gives the mention and triple rows (char offsets,
+    ``anchored``, pronoun and dead-letter relations) that the regex spec
+    ``EntityLinker.link_text`` gives, with the document in one batch beside
+    a copy that starts with a space and a copy whose last sentence has no
+    ".", each its own row."""
+    from .util import link_kernel_rows, link_spec_rows
 
     lut = {
         "Alpha": "e1",
@@ -236,9 +243,11 @@ def test_token_scan_equals_regex_scan(sentences):
         "works": "e5",
         "New York": "e6",
         "York": "e7",
+        "AT&T": "e8",
+        "Zürich": "e9",
+        "Corp": [("e3", "Gamma"), ("e7", "York")],
     }
     text = " ".join(" ".join(words) + "." for words in sentences)
-    tok = EntityLinker(lut, strategy="token")
-    rex = EntityLinker(lut, strategy="regex")
-    assert tok.scan(text, 0) == rex.scan(text, 0), text
-    assert tok.link_text("u", text) == rex.link_text("u", text), text
+    urls, texts = ["u", "v", "w"], [text, " " + text, text[:-1]]
+    batch = pa.table({"url": urls, "text": texts})
+    assert link_kernel_rows(lut, batch) == link_spec_rows(lut, urls, texts), text

@@ -1,7 +1,10 @@
 """Shared test helpers: DuckDB oracle comparison (result rows checked against
-the same query run in DuckDB) and a counter of Ray Data executions."""
+the same query run in DuckDB), a counter of Ray Data executions and the
+link kernel's rows beside its spec's."""
 
 from __future__ import annotations
+
+from collections import Counter
 
 import duckdb
 import pandas as pd
@@ -83,3 +86,30 @@ def count_executions(monkeypatch, plans: list | None = None) -> list[str]:
 
     monkeypatch.setattr(StreamingExecutor, "execute", counted_execute)
     return executions
+
+
+def link_kernel_rows(lut: dict, batch) -> Counter:
+    """The multiset of ``LinkScan(lut)(batch)`` rows (``TAG_SCHEMA`` order)."""
+    from clangd_to_neo4j_ray.stages.linking import TAG_SCHEMA, LinkScan
+
+    out = LinkScan(lut)(batch)
+    assert out.schema == TAG_SCHEMA
+    return Counter(zip(*(out[c].to_pylist() for c in TAG_SCHEMA.names)))
+
+
+def link_spec_rows(lut: dict, urls: list, texts: list) -> Counter:
+    """The same rows from the spec, ``EntityLinker(lut).link_text`` one
+    document at a time: a triple row per candidate triple (its evidence
+    offsets are not in the tagged union), a mention row per mention and a
+    page row per document."""
+    from clangd_to_neo4j_ray.stages.linking import EntityLinker
+
+    linker = EntityLinker(lut)
+    rows: Counter = Counter()
+    for url, text in zip(urls, texts):
+        mentions, triples = linker.link_text(url, text)
+        for subj, pred, obj, evidence_url, _start, _end in triples:
+            rows[("triple", subj, pred, obj, evidence_url) + (None,) * 6] += 1
+        rows.update(("mention",) + (None,) * 4 + m for m in mentions)
+        rows[("page",) + (None,) * 4 + (url,) + (None,) * 5] += 1
+    return rows
