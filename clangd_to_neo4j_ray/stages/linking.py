@@ -29,10 +29,11 @@ is likewise one fast parser and one slow one):
   over overlapping multi-run matches); ambiguous aliases resolve against
   the row's unambiguous entity ids; the text between a sentence's mentions
   is trimmed and looked up with ``pc.index_in``, and a pronoun's subject
-  is found with ``searchsorted``.  Byte offsets become char offsets through
-  a running count of UTF-8 lead bytes.  An alias matches whole runs, so
-  every dictionary surface must start and end with an ASCII letter or
-  digit: ``LinkScan`` refuses any other (``C++``, ``.NET``).
+  is found with ``searchsorted``.  A byte offset becomes a char offset by
+  subtracting the UTF-8 continuation bytes before it (a ``searchsorted``
+  over their positions, empty for ASCII text).  An alias matches whole
+  runs, so every dictionary surface must start and end with an ASCII
+  letter or digit: ``LinkScan`` refuses any other (``C++``, ``.NET``).
 - ``EntityLinker``: the spec, one document at a time (``link_text``): one
   longest-first alternation with hard non-alnum boundaries, the reference
   semantics the oracle implements.  No stage runs it; the tests pin
@@ -270,8 +271,8 @@ class LinkScan:
         for no alias token) -> (alias id, runs) of the longest alias at
         each run, -1 / 0 where none starts."""
         n_runs = len(tok) // 2
-        alias = np.full(n_runs, -1, np.int64)
-        length = np.zeros(n_runs, np.int64)
+        alias = np.full(n_runs, -1, np.int32)
+        length = np.zeros(n_runs, np.int32)
         node = self._first[tok[0::2] + 1]
         run = np.flatnonzero(node >= 0)
         node = node[run]
@@ -311,25 +312,25 @@ class LinkScan:
         """-> (alias, row, sentence, byte start, byte end) of each mention,
         in document order, and the byte offset each sentence starts at."""
         size = len(data)
-        row_start = np.zeros(size + 1, dtype=bool)
-        row_start[off[:-1]] = True
+        rows = np.unique(off[:-1][off[:-1] < size])  # non-empty rows' starts
 
-        # tokens: maximal ASCII-alnum runs, cut at row starts
+        # tokens: maximal ASCII-alnum runs, cut at row starts; the alnum
+        # flag changes at each run's first byte and after its last, in turn
         alnum = _IS_ALNUM[data]
-        before = np.zeros(size, dtype=bool)
-        before[1:] = alnum[:-1]
-        after = np.zeros(size, dtype=bool)
-        after[:-1] = alnum[1:]
-        start = np.flatnonzero(alnum & ~(before & ~row_start[:-1]))
-        end = np.flatnonzero(alnum & ~(after & ~row_start[1:])) + 1
+        edge = np.flatnonzero(np.diff(alnum, prepend=False, append=False))
+        start, end = edge[0::2], edge[1::2]
+        later = rows[1:]
+        inner = later[alnum[later] & alnum[later - 1]]  # row starts inside a run
+        at = np.searchsorted(start, inner)
+        start, end = np.insert(start, at, inner), np.insert(end, at - 1, inner)
         n_runs = len(start)
 
-        # sentences start at a row start or after a space that follows "."
-        split = np.zeros(size, dtype=bool)
-        split[1:] = (data[1:] == ord(" ")) & (data[:-1] == ord("."))
-        mark = np.flatnonzero(split | row_start[:-1])
-        sent_start = mark + ~row_start[mark]
-        run_sent = np.searchsorted(mark, start, side="right") - 1
+        # sentences start at a row start, and after a space that follows
+        # "." in the same row (a row's leading space starts its sentence)
+        dot = np.flatnonzero(data[:-1] == ord("."))
+        space = dot[data[dot + 1] == ord(" ")] + 1
+        sent_start = np.union1d(rows, space + ~np.isin(space, rows))
+        run_sent = np.searchsorted(sent_start, start, side="right") - 1
 
         # one id per run and per gap; a gap that ends a sentence joins none
         bounds = np.empty(2 * n_runs + 2, np.int64)
@@ -339,7 +340,8 @@ class LinkScan:
             2 * n_runs + 1, pa.py_buffer(bounds), pa.py_buffer(data)
         )
         ids = pc.fill_null(pc.index_in(pieces, value_set=self._words), -1)
-        tok = ids.to_numpy()[1:].astype(np.int64)
+        tok = ids.to_numpy()[1:].copy()
+        del bounds, pieces, ids  # two entries per run: free them before the trie walk
         brk = np.ones(n_runs, dtype=bool)
         brk[:-1] = run_sent[1:] != run_sent[:-1]
         tok[1::2][brk] = -1
@@ -399,36 +401,35 @@ class LinkScan:
         anchored = np.zeros(len(m_alias), dtype=bool)
         anchored[anch] = True
 
-        # char offsets: count the UTF-8 lead bytes before each byte offset
-        base = off[m_row]
-        if len(data) and data.max() >= 0x80:
-            chars = np.zeros(len(data) + 1, np.int64)
-            np.cumsum((data & 0xC0) != 0x80, out=chars[1:])
-            lo, hi, base = chars[lo], chars[hi], chars[base]
+        # char offsets: a byte offset less the UTF-8 continuation bytes
+        # before it
+        cont = np.flatnonzero((data & 0xC0) == 0x80)
+        lo, hi, base = (b - np.searchsorted(cont, b) for b in (lo, hi, off[m_row]))
 
         url = batch["url"]
         url = (url.combine_chunks() if isinstance(url, pa.ChunkedArray) else url).cast(pa.string())
         sizes = (len(t_row), len(m_alias), len(url))
+        each = np.arange(len(m_alias))
 
-        def col(typ, *parts):
-            return pa.concat_arrays(
-                [pa.nulls(n, typ) if p is None else p for p, n in zip(parts, sizes)]
-            )
+        def col(values, *parts):
+            """``values.take`` of each kind's indices, null for a kind
+            without a part and for a negative index."""
+            i = np.concatenate([np.full(n, -1) if p is None else p for p, n in zip(parts, sizes)])
+            return values.take(pa.array(i, mask=i < 0))
 
-        s = pa.string()
         return pa.Table.from_arrays(
             [
                 self._kinds.take(np.repeat([0, 1, 2], sizes)),
-                col(s, self._eids.take(pa.array(t_subj, mask=t_subj < 0)), None, None),
-                col(s, self._preds.take(t_pred), None, None),
-                col(s, self._eids.take(t_obj), None, None),
-                col(s, url.take(t_row), None, None),
-                col(s, None, url.take(m_row), url),
-                col(s, None, self._eids.take(eid), None),
-                col(s, None, self._surface.take(m_alias), None),
-                col(pa.int32(), None, pa.array(lo - base, pa.int32()), None),
-                col(pa.int32(), None, pa.array(hi - base, pa.int32()), None),
-                col(pa.bool_(), None, pa.array(anchored), None),
+                col(self._eids, t_subj, None, None),
+                col(self._preds, t_pred, None, None),
+                col(self._eids, t_obj, None, None),
+                col(url, t_row, None, None),
+                col(url, None, m_row, np.arange(len(url))),
+                col(self._eids, None, eid, None),
+                col(self._surface, None, m_alias, None),
+                col(pa.array(lo - base, pa.int32()), None, each, None),
+                col(pa.array(hi - base, pa.int32()), None, each, None),
+                col(pa.array(anchored), None, each, None),
             ],
             schema=TAG_SCHEMA,
         )

@@ -43,8 +43,11 @@ from ..stages.materialize import write_table
 
 # Version of the rows a partition holds; a partition written under another
 # one is recomputed, never reused.  2: link scan partitions carry a row per
-# page (partitions of version 1 have none).
-ROW_CONTRACT = 2
+# page (partitions of version 1 have none).  3: link scan rows are exactly
+# the regex spec's, also around intra-token punctuation (``Alpha-Beta``,
+# ``Alpha's``), non-ASCII letters and non-space whitespace, where the token
+# scanner of version 2 found no mention; a null text is a page row.
+ROW_CONTRACT = 3
 
 
 def fingerprint_file(path: str) -> str:

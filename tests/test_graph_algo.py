@@ -12,6 +12,8 @@ from clangd_to_neo4j_ray.stages.graph_algo import (
     reachable_from,
 )
 
+from .util import link_kernel_rows, link_spec_rows
+
 
 def test_reachable_from_hop_distances():
     edges = ray.data.from_arrow(
@@ -53,11 +55,21 @@ def test_dead_letter_rows_emitted():
     from clangd_to_neo4j_ray.stages.canonicalize import dead_letter_stats
     from clangd_to_neo4j_ray.stages.linking import DEAD_LETTER, EntityLinker
 
-    lut = {"Gamma": "e3"}
+    lut = {"Gamma": "e3", "Delta": "e4"}
     linker = EntityLinker(lut)
     mentions, triples = linker.link_text("u1", "It links to Gamma.")
     assert len(triples) == 1
     assert triples[0][0] is None and triples[0][1] == DEAD_LETTER
+    # the kernel too, also when an earlier page has an anchored subject
+    texts = ["Delta links to Gamma.", "It links to Gamma.", "It links to Gamma."]
+    urls = ["u0", "u1", "u2"]
+    kernel = link_kernel_rows(lut, pa.table({"url": urls, "text": texts}))
+    assert kernel == link_spec_rows(lut, urls, texts)
+    assert [r[1:5] for r in kernel.elements() if r[0] == "triple"] == [
+        ("e4", "links_to", "e3", "u0"),
+        (None, DEAD_LETTER, "e3", "u1"),
+        (None, DEAD_LETTER, "e3", "u2"),
+    ]
 
     cand = ray.data.from_arrow(
         pa.table(

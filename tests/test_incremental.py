@@ -115,11 +115,13 @@ def test_incremental_equals_full_rebuild(corpus, tmp_path):
 
 
 def test_link_partition_of_an_older_row_contract_is_recomputed(corpus, tmp_path):
-    """A link partition checkpointed under the older row contract — tagged
-    rows without the per-page rows, a manifest entry without a contract —
-    whose input fingerprint still matches is recomputed, not reused, and
-    the build equals ``build_graph``'s (reusing it would publish no PAGE
-    nodes for its pages and dangling MENTIONS edges)."""
+    """A link partition checkpointed under an older row contract whose
+    input fingerprint still matches is recomputed, not reused, and the
+    build equals ``build_graph``'s: one of version 1 (tagged rows without
+    the per-page rows, a manifest entry without a contract; reusing it
+    would publish no PAGE nodes for its pages and dangling MENTIONS edges)
+    and one of version 2 (the token scanner's rows, which miss mentions
+    the regex spec finds)."""
     import json
     import shutil
 
@@ -145,12 +147,14 @@ def test_link_partition_of_an_older_row_contract_is_recomputed(corpus, tmp_path)
         "rows": older.num_rows,
         "wall_sec": entry["wall_sec"],
     }
+    second = sorted(manifest)[1]
+    manifest[second]["contract"] = 2
     with open(manifest_path, "w") as f:
         json.dump(manifest, f)
 
     r = incremental_build(pages, fx.entities, work, str(tmp_path / "o_inc"))
-    assert r["stage1"]["computed"] == [pid]
-    assert len(r["stage1"]["skipped"]) == 5
+    assert r["stage1"]["computed"] == [pid, second]
+    assert len(r["stage1"]["skipped"]) == 4
     build_graph(pages, fx.entities, str(tmp_path / "o_build"), write_neo4j_csv=False)
     for a, b in zip(
         _graph_frames(str(tmp_path / "o_inc")), _graph_frames(str(tmp_path / "o_build"))
