@@ -21,7 +21,7 @@ materialized edge set whose blocks sum to at most ``BROADCAST_BYTES``
 (the drain reads its blocks on the driver) and one over a lazy one.
 Past the cap BFS drains one hop at a time while its visited set stays
 under the cap.  After that every algorithm runs in supersteps
-(``_superstep``, Pregel-style): a round is ONE ``shuffle.exchange`` of
+(``_superstep``, Pregel-style): a round is ONE exchange of
 tagged rows keyed by node (out-edges by src, per-node state by node,
 last round's messages by dst), and a per-algorithm polars kernel per
 bucket range writes the new state, the carried edges and the next
@@ -43,8 +43,8 @@ import pyarrow.compute as pc
 import ray.data
 
 from .joins import collect, drain
-from .shuffle import _add_bucket_arrow, _compat, auto_num_buckets
-from .shuffle import drop_empty_blocks, exchange
+from .shuffle import _add_bucket_arrow, _compat, _range_starts, _reduce_ranges
+from .shuffle import auto_num_buckets, drop_empty_blocks
 
 BROADCAST_THRESHOLD = 100_000  # rows; above this a BFS set stays distributed
 MAX_HOPS = 25  # BFS hop cap; the bow-tie and reachability oracles share it
@@ -145,12 +145,15 @@ def _superstep(
     rows: ray.data.Dataset, kernel, schema: pa.Schema, num_buckets: int
 ) -> ray.data.Dataset:
     """One distributed graph round (a Pregel superstep, Malewicz et al.
-    2010): ONE ``shuffle.exchange`` of the tagged ``rows`` on the
-    ``__bucket`` of their ``node``, then ``kernel`` once per bucket range
+    2010): ONE exchange of the tagged ``rows`` on the ``__bucket`` of
+    their ``node`` (``shuffle._reduce_ranges``: the rows carry their
+    final bucket), then ``kernel`` once per bucket range
     over the messages, state and edges of every node in the range; it
     returns the next round's rows.  Materialized, because a union of live
     exchange outputs stalls Ray's streaming executor."""
-    return exchange(rows, None, _round_map(kernel, schema, num_buckets), num_buckets).materialize()
+    reducer = _round_map(kernel, schema, num_buckets)
+    starts = _range_starts(rows, num_buckets)
+    return _reduce_ranges(rows, reducer, num_buckets, starts).materialize()
 
 
 def _sums(rows: ray.data.Dataset, what: str, *exprs: pl.Expr) -> list[int]:

@@ -12,9 +12,14 @@ driver-side dict lookups):
   vectorized ``is_in`` mask (J5 subset builder / A8 orphan anti-join);
   ``auto_semi_join`` / ``auto_membership_marker`` drain the key set and
   fall back to ``bucketed_join`` past the cap.
-- large-large: ``bucketed_join`` / ``asof_join``: one tagged
-  ``shuffle.exchange``, each reducer call joining a contiguous range of
-  buckets of both sides.
+- large-large: ``bucketed_join``: one tagged exchange, each reducer call
+  joining a contiguous range of buckets of both sides.  Every input batch
+  also ships one zero-row schema carrier (an empty table as Arrow IPC,
+  184 bytes for 2 columns, about 450 for 8), copied into every range: one carrier
+  per (input block, range) pair, the order of the sort's own per-block
+  slices, so every range is typed by both sides.
+  There is no as-of join here: ``windows.events_asof`` runs its polars
+  ``join_asof`` inside its own exchange.
 """
 
 from __future__ import annotations
@@ -226,57 +231,38 @@ def _deser_table(buf: bytes) -> pa.Table:
     return pa.ipc.open_stream(pa.BufferReader(buf)).read_all()
 
 
-# Reserved bucket id for the per-batch schema-carrier rows (below any real
-# hash bucket, so it lands in the exchange's first bucket range).  That
-# range holds one zero-row payload per batch per side, so it always sees
-# both sides typed and emits one block with the exchange's full output
-# schema — the anchor Ray unifies the occasional zero-column empty blocks
-# (from bucket ranges missing a side) against.
-SCHEMA_BUCKET = -1
+# Added to ``__side`` on a batch's zero-row schema-carrier row, so a
+# range's reducer can tell the carrier copies from the payload rows.
+_CARRIER = 2
 
 
-def _pack_side(side: int, key_cols: list[str], num_buckets: int, emit_all: bool):
+def _pack_side(side: int, key_cols: list[str], num_buckets: int):
     """Batch -> (side, bucket, Arrow-IPC payload) rows for the tagged
-    ``shuffle.exchange`` shared by ``bucketed_join`` / ``asof_join``.
-
-    Emits payload rows only for buckets that actually received rows, plus
-    one zero-row schema-carrier row per batch routed to ``SCHEMA_BUCKET``
-    (ADVICE/VERDICT r2: the previous every-bucket emission made envelope
-    volume O(batches x num_buckets), which forbids the large auto-chosen
-    bucket counts the 100x-scale fix needs).  With ``emit_all=True`` the
-    old behavior is kept — a zero-row slice to every bucket — used only
-    when the OTHER side's rows can need this side's schema in buckets this
-    side never touched and the schema is not statically known (left/as-of
-    joins against a schema-opaque right side)."""
+    exchange of ``bucketed_join``: one payload row per bucket the batch
+    touches, plus one zero-row schema carrier at ``shuffle.EVERY_RANGE``,
+    which ``shuffle._copy_to_every_range`` copies into every bucket range.
+    Envelope volume stays O(rows + batches x ranges), independent of
+    ``num_buckets``, so the auto-sized bucket counts stay cheap."""
     import numpy as np
 
-    from .shuffle import _add_bucket_arrow
+    from .shuffle import EVERY_RANGE, _add_bucket_arrow
 
     bucketer = _add_bucket_arrow(key_cols, num_buckets)
 
     def f(batch: pa.Table) -> pa.Table:
         batch = bucketer(batch)
-        order = pc.sort_indices(batch["__bucket"])
-        batch = batch.take(order)
+        batch = batch.take(pc.sort_indices(batch["__bucket"]))
         bk = batch["__bucket"].to_numpy(zero_copy_only=False)
         body = batch.drop_columns(["__bucket"])
-        if emit_all:
-            bounds = np.searchsorted(bk, np.arange(num_buckets + 1))
-            present = np.arange(num_buckets, dtype=np.int64)
-            starts, counts = bounds[:-1], np.diff(bounds)
-        else:
-            present, starts, counts = np.unique(
-                bk, return_index=True, return_counts=True
-            )
-        payloads = [
-            _ser_table(body.slice(s, c)) for s, c in zip(starts, counts)
-        ]
-        present = np.append(present, np.int64(SCHEMA_BUCKET))
+        present, starts, counts = np.unique(bk, return_index=True, return_counts=True)
+        payloads = [_ser_table(body.slice(s, c)) for s, c in zip(starts, counts)]
         payloads.append(_ser_table(body.schema.empty_table()))
+        sides = np.full(len(payloads), side, dtype=np.int8)
+        sides[-1] += _CARRIER
         return pa.table(
             {
-                "__side": pa.array(np.full(len(present), side, dtype=np.int8)),
-                "__bucket": pa.array(present.astype(np.int64)),
+                "__side": pa.array(sides),
+                "__bucket": pa.array(np.append(present, EVERY_RANGE).astype(np.int64)),
                 "payload": pa.array(payloads, type=pa.binary()),
             }
         )
@@ -284,26 +270,19 @@ def _pack_side(side: int, key_cols: list[str], num_buckets: int, emit_all: bool)
     return f
 
 
-def _static_schema(ds: ray.data.Dataset) -> pa.Schema | None:
-    """The dataset's Arrow schema if Ray already knows it WITHOUT executing
-    anything (Parquet footer metadata, from_arrow/from_pandas bundles);
-    None for schema-opaque plans (anything behind a UDF)."""
-    try:
-        s = ds.schema(fetch_if_missing=False)
-    except Exception:
-        return None
-    base = getattr(s, "base_schema", None)
-    return base if isinstance(base, pa.Schema) else None
-
-
 def _split_sides(t: pa.Table) -> tuple[list[pa.Table], list[pa.Table]]:
-    """Deserialize one bucket range's tagged payload rows into per-side
-    parts."""
-    sides = t["__side"].to_pylist()
-    bufs = t["payload"].to_pylist()
-    l_parts = [_deser_table(b) for b, s in zip(bufs, sides) if s == 0]
-    r_parts = [_deser_table(b) for b, s in zip(bufs, sides) if s == 1]
-    return l_parts, r_parts
+    """One bucket range's tagged rows as per-side parts: every payload,
+    and each distinct schema carrier once (the range holds one carrier
+    copy per input batch, all alike unless the batches' schemas differ)."""
+    parts: tuple[list[pa.Table], list[pa.Table]] = ([], [])
+    carriers = set()
+    for side, buf in zip(t["__side"].to_pylist(), t["payload"].to_pylist()):
+        if side >= _CARRIER:
+            if (side, buf) in carriers:
+                continue
+            carriers.add((side, buf))
+        parts[side % _CARRIER].append(_deser_table(buf))
+    return parts
 
 
 def bucketed_join(
@@ -317,7 +296,8 @@ def bucketed_join(
     left_combine=None,
     right_combine=None,
 ) -> ray.data.Dataset:
-    """Distributed hash join on the one exchange (``shuffle.exchange``).
+    """Distributed hash join on the one exchange's sort and reducers
+    (``shuffle._reduce_ranges``).
 
     ``left_combine`` / ``right_combine`` (polars DataFrame -> DataFrame) run
     per bucket range BEFORE the join: an aggregation keyed on the join key
@@ -332,15 +312,12 @@ def bucketed_join(
     range runs one vectorized polars join.  ``how`` is any of
     inner/left/semi/anti (semi/anti return left columns only).
 
-    The IPC-payload envelope (schema travels inside the payload) means the
-    join NEVER forces schema inference through a UDF plan — which would
-    execute the whole upstream plan once for inference and again for the
-    join (only ``schema(fetch_if_missing=False)``, a pure metadata read, is
-    consulted).  Batches emit payload rows only for buckets they actually
-    touch, plus one schema-carrier row to ``SCHEMA_BUCKET``, so envelope
-    volume is O(rows + batches), independent of ``num_buckets`` — the
-    auto-sized bucket counts (``auto_num_buckets``; ``num_buckets=None``)
-    stay cheap at any scale.
+    The schema travels inside the payload, so the join never forces schema
+    inference through a UDF plan (which would execute the whole upstream
+    plan once for inference and again for the join).  Every batch also
+    ships one zero-row schema carrier, copied into every bucket range in
+    the same task, so each range knows both sides' schemas whenever both
+    sides have a row anywhere, and every output block has one schema.
 
     The same exchange as ``grouped_agg`` — measured much faster
     than Ray's JoinOperator at our scales (see stages/relational.py) — and
@@ -348,7 +325,13 @@ def bucketed_join(
     flagged."""
     import polars as pl
 
-    from .shuffle import _compat, auto_num_buckets, exchange
+    from .shuffle import (
+        _compat,
+        _copy_to_every_range,
+        _range_starts,
+        _reduce_ranges,
+        auto_num_buckets,
+    )
 
     num_buckets = num_buckets or auto_num_buckets(left, right)
     l_on = [on] if isinstance(on, str) else list(on)
@@ -357,58 +340,37 @@ def bucketed_join(
         if right_on is None
         else ([right_on] if isinstance(right_on, str) else list(right_on))
     )
+    starts = _range_starts(left.union(right), num_buckets)
 
-    # with non-empty-only emission a bucket can hold rows from just one
-    # side; the absent side's schema is reconstructed from static plan
-    # metadata when Ray knows it.  Only how='left' produces REAL rows that
-    # need an absent right schema — when that schema is opaque, fall back
-    # to every-bucket emission for the right side (the documented
-    # O(batches x buckets) envelope cost, on the smaller side).
-    l_schema = _static_schema(left)
-    r_schema = _static_schema(right)
-    r_emit_all = how == "left" and r_schema is None
-
-    tagged = left.map_batches(
-        _pack_side(0, l_on, num_buckets, False), batch_format="pyarrow"
-    ).union(
-        right.map_batches(
-            _pack_side(1, r_on, num_buckets, r_emit_all), batch_format="pyarrow"
+    def tag(ds: ray.data.Dataset, side: int, keys: list[str]) -> ray.data.Dataset:
+        return ds.map_batches(
+            _pack_side(side, keys, num_buckets), batch_format="pyarrow"
+        ).map_batches(
+            _copy_to_every_range(starts), batch_format="pyarrow", batch_size=None
         )
-    )
 
     def per_bucket(t: pa.Table) -> pa.Table:
         l_parts, r_parts = _split_sides(t)
-        # a side's parts are missing when no batch of that side touched
-        # this bucket range (or the whole side materialized zero blocks).  The
-        # fallbacks below are row-correct; where the output schema is
-        # unknowable they emit a zero-column empty block, which Ray
-        # unifies against the SCHEMA_BUCKET group's fully-typed block.
+        # a side's parts are missing only when that side has no row at
+        # all (Ray maps no 0-row block, so it shipped no carrier either)
         if not l_parts:
-            if l_schema is None:
-                return pa.table({})  # untyped empty; schema group anchors
-            l_parts = [l_schema.empty_table()]
+            return pa.table({})  # no left row anywhere: no output row
         lf = pl.from_arrow(pa.concat_tables(l_parts, promote_options="default"))
         if left_combine is not None:
             lf = left_combine(lf)
         if not r_parts:
-            if r_schema is not None:
-                r_parts = [r_schema.empty_table()]
-            elif how == "left":
+            if how == "left":
                 # emitting lf bare would silently drop the right columns the
-                # caller expects null-filled; fail loudly instead (only
-                # reachable when the right dataset produced no blocks at
-                # all — per-bucket misses are covered by r_emit_all)
+                # caller expects null-filled; fail loudly instead
                 raise ValueError(
                     "bucketed_join(how='left'): right dataset produced no "
-                    "blocks, so its schema is unknown — give the right side "
-                    "at least one (possibly empty) block"
+                    "blocks with rows, so its schema is unknown"
                 )
-            elif how == "anti":
+            if how == "anti":
                 return _compat(lf.to_arrow())
-            elif how == "semi":
+            if how == "semi":
                 return _compat(lf.head(0).to_arrow())
-            else:
-                return pa.table({})  # inner, right schema unknown: no rows
+            return pa.table({})  # inner, right schema unknown: no rows
         rf = pl.from_arrow(pa.concat_tables(r_parts, promote_options="default"))
         if right_combine is not None:
             rf = right_combine(rf)
@@ -425,95 +387,5 @@ def bucketed_join(
         )
         return _compat(out.select(out_cols).to_arrow())
 
-    return exchange(tagged, None, per_bucket, num_buckets)
-
-
-def asof_join(
-    left: ray.data.Dataset,
-    right: ray.data.Dataset,
-    *,
-    on: str,
-    by: str | list[str],
-    right_on: str | None = None,
-    strategy: str = "backward",
-    num_buckets: int | None = None,
-) -> ray.data.Dataset:
-    """Distributed as-of join: for each left row, attach the nearest
-    preceding right row (``right[on] <= left[on]``, strategy="backward";
-    "forward" takes the nearest following) within the same ``by`` group.
-    Left rows with no matching right row keep nulls (left-join semantics).
-
-    The temporal-lookup operator the relational joins can't express (its
-    in-batch cousin is the nearest-preceding-anchor containment join of
-    stages/linking.py J4): both sides bucket-hash on ``by`` through the
-    same tagged Arrow-IPC exchange as ``bucketed_join``, then each bucket
-    range runs one vectorized ``polars.join_asof`` over its rows sorted by
-    the ``on`` key.  Never an expanded range join; the only shuffle is the
-    one exchange, so the cost profile matches
-    ``bucketed_join`` regardless of how many right rows precede each left
-    row.
-
-    Tie caveat: when several right rows share the boundary ``on`` value
-    the row supplying the other right columns is engine-defined — ship
-    only the right ``on`` value (plus columns functionally determined by
-    it) when exact cross-engine determinism is required.
-    """
-    import polars as pl
-
-    from .shuffle import _compat, auto_num_buckets, exchange
-
-    num_buckets = num_buckets or auto_num_buckets(left, right)
-    by_cols = [by] if isinstance(by, str) else list(by)
-    r_on = right_on or on
-
-    # as-of keeps left rows with nulls when a bucket has no right rows, so
-    # (like bucketed_join how='left') the right schema must be available in
-    # every left-touched bucket range: statically when Ray knows it, else via
-    # every-bucket emission on the right side.
-    l_schema = _static_schema(left)
-    r_schema = _static_schema(right)
-    r_emit_all = r_schema is None
-
-    tagged = left.map_batches(
-        _pack_side(0, by_cols, num_buckets, False), batch_format="pyarrow"
-    ).union(
-        right.map_batches(
-            _pack_side(1, by_cols, num_buckets, r_emit_all), batch_format="pyarrow"
-        )
-    )
-
-    def per_bucket(t: pa.Table) -> pa.Table:
-        l_parts, r_parts = _split_sides(t)
-        if not l_parts:
-            if l_schema is None:
-                return pa.table({})  # untyped empty; schema group anchors
-            l_parts = [l_schema.empty_table()]
-        lf = pl.from_arrow(pa.concat_tables(l_parts, promote_options="default"))
-        if not r_parts:
-            if r_schema is None:
-                # right blockless AND schema unknowable -> null columns
-                # can't be typed; same loud contract as bucketed_join left
-                raise ValueError(
-                    "asof_join: right dataset produced no blocks, so its "
-                    "schema is unknown — give the right side at least one "
-                    "(possibly empty) block"
-                )
-            r_parts = [r_schema.empty_table()]
-        rf = pl.from_arrow(pa.concat_tables(r_parts, promote_options="default"))
-        clash = (set(lf.columns) & set(rf.columns)) - set(by_cols)
-        if clash:
-            raise ValueError(f"non-key column name clash: {sorted(clash)}")
-        # sortedness IS guaranteed (both frames sorted on the key above);
-        # check_sortedness=False only silences the cannot-check-with-by
-        # UserWarning polars would emit per bucket
-        out = lf.sort(on).join_asof(
-            rf.sort(r_on),
-            left_on=on,
-            right_on=r_on,
-            by=by_cols,
-            strategy=strategy,
-            check_sortedness=False,
-        )
-        return _compat(out.to_arrow())
-
-    return exchange(tagged, None, per_bucket, num_buckets)
+    tagged = tag(left, 0, l_on).union(tag(right, 1, r_on))
+    return _reduce_ranges(tagged, per_bucket, num_buckets, starts)

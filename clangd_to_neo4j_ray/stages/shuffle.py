@@ -29,6 +29,13 @@ by the per-batch partial aggregation upstream (each block contributes at
 most one row per key), so bucket sizes stay bounded by #blocks x
 keys/bucket.
 
+A caller that buckets its own rows (the joins' tagged envelope, the
+graph rounds' state) appends ``__bucket`` in its own map and runs the
+exchange's sort and reducers, ``_reduce_ranges``, at the exchange's
+``_range_starts``.  A row it puts at ``EVERY_RANGE`` (-1) reaches every
+reducer call once: ``_copy_to_every_range``, fused into that map, copies
+it to the first bucket of every range (the joins' schema carriers).
+
 Every reducer has one contract: an Arrow table in (one bucket range, every
 key of it, no ``__bucket``) and an Arrow table out.  A reducer groups by
 key itself: a plain aggregate is a ``grouped_agg`` spec, a per-key rank,
@@ -261,7 +268,7 @@ def exchange_partitions(ds: ray.data.Dataset, num_buckets: int) -> int:
 
 def exchange(
     ds: ray.data.Dataset,
-    keys: list[str] | None,
+    keys: list[str],
     reducer: Callable[[pa.Table], pa.Table],
     num_buckets: int | None = None,
 ) -> ray.data.Dataset:
@@ -273,19 +280,33 @@ def exchange(
 
     Every key's rows reach exactly one reducer call, which sees every key
     of its bucket range, so a reducer must do its own per-key grouping.
-    ``keys=None`` takes ``ds`` as already carrying ``__bucket`` values in
-    ``[-1, num_buckets)`` (the joins' tagged envelope; -1 lands in the
-    first partition).  A partition whose range holds no row is a 0-row
-    block, which no reducer sees."""
+    A partition whose range holds no row is a 0-row block, which no
+    reducer sees."""
     num_buckets = num_buckets or auto_num_buckets(ds)
-    if keys is not None:
-        ds = ds.map_batches(
-            _add_bucket_arrow(keys, num_buckets), batch_format="pyarrow"
-        )
+    starts = _range_starts(ds, num_buckets)
+    ds = ds.map_batches(_add_bucket_arrow(keys, num_buckets), batch_format="pyarrow")
+    return _reduce_ranges(ds, reducer, num_buckets, starts)
+
+
+def _range_starts(ds: ray.data.Dataset, num_buckets: int) -> list[int]:
+    """The first bucket of each of the ``exchange_partitions`` contiguous
+    bucket ranges an exchange of ``ds`` cuts."""
     parts = exchange_partitions(ds, num_buckets)
+    return [num_buckets * i // parts for i in range(parts)]
+
+
+def _reduce_ranges(
+    ds: ray.data.Dataset,
+    reducer: Callable[[pa.Table], pa.Table],
+    num_buckets: int,
+    starts: list[int],
+) -> ray.data.Dataset:
+    """The exchange's sort and reducers over rows that carry their
+    ``__bucket`` in ``[0, num_buckets)``: a sort at the fixed range
+    ``starts``, then ``reducer`` once per range, ``__bucket`` dropped."""
     # an empty boundary list would make Ray sample boundaries instead:
     # one partition is cut as [all buckets) + an always-empty tail
-    bounds = [num_buckets * i // parts for i in range(1, parts)] or [num_buckets]
+    bounds = starts[1:] or [num_buckets]
 
     @functools.wraps(reducer)  # the reducer names the plan's operator
     def per_range(t: pa.Table) -> pa.Table:
@@ -294,6 +315,35 @@ def exchange(
     return ds.sort("__bucket", boundaries=bounds).map_batches(
         per_range, batch_format="pyarrow", batch_size=None
     )
+
+
+# The ``__bucket`` of a row that every bucket range's reducer must see.
+EVERY_RANGE = -1
+
+
+def _copy_to_every_range(starts: list[int]):
+    """Batch -> the batch with each ``EVERY_RANGE`` row replaced by one
+    copy per bucket range, at the range's first bucket in ``starts``.
+
+    Map it right after the map that makes those rows: Ray fuses the two
+    into one task.  As its own operator (after a union, or over
+    materialized rows) it costs one more task per block: an inner
+    ``bucketed_join`` of 16 + 16 blocks (200k x 50k rows) took 0.66-0.80 s
+    that way against 0.48 s fused, on a 1-CPU host."""
+    import numpy as np
+
+    def copy(t: pa.Table) -> pa.Table:
+        bk = t["__bucket"].to_numpy()
+        every = bk == EVERY_RANGE
+        if not every.any():
+            return t
+        idx = np.flatnonzero(every)
+        rows = np.concatenate([np.flatnonzero(~every), np.repeat(idx, len(starts))])
+        bucket = np.concatenate([bk[~every], np.tile(starts, len(idx))])
+        t = t.take(rows).drop_columns(["__bucket"])
+        return t.append_column("__bucket", pa.array(bucket, type=pa.int64()))
+
+    return copy
 
 
 def _materialized_bundles(ds: ray.data.Dataset) -> list | None:

@@ -111,19 +111,18 @@ def events_hopping(sf_dir: str) -> ray.data.Dataset:
 
 def events_asof(sf_dir: str) -> ray.data.Dataset:
     """Per purchase event: the most recent prior-or-equal click by the same
-    user, via the distributed as-of join (``stages/joins.asof_join``).
+    user, via a per-user polars ``join_asof`` inside one exchange.
 
     Output: (event_id, user_id, ts_us, click_ts_us, gap_us) — click columns
     null when the user never clicked at-or-before the purchase.  Only the
     click *timestamp* crosses the join (the max prior ts is unique even when
     several click rows share it), keeping the result engine-independent
     under boundary ties."""
-    # self-as-of specialization (r3): both sides come from the SAME table,
-    # so instead of two reads feeding the generic two-sided asof_join
-    # exchange, read once, keep click+purchase rows, and run the per-user
-    # polars join_asof inside ONE bucketed exchange keyed on user_id
-    # (3.4 s -> ~1.7 s at sf0.1).  Cross-table as-ofs still use
-    # ``joins.asof_join``.
+    # both sides come from the SAME table, so read once, keep click and
+    # purchase rows, and run the per-user polars join_asof inside ONE
+    # bucketed exchange keyed on user_id (3.4 s -> ~1.7 s at sf0.1 against
+    # a two-read, two-sided as-of exchange).  A cross-table as-of would
+    # tag both tables' rows into one such exchange the same way.
     from .shuffle import _compat, exchange
 
     ds = _read_events(sf_dir, ["event_id", "user_id", "ts", "event_type"])

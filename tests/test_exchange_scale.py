@@ -1,5 +1,5 @@
 """Round-3 exchange scale fixes (VERDICT r2 next-round #1): auto-sized
-bucket counts derived from input-size estimates, and the non-empty-bucket
+bucket counts derived from input-size estimates, and the touched-bucket
 join envelope that makes large bucket counts affordable.
 
 Every test here runs the exchange at bucket counts far above the key
@@ -16,13 +16,17 @@ import pytest
 import ray
 import ray.data
 
-from clangd_to_neo4j_ray.stages.joins import asof_join, bucketed_join
+from clangd_to_neo4j_ray.stages.joins import bucketed_join
 from clangd_to_neo4j_ray.stages.shuffle import (
     DEFAULT_BUCKETS,
+    EVERY_RANGE,
     MAX_BUCKETS,
     auto_num_buckets,
     dataset_size_hint,
     _add_bucket_arrow,
+    _copy_to_every_range,
+    _range_starts,
+    _reduce_ranges,
     exchange,
     exchange_partitions,
     grouped_agg,
@@ -161,6 +165,38 @@ def test_exchange_cuts_fixed_bucket_ranges():
     assert len(owner) == 400
 
 
+def test_every_range_rows_reach_each_reducer_call_once():
+    """A row at ``EVERY_RANGE``, copied by ``_copy_to_every_range``,
+    reaches each of the P reducer calls of ``_reduce_ranges`` exactly
+    once, and every other row reaches exactly one call (the one whose
+    range holds its bucket)."""
+    B = 16
+    blocks = [
+        pa.table({"__bucket": [EVERY_RANGE, 3 * i % B, (5 * i + 1) % B],
+                  "row": [f"every-{i}", f"a-{i}", f"b-{i}"]})
+        for i in range(6)
+    ]
+    ds = ray.data.from_arrow(blocks)
+    starts = _range_starts(ds, B)
+    P = len(starts)
+    assert P == exchange_partitions(ds, B) >= 2
+
+    def reducer(t: pa.Table) -> pa.Table:
+        assert t.column_names == ["row"]
+        return t
+
+    copied = ds.map_batches(
+        _copy_to_every_range(starts), batch_format="pyarrow", batch_size=None
+    )
+    out = _reduce_ranges(copied, reducer, B, starts)
+    calls = [b["row"].to_pylist() for b in ray.get(out.to_arrow_refs()) if b.num_rows]
+    assert len(calls) == P  # every range holds the copies, so none is empty
+    for i in range(6):
+        assert [c.count(f"every-{i}") for c in calls] == [1] * P
+        for name in (f"a-{i}", f"b-{i}"):
+            assert sum(c.count(name) for c in calls) == 1
+
+
 L = pd.DataFrame(
     {"k": [1, 2, 3, 4, 5, 5, 9], "a": ["p", "q", "r", "s", "t", "u", "w"]}
 )
@@ -184,87 +220,73 @@ def _cmp(got: pd.DataFrame, exp: pd.DataFrame):
     pd.testing.assert_frame_equal(g, x, check_dtype=False)
 
 
+def _one_schema_pandas(ds: ray.data.Dataset) -> pd.DataFrame:
+    """``ds``'s rows, after checking that its blocks concatenate without
+    schema promotion (a column-less empty block among typed ones raises)."""
+    return pa.concat_tables(ray.get(ds.to_arrow_refs())).to_pandas()
+
+
+def _budgets(monkeypatch):
+    """Yield at the default bucket budget (a few bucket ranges), then at a
+    1-byte one (one range per bucket, so most ranges hold no key)."""
+    monkeypatch.delenv("GRAFT_BUCKET_BYTES", raising=False)
+    yield
+    monkeypatch.setenv("GRAFT_BUCKET_BYTES", "1")
+    yield
+
+
 @pytest.mark.parametrize("how", ["inner", "left", "semi", "anti"])
 @pytest.mark.parametrize("opaque", ["neither", "left", "right", "both"])
-def test_join_many_buckets_missing_sides(how, opaque):
+def test_join_many_buckets_missing_sides(how, opaque, monkeypatch):
     """num_buckets=257 >> keys: most buckets see one side or none, and the
     key domains differ so one-sided buckets are guaranteed on BOTH sides.
     Static-schema (from_pandas) and schema-opaque (UDF-derived) inputs in
-    every combination must agree with pandas, including the output schema
-    (the SCHEMA_BUCKET anchor block types the empty buckets)."""
+    every combination must agree with pandas, including the output schema,
+    and every output block has that one schema (each range gets both
+    sides' schema carriers, also the ranges that hold no key)."""
     lds = ray.data.from_pandas(L)
     rds = ray.data.from_pandas(R)
     if opaque in ("left", "both"):
         lds = lds.map_batches(lambda t: t, batch_format="pyarrow")
     if opaque in ("right", "both"):
         rds = rds.map_batches(lambda t: t, batch_format="pyarrow")
-    got = bucketed_join(
-        lds, rds, "k", right_on="ck", how=how, num_buckets=257
-    ).to_pandas()
-    _cmp(got, _EXPECT[how]())
+    for _ in _budgets(monkeypatch):
+        got = bucketed_join(lds, rds, "k", right_on="ck", how=how, num_buckets=257)
+        _cmp(_one_schema_pandas(got), _EXPECT[how]())
 
 
-def test_join_many_buckets_with_combines():
+def test_join_many_buckets_with_combines(monkeypatch):
     """Combine fusion in the sparse-bucket regime: per-key aggregation
-    inside buckets that may hold only one side."""
+    inside buckets that may hold only one side, one schema per block."""
     partials = pd.DataFrame({"k": [1, 1, 2, 2, 3, 8], "v": [1, 2, 3, 4, 5, 8]})
     dim = pd.DataFrame({"k": [1, 2, 40], "name": ["one", "two", "forty"]})
-    got = bucketed_join(
-        ray.data.from_pandas(partials).map_batches(lambda t: t),
-        ray.data.from_pandas(dim).map_batches(lambda t: t),
-        "k",
-        how="inner",
-        num_buckets=127,
-        left_combine=lambda df: df.group_by("k").agg(pl.col("v").sum()),
-        right_combine=lambda df: df.unique(),
-    ).to_pandas()
     exp = pd.DataFrame({"k": [1, 2], "v": [3, 7], "name": ["one", "two"]})
-    _cmp(got, exp)
-
-
-@pytest.mark.parametrize("opaque_right", [False, True])
-def test_asof_many_buckets(opaque_right):
-    """asof at num_buckets=191: users whose bucket has no right rows must
-    null-fill with the right schema (static when known, every-bucket
-    emission otherwise)."""
-    left = pd.DataFrame(
-        {"u": [1, 1, 2, 3, 42], "t": [10, 25, 7, 5, 1], "eid": [0, 1, 2, 3, 4]}
-    )
-    right = pd.DataFrame({"u": [1, 1, 2, 9], "rt": [10, 20, 8, 1]})
-    rds = ray.data.from_pandas(right)
-    if opaque_right:
-        rds = rds.map_batches(lambda t: t, batch_format="pyarrow")
-    got = asof_join(
-        ray.data.from_pandas(left),
-        rds,
-        on="t",
-        right_on="rt",
-        by="u",
-        num_buckets=191,
-    ).to_pandas()
-    exp = pd.DataFrame(
-        {
-            "u": [1, 1, 2, 3, 42],
-            "t": [10, 25, 7, 5, 1],
-            "eid": [0, 1, 2, 3, 4],
-            "rt": [10.0, 20.0, None, None, None],
-        }
-    )
-    _cmp(got, exp)
+    for _ in _budgets(monkeypatch):
+        got = bucketed_join(
+            ray.data.from_pandas(partials).map_batches(lambda t: t),
+            ray.data.from_pandas(dim).map_batches(lambda t: t),
+            "k",
+            how="inner",
+            num_buckets=127,
+            left_combine=lambda df: df.group_by("k").agg(pl.col("v").sum()),
+            right_combine=lambda df: df.unique(),
+        )
+        _cmp(_one_schema_pandas(got), exp)
 
 
 def test_envelope_rows_scale_with_data_not_buckets():
     """The envelope contract itself: a packed batch emits one payload row
-    per TOUCHED bucket plus one schema row — not one per bucket."""
+    per TOUCHED bucket plus one schema carrier at ``EVERY_RANGE`` — not
+    one per bucket (the exchange copies the carrier into each range)."""
     from clangd_to_neo4j_ray.stages.joins import _pack_side
 
     batch = pa.table({"k": [1, 2, 3], "v": ["a", "b", "c"]})
-    out = _pack_side(0, ["k"], 100_000, False)(batch)
+    out = _pack_side(0, ["k"], 100_000)(batch)
     assert len(out) <= 3 + 1
     buckets = out["__bucket"].to_pylist()
-    assert -1 in buckets  # schema carrier present
-    empty_out = _pack_side(0, ["k"], 100_000, False)(batch.slice(0, 0))
-    assert len(empty_out) == 1 and empty_out["__bucket"].to_pylist() == [-1]
+    assert EVERY_RANGE in buckets  # schema carrier present
+    empty_out = _pack_side(0, ["k"], 100_000)(batch.slice(0, 0))
+    assert len(empty_out) == 1 and empty_out["__bucket"].to_pylist() == [EVERY_RANGE]
 
 
 @pytest.mark.parametrize("how", ["semi", "anti"])

@@ -111,13 +111,29 @@ def test_empty_right_side():
     assert len(inner) == 0
 
 
+def test_empty_left_side():
+    """A left side with no rows ships no schema carrier; the ranges that
+    hold only the right side's carriers return no rows for every kind."""
+    empty = pd.DataFrame(
+        {"k": pd.Series([], dtype="int64"), "a": pd.Series([], dtype="object")}
+    )
+    for how in ("inner", "left", "semi", "anti"):
+        got = bucketed_join(
+            ray.data.from_pandas(empty),
+            ray.data.from_pandas(R),
+            "k",
+            right_on="ck",
+            how=how,
+            num_buckets=4,
+        )
+        assert got.count() == 0, how
+
+
 def test_zero_row_right_left_join_raises_descriptive():
-    """An all-empty right side reaches per_bucket with no payload rows (Ray
-    neither reports a static schema for empty pandas bundles nor invokes
-    UDFs on 0-row blocks — verified r3), so its schema stays unknowable;
-    how='left' must fail LOUDLY instead of silently dropping the right
-    columns.  (inner/semi/anti stay correct: tested in
-    test_empty_right_side.)"""
+    """An all-empty right side ships no schema carrier (Ray invokes no UDF
+    on a 0-row block), so no bucket range knows its schema; how='left'
+    must fail LOUDLY instead of silently dropping the right columns.
+    (inner/semi/anti stay correct: tested in test_empty_right_side.)"""
     import pytest
 
     empty = pd.DataFrame(
@@ -145,49 +161,3 @@ def test_blockless_right_left_join_raises():
             ray.data.from_pandas(L), blockless, "k", how="left", num_buckets=4
         ).to_pandas()
 
-
-def test_asof_join_backward_forward_and_nulls():
-    """asof_join: backward picks the nearest preceding right ts per key
-    (equal ts included), forward the nearest following; keys with no match
-    null-fill; a right key absent on the left contributes nothing."""
-    from clangd_to_neo4j_ray.stages.joins import asof_join
-
-    left = pd.DataFrame(
-        {"u": [1, 1, 2, 3], "t": [10, 25, 7, 5], "eid": [100, 101, 102, 103]}
-    )
-    right = pd.DataFrame({"u": [1, 1, 2, 9], "rt": [10, 20, 8, 1]})
-    back = asof_join(
-        ray.data.from_pandas(left),
-        ray.data.from_pandas(right),
-        on="t",
-        right_on="rt",
-        by="u",
-        num_buckets=4,
-    ).to_pandas()
-    exp_back = pd.DataFrame(
-        {
-            "u": [1, 1, 2, 3],
-            "t": [10, 25, 7, 5],
-            "eid": [100, 101, 102, 103],
-            "rt": [10.0, 20.0, None, None],
-        }
-    )
-    _cmp(back, exp_back)
-    fwd = asof_join(
-        ray.data.from_pandas(left),
-        ray.data.from_pandas(right),
-        on="t",
-        right_on="rt",
-        by="u",
-        strategy="forward",
-        num_buckets=4,
-    ).to_pandas()
-    exp_fwd = pd.DataFrame(
-        {
-            "u": [1, 1, 2, 3],
-            "t": [10, 25, 7, 5],
-            "eid": [100, 101, 102, 103],
-            "rt": [10.0, None, 8.0, None],
-        }
-    )
-    _cmp(fwd, exp_fwd)

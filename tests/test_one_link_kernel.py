@@ -9,9 +9,9 @@ options, a second incremental link path, a second Parquet writer, the
 checkpoint's concurrency/force knobs, the graph layer's per-table
 exchanges and writers, Dataset-to-driver collections outside the one
 bounded drain (``joins.drain`` / ``joins.collect``), all-to-alls
-outside the one exchange (``shuffle.exchange``), pandas hops in the
-engine and readers of Ray's internal block bundles outside ``shuffle.py``
-must not come back."""
+outside the one exchange (``shuffle.exchange``), a second join envelope
+path, pandas hops in the engine and readers of Ray's internal block
+bundles outside ``shuffle.py`` must not come back."""
 
 from __future__ import annotations
 
@@ -39,6 +39,7 @@ BANNED = (
     "broadcast_bytes_limit", "GRAFT_BROADCAST_BYTES", "BOILERPLATE_SET_CAP_BYTES",
     "_drain(", "salted_group_sum", "state_blocks", "bucketed_group_agg",
     "grouped_sum", "_scan_token", "build_token_index", "_EDGE_PUNCT",
+    "asof_join", "_static_schema", "emit_all", "SCHEMA_BUCKET",
 )
 PACKAGE = sorted((REPO / "clangd_to_neo4j_ray").rglob("*.py"))
 
