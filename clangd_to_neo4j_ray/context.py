@@ -14,22 +14,21 @@ import ray
 
 
 def _pin_fsspec_http_stub() -> None:
-    """Make Ray's per-path ``fsspec.implementations.http`` probe thread-safe.
+    """Resolve Ray's per-path ``fsspec.implementations.http`` probe once.
 
     Ray Data re-attempts ``from fsspec.implementations.http import
     HTTPFileSystem`` on EVERY path resolution (read and write path
     resolution, ray/data/datasource/path_util.py) and catches only
-    ``ModuleNotFoundError``.  In this environment the import always fails
-    (no aiohttp), so each failed attempt is retried — and two driver threads
-    resolving paths concurrently race on the partially-initialized module,
+    ``ModuleNotFoundError``.  Where the import fails (no aiohttp), every
+    read and write pays that failed import again, and two threads
+    resolving paths at once race on the partially-initialized module,
     surfacing as ``ImportError: cannot import name 'HTTPFileSystem'`` (a
-    plain ImportError, which escapes Ray's except).  Plans do run from
-    driver threads: ``similarity.ann_recall`` executes its three top-k plans
-    in a thread pool.  When the real module is unimportable, install a
-    benign stub module ONCE at library load: the stub's sentinel class makes
-    Ray's ``isinstance(fs, HTTPFileSystem)`` check deterministically False —
-    exactly the behavior of the ModuleNotFoundError branch — and the cached
-    module ends the per-call import attempts entirely."""
+    plain ImportError, which escapes Ray's except).  When the real module
+    is unimportable, install a benign stub module ONCE at library load:
+    the stub's sentinel class makes Ray's ``isinstance(fs,
+    HTTPFileSystem)`` check deterministically False — exactly the
+    behavior of the ModuleNotFoundError branch — and the cached module
+    ends the per-call import attempts entirely."""
     try:
         from fsspec.implementations.http import HTTPFileSystem  # noqa: F401
 

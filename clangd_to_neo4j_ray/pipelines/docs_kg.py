@@ -117,23 +117,21 @@ def _mention_counts(hits: pa.Table) -> pa.Table:
     )
 
 
-def _pair_counts(parents: np.ndarray, hits: pa.Table) -> pa.Table:
-    """Partial (w1, w2, evidence_doc, n) rows of a batch's adjacent
-    vocabulary-token pairs: two hits one token apart in one document.
-    The pair scan is the spatial-adjacency linking analog (J4,
-    clangd_call_graph_builder.py:124-201); the partial min/count is the
-    combiner for the global MERGE-dedup shuffle (D5)."""
+def _pairs(parents: np.ndarray, hits: pa.Table) -> pa.Table:
+    """(w1, w2, doc_id) rows of a batch's adjacent vocabulary-token
+    pairs: two hits one token apart in one document.  The pair scan is
+    the spatial-adjacency linking analog (J4,
+    clangd_call_graph_builder.py:124-201); the global MERGE-dedup
+    shuffle (D5) takes their min doc and count."""
     at = hits["at"].to_numpy()
     k = pa.array(np.nonzero((np.diff(at) == 1) & (np.diff(parents[at]) == 0))[0])
-    t = pa.table(
+    return pa.table(
         {
             "w1": hits["name"].take(k),
             "w2": hits["name"].take(pc.add(k, 1)),
             "doc_id": hits["doc_id"].take(k),
         }
     )
-    out = t.group_by(["w1", "w2"]).aggregate([("doc_id", "min"), ([], "count_all")])
-    return out.rename_columns(["w1", "w2", "evidence_doc", "n"])
 
 
 def _mention_partials(batch: pa.Table) -> pa.Table:
@@ -219,38 +217,32 @@ def kg_entity_salience(sf_dir: str) -> ray.data.Dataset:
 
     Plan: ZERO per-doc exchanges — doc atomicity (see ``kg_mentions``)
     makes the per-batch (doc, name) count+min-position rows globally
-    complete, so the per-doc salience term is computed batch-local and
-    pre-summed per name; the only exchange ships O(vocab) partial rows
-    per block into one ``grouped_agg``."""
+    complete, so the per-doc salience term is computed batch-local; the
+    only exchange is one per-name ``grouped_agg``, whose per-block
+    combine ships O(vocab) rows per block."""
     from ..stages.shuffle import grouped_agg
 
     ds = read_pages(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
-    def partials(batch: pa.Table) -> pa.Table:
+    def doc_salience(batch: pa.Table) -> pa.Table:
         per_doc = _vocab_scan(batch)[2].group_by(["doc_id", "name"]).aggregate(
             [([], "count_all"), ("i", "min")]
         )
         n = per_doc["count_all"].to_numpy(zero_copy_only=False)
         first = per_doc["i_min"].to_numpy(zero_copy_only=False)
-        sal = pa.table(
+        return pa.table(
             {
                 "name": per_doc["name"],
-                "n_docs": pa.array(np.ones(len(per_doc), dtype=np.int64)),
                 "n_mentions": pa.array(n.astype(np.int64)),
                 "salience": pa.array((1000 * n) // first),
             }
         )
-        return (
-            sal.group_by(["name"])
-            .aggregate([("n_docs", "sum"), ("n_mentions", "sum"), ("salience", "sum")])
-            .rename_columns(["name", "n_docs", "n_mentions", "salience"])
-        )
 
     per_entity = grouped_agg(
-        ds.map_batches(partials, batch_format="pyarrow"),
+        ds.map_batches(doc_salience, batch_format="pyarrow"),
         ["name"],
         {
-            "n_docs": ("n_docs", "sum"),
+            "n_docs": ("name", "size"),
             "n_mentions": ("n_mentions", "sum"),
             "salience": ("salience", "sum"),
         },
@@ -274,42 +266,31 @@ def kg_trending_entities(
     Output: (minute, name, n, n_prev, delta), top-k per minute by
     (n desc, name asc).
 
-    Plan: the ``trending_tokens`` single-exchange lag (per-batch counts
-    emitted under both the bucket's own key and ``minute+1`` as carrier
-    rows; one grouped_agg recovers the lag with no self-join), restricted
-    to vocabulary mentions — the exchange ships O(vocab) rows per minute
-    per block."""
+    Plan: the ``trending_tokens`` single-exchange lag (each mention
+    emitted under both its own minute and ``minute+1`` as a carrier row;
+    one grouped_agg recovers the lag with no self-join), restricted to
+    vocabulary mentions — the aggregate's per-block combine ships
+    O(vocab) rows per minute per block."""
     from ..sources.pages import documents_as_pages
     from ..stages.packing import grouped_head_n
     from ..stages.shuffle import grouped_agg
 
     pages = documents_as_pages(sf_dir)
 
-    def partials(batch: pa.Table) -> pa.Table:
+    def mentions(batch: pa.Table) -> pa.Table:
         hits = _vocab_scan(batch, "warc_ts")[2]
         minute = pc.divide(pc.cast(hits["warc_ts"], pa.int64()), 60_000_000)
-        t = pa.table({"minute": minute, "name": hits["name"]})
-        cnt = (
-            t.group_by(["minute", "name"])
-            .aggregate([([], "count_all")])
-            .rename_columns(["minute", "name", "n"])
-        )
-        zeros = pa.array(np.zeros(len(cnt), dtype=np.int64))
-        cur = pa.table(
-            {"minute": cnt["minute"], "name": cnt["name"], "n": cnt["n"], "n_prev": zeros}
-        )
+        name = hits["name"]
+        ones = pa.array(np.ones(len(hits), dtype=np.int64))
+        zeros = pa.array(np.zeros(len(hits), dtype=np.int64))
+        cur = pa.table({"minute": minute, "name": name, "n": ones, "n_prev": zeros})
         prv = pa.table(
-            {
-                "minute": pc.add(cnt["minute"], 1),
-                "name": cnt["name"],
-                "n": zeros,
-                "n_prev": cnt["n"],
-            }
+            {"minute": pc.add(minute, 1), "name": name, "n": zeros, "n_prev": ones}
         )
         return pa.concat_tables([cur, prv])
 
     counts = grouped_agg(
-        pages.map_batches(partials, batch_format="pyarrow"),
+        pages.map_batches(mentions, batch_format="pyarrow"),
         ["minute", "name"],
         {"n": ("n", "sum"), "n_prev": ("n_prev", "sum")},
     )
@@ -333,10 +314,10 @@ def kg_trending_entities(
 # Stage: triple extraction + canonicalization shuffle (J4 + D5 analogs)
 # ---------------------------------------------------------------------------
 
-def _triple_partials(batch: pa.Table) -> pa.Table:
-    """Adjacent vocab-token pairs -> partial (w1, w2, evidence_doc, n) rows."""
+def _triple_pairs(batch: pa.Table) -> pa.Table:
+    """Adjacent vocab-token pairs of a batch -> (w1, w2, doc_id) rows."""
     _flat, parents, hits = _vocab_scan(batch)
-    return _pair_counts(parents, hits)
+    return _pairs(parents, hits)
 
 
 def kg_triples(sf_dir: str) -> ray.data.Dataset:
@@ -348,11 +329,11 @@ def kg_triples(sf_dir: str) -> ray.data.Dataset:
     last-wins dict semantics (SURVEY §7.5; D5 MERGE idempotency).
     """
     ds = read_pages(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    partials = ds.map_batches(_triple_partials, batch_format="pyarrow")
+    pairs = ds.map_batches(_triple_pairs, batch_format="pyarrow")
     agg = grouped_agg(
-        partials,
+        pairs,
         ["w1", "w2"],
-        {"evidence_doc": ("evidence_doc", "min"), "n_occurrences": ("n", "sum")},
+        {"evidence_doc": ("doc_id", "min"), "n_occurrences": ("doc_id", "size")},
     )
 
     def finish(batch: pa.Table) -> pa.Table:
@@ -519,15 +500,15 @@ def kg_nodes(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    def side_partials(batch: pa.Table) -> pa.Table:
-        # SOURCE + FOLDER name partials of the batch, label-tagged and
-        # pre-deduped, so both small side tables ride ONE docs scan and
-        # ONE distinct exchange (was two scans + two exchanges).
+    def side_names(batch: pa.Table) -> pa.Table:
+        # SOURCE + FOLDER names of the batch, label-tagged, so both small
+        # side tables ride ONE docs scan and ONE distinct exchange (was
+        # two scans + two exchanges).
         f1, f2 = _folder_cols(batch)
         src = batch["source"]
         if isinstance(src, pa.ChunkedArray):
             src = src.combine_chunks()
-        t = pa.table(
+        return pa.table(
             {
                 "label": pa.concat_arrays(
                     [
@@ -539,7 +520,6 @@ def kg_nodes(sf_dir: str) -> ray.data.Dataset:
                 "name": pa.concat_arrays([src, f1, f2]),
             }
         )
-        return t.group_by(["label", "name"]).aggregate([])
 
     def side_nodes(b: pa.Table) -> pa.Table:
         label = b["label"]
@@ -565,7 +545,7 @@ def kg_nodes(sf_dir: str) -> ray.data.Dataset:
 
     pages = docs.map_batches(doc_nodes, batch_format="pyarrow")
     side = distinct(
-        docs.map_batches(side_partials, batch_format="pyarrow"),
+        docs.map_batches(side_names, batch_format="pyarrow"),
         ["label", "name"],
     ).map_batches(side_nodes, batch_format="pyarrow")
     entities = kg_entity_nodes(sf_dir).map_batches(
@@ -593,7 +573,7 @@ def _fused_edge_partials(batch: pa.Table) -> pa.Table:
     used to pay (kg_mentions and kg_triples each re-scanned the text) for
     the price of O(doc x vocab-hit) extra small rows in one exchange."""
     _flat, parents, hits = _vocab_scan(batch)
-    m, p = _mention_counts(hits), _pair_counts(parents, hits)
+    m, p = _mention_counts(hits), _pairs(parents, hits)
     mentions = {
         "is_pair": np.zeros(len(m), np.int64),
         "w1": m["name"],
@@ -607,8 +587,8 @@ def _fused_edge_partials(batch: pa.Table) -> pa.Table:
         "w1": p["w1"],
         "w2": p["w2"],
         "doc_g": np.zeros(len(p), np.int64),
-        "evidence": p["evidence_doc"],
-        "n": p["n"],
+        "evidence": p["doc_id"],
+        "n": np.ones(len(p), np.int64),
     }
     return pa.concat_tables([pa.table(mentions), pa.table(pairs)])
 
@@ -652,14 +632,15 @@ def kg_edges(sf_dir: str) -> ray.data.Dataset:
             pa.array([f"doc:{i}" for i in ids], type=pa.string()),
         )
 
-    def ancestor_partials(batch: pa.Table) -> pa.Table:
-        # distinct (parent, child) chain links of the batch: source->f1
-        # and f1->f2 (bounded by distinct folders, never by doc count)
+    def ancestor_links(batch: pa.Table) -> pa.Table:
+        # (parent, child) chain links of the batch: source->f1 and f1->f2
+        # (the distinct's per-block combine bounds them by distinct
+        # folders, never by doc count)
         f1, f2 = _folder_cols(batch)
         src = batch["source"]
         if isinstance(src, pa.ChunkedArray):
             src = src.combine_chunks()
-        t = pa.table(
+        return pa.table(
             {
                 "src": pa.concat_arrays(
                     [_prefixed("source", src), _prefixed("folder", f1)]
@@ -669,12 +650,9 @@ def kg_edges(sf_dir: str) -> ray.data.Dataset:
                 ),
             }
         )
-        return t.group_by(["src", "dst"]).aggregate([]).rename_columns(
-            ["src", "dst"]
-        )
 
     ancestor_ds = distinct(
-        docs.map_batches(ancestor_partials, batch_format="pyarrow"),
+        docs.map_batches(ancestor_links, batch_format="pyarrow"),
         ["src", "dst"],
     ).map_batches(
         lambda t: _edge_table(
@@ -729,29 +707,24 @@ def kg_sources(sf_dir: str) -> ray.data.Dataset:
     """
     ds = read_pages(f"{sf_dir}/documents.parquet", columns=["doc_id", "source", "text"])
 
-    def partials(batch: pa.Table) -> pa.Table:
+    def doc_counts(batch: pa.Table) -> pa.Table:
         _flat, parents, hits = _vocab_scan(batch)
         n_rows = len(batch)
         tok_counts = np.bincount(parents, minlength=n_rows)
         mention_counts = np.bincount(parents[hits["at"].to_numpy()], minlength=n_rows)
-        t = pa.table(
+        return pa.table(
             {
                 "source": batch["source"],
-                "docs": pa.array(np.ones(n_rows, dtype=np.int64)),
                 "toks": pa.array(tok_counts.astype(np.int64)),
                 "ments": pa.array(mention_counts.astype(np.int64)),
             }
         )
-        out = t.group_by("source").aggregate(
-            [("docs", "sum"), ("toks", "sum"), ("ments", "sum")]
-        )
-        return out.rename_columns(["source", "docs", "toks", "ments"])
 
     return grouped_agg(
-        ds.map_batches(partials, batch_format="pyarrow"),
+        ds.map_batches(doc_counts, batch_format="pyarrow"),
         ["source"],
         {
-            "n_docs": ("docs", "sum"),
+            "n_docs": ("toks", "size"),
             "n_tokens": ("toks", "sum"),
             "n_mention_tokens": ("ments", "sum"),
         },
@@ -805,8 +778,8 @@ def kg_stats(sf_dir: str):
     triple set to the driver, and |vocab|^2 is NOT driver-sized for a
     production dictionary): the deduped (subj, obj) pair set is materialized
     once in the object store, per-batch partials reduce it to one count row
-    per block, and the subject/object role flags go through one bucketed
-    exchange keyed on name.  The only driver-side collections are O(blocks)
+    per block, and the subject/object role flags go through one
+    name-keyed ``grouped_agg``.  The only driver-side collections are O(blocks)
     partial-count rows and the O(blocks) flag partials — never the triples.
     """
     from ..stages.shuffle import grouped_agg
@@ -832,10 +805,8 @@ def kg_stats(sf_dir: str):
     n_triples = sum(r["n"] for r in cp)
     n_recursive = sum(r["rec"] for r in cp)
 
-    def role_partials(batch: pa.Table) -> pa.Table:
-        # per-batch distinct (name, role) flags — the combiner before the
-        # one name-keyed exchange
-        t = pa.concat_tables(
+    def roles(batch: pa.Table) -> pa.Table:
+        return pa.concat_tables(
             [
                 pa.table(
                     {
@@ -861,14 +832,9 @@ def kg_stats(sf_dir: str):
                 ),
             ]
         )
-        return (
-            t.group_by("name")
-            .aggregate([("is_sub", "max"), ("is_obj", "max")])
-            .rename_columns(["name", "is_sub", "is_obj"])
-        )
 
     flags = grouped_agg(
-        pairs.map_batches(role_partials, batch_format="pyarrow"),
+        pairs.map_batches(roles, batch_format="pyarrow"),
         ["name"],
         {"is_sub": ("is_sub", "max"), "is_obj": ("is_obj", "max")},
     )

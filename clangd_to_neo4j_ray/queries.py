@@ -435,13 +435,11 @@ for _name, _fn in [
 
 def _pages_kg_flagship(sf_dir: str):
     """Flagship pages pipeline end-to-end on a deterministic synthetic F1
-    corpus (rows-only check: html extraction + actor-pool linking +
+    corpus (rows-only check: html extraction + the columnar link scan +
     context disambiguation are not SQL-expressible).  Returns the
     canonicalized triple set; byte-identical-extract and P/R gates for this
     path live in tests/test_pages_pipeline.py."""
     import glob
-
-    import ray as _ray
 
     from .pipelines.build_graph import build_graph_datasets
     from .sources.fixtures import (
@@ -450,6 +448,7 @@ def _pages_kg_flagship(sf_dir: str):
         make_entities,
         write_pages_fixture,
     )
+    from .sources.pages import read_pages
 
     corpus = "/tmp/kg_flagship_corpus_2000"
     if not glob.glob(f"{corpus}/*.parquet"):
@@ -458,7 +457,7 @@ def _pages_kg_flagship(sf_dir: str):
     entities = make_entities()
     lut = alias_lookup(entities)
     names = {e.entity_id: e.canonical_name for e in entities}
-    pages = _ray.data.read_parquet(corpus)
+    pages = read_pages(corpus)
     triples, _m, _n, _e = build_graph_datasets(pages, lut, names)
     return triples
 

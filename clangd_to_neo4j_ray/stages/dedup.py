@@ -55,25 +55,17 @@ def dedup_exact(sf_dir: str) -> ray.data.Dataset:
     last-wins D1)."""
     ds = _read_docs(sf_dir)
 
-    def partials(batch: pa.Table) -> pa.Table:
+    def hashes(batch: pa.Table) -> pa.Table:
         from ..functions.duck import md5_hex_arrow
 
-        t = pa.table(
-            {
-                "text_hash": md5_hex_arrow(batch["text"]),
-                "doc_id": batch["doc_id"],
-            }
-        )
-        return (
-            t.group_by("text_hash")
-            .aggregate([("doc_id", "min"), ([], "count_all")])
-            .rename_columns(["text_hash", "rep_doc_id", "n_dups"])
+        return pa.table(
+            {"text_hash": md5_hex_arrow(batch["text"]), "doc_id": batch["doc_id"]}
         )
 
     return grouped_agg(
-        ds.map_batches(partials, batch_format="pyarrow"),
+        ds.map_batches(hashes, batch_format="pyarrow"),
         ["text_hash"],
-        {"rep_doc_id": ("rep_doc_id", "min"), "n_dups": ("n_dups", "sum")},
+        {"rep_doc_id": ("doc_id", "min"), "n_dups": ("doc_id", "size")},
     )
 
 
@@ -85,51 +77,28 @@ def dedup_rate_by_source(sf_dir: str) -> ray.data.Dataset:
     Output: (source, n_docs, n_unique, dup_permille) with dup_permille =
     1000 * (n_docs - n_unique) // n_docs (integer-exact).
 
-    Plan: per-batch (text_hash, source) partial counts (md5 via the
-    embedded DuckDB kernel), one hash-keyed exchange completes the
-    groups, then per-batch per-source partials (each completed group row
-    contributes 1 unique + n docs) bound the second exchange to
-    O(sources) rows per block."""
+    Plan: one (text_hash, source) count (md5 via the embedded DuckDB
+    kernel) completes the groups, then one per-source aggregate (each
+    completed group row contributes 1 unique + n docs), whose per-block
+    combine bounds its exchange to O(sources) rows per block."""
     from ..functions.duck import md5_hex_arrow
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["text", "source"]
     )
 
-    def partials(batch: pa.Table) -> pa.Table:
-        t = pa.table(
-            {
-                "text_hash": md5_hex_arrow(batch["text"]),
-                "source": batch["source"],
-            }
-        )
-        return (
-            t.group_by(["text_hash", "source"])
-            .aggregate([([], "count_all")])
-            .rename_columns(["text_hash", "source", "n"])
+    def hashes(batch: pa.Table) -> pa.Table:
+        return pa.table(
+            {"text_hash": md5_hex_arrow(batch["text"]), "source": batch["source"]}
         )
 
     groups = grouped_agg(
-        ds.map_batches(partials, batch_format="pyarrow"),
+        ds.map_batches(hashes, batch_format="pyarrow"),
         ["text_hash", "source"],
-        {"n": ("n", "sum")},
+        {"n": ("source", "size")},
     )
-
-    def per_source_partials(batch: pa.Table) -> pa.Table:
-        ones = pa.array(np.ones(len(batch), dtype=np.int64))
-        t = pa.table(
-            {"source": batch["source"], "n_docs": batch["n"], "n_unique": ones}
-        )
-        return (
-            t.group_by(["source"])
-            .aggregate([("n_docs", "sum"), ("n_unique", "sum")])
-            .rename_columns(["source", "n_docs", "n_unique"])
-        )
-
     folded = grouped_agg(
-        groups.map_batches(per_source_partials, batch_format="pyarrow"),
-        ["source"],
-        {"n_docs": ("n_docs", "sum"), "n_unique": ("n_unique", "sum")},
+        groups, ["source"], {"n_docs": ("n", "sum"), "n_unique": ("n", "size")}
     )
 
     def finish(t: pa.Table) -> pa.Table:

@@ -289,7 +289,7 @@ def link_cocitation(sf_dir: str) -> ray.data.Dataset:
     Plan: distinct (src, dst) edges (one exchange), ONE bucketed exchange
     on src co-locating each source's target list, a per-bucket polars
     self-join emitting ordered target pairs (the triangle-census wedge
-    kernel), then one sum exchange on the pair.  Per-src outdeg^2 wedge
+    kernel), then one count on the pair.  Per-src outdeg^2 wedge
     volume — degree-cap hot sources at web scale (disclosed)."""
     import polars as pl
 
@@ -305,17 +305,13 @@ def link_cocitation(sf_dir: str) -> ray.data.Dataset:
                 df.rename({"dst_host": "host_b"}), on="src_host"
             )
             .filter(pl.col("dst_host") < pl.col("host_b"))
-            .rename({"dst_host": "host_a"})
-            .group_by(["host_a", "host_b"])
-            .agg(pl.len().cast(pl.Int64).alias("n_common_src"))
+            .select(host_a="dst_host", host_b="host_b")
         )
         return w.to_arrow()
 
     pairs = exchange(e, ["src_host"], pair_bucket)
     return grouped_agg(
-        pairs,
-        ["host_a", "host_b"],
-        {"n_common_src": ("n_common_src", "sum")},
+        pairs, ["host_a", "host_b"], {"n_common_src": ("host_b", "size")}
     )
 
 
@@ -616,7 +612,7 @@ def bowtie_from_edges(
     edges = edges.materialize()
 
     def deg_tag(batch: pa.Table) -> pa.Table:
-        t = pa.table(
+        return pa.table(
             {
                 "host": pa.concat_arrays(
                     [
@@ -628,11 +624,6 @@ def bowtie_from_edges(
                     [batch[weight_col].combine_chunks()] * 2
                 ),
             }
-        )
-        return (
-            t.group_by(["host"]).aggregate([("deg", "sum")]).rename_columns(
-                ["host", "deg"]
-            )
         )
 
     deg = grouped_agg(

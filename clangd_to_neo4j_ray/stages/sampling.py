@@ -252,21 +252,19 @@ def decontam_ngram(sf_dir: str) -> ray.data.Dataset:
     hatch of ``dedup_ngram_jaccard``).
 
     Plan: one scan (``_decontam_shingle_rows``) -> one bucketed exchange
-    on the shingle (per-bucket: df cap, train-presence semi-filter,
-    per-doc partial counts) -> one bounded doc_id-keyed sum exchange."""
+    on the shingle (per-bucket: df cap, train-presence semi-filter) -> one
+    bounded doc_id-keyed count, whose per-block combine pre-counts each
+    bucket range's hits per doc."""
     from .shuffle import _compat, exchange, grouped_agg
 
     def per_bucket(t: pa.Table) -> pa.Table:
         g = pl.from_arrow(t).filter(pl.len().over("s") <= DECONTAM_DF_CAP)
         in_train = (pl.col("split") == "train").any().over("s")
         hits = g.filter((pl.col("split") == "val") & in_train)
-        out = hits.group_by("doc_id").agg(pl.len().cast(pl.Int64).alias("n"))
-        return _compat(out.to_arrow())
+        return _compat(hits.select("doc_id").to_arrow())
 
-    partials = exchange(_decontam_shingle_rows(sf_dir), ["s"], per_bucket)
-    return grouped_agg(
-        partials, ["doc_id"], {"n_shared_ngrams": ("n", "sum")}
-    )
+    hits = exchange(_decontam_shingle_rows(sf_dir), ["s"], per_bucket)
+    return grouped_agg(hits, ["doc_id"], {"n_shared_ngrams": ("doc_id", "size")})
 
 
 def decontam_dead_letters(sf_dir: str) -> ray.data.Dataset:
@@ -367,20 +365,8 @@ def curriculum_rank(sf_dir: str) -> ray.data.Dataset:
         f"{sf_dir}/documents.parquet", columns=["doc_id", "n_chars"]
     )
 
-    def hist_partials(batch: pa.Table) -> pa.Table:
-        return (
-            batch.select(["n_chars"])
-            .group_by(["n_chars"])
-            .aggregate([([], "count_all")])
-            .rename_columns(["n_chars", "n"])
-        )
-
     hist = collect(
-        grouped_agg(
-            ds.map_batches(hist_partials, batch_format="pyarrow"),
-            ["n_chars"],
-            {"n": ("n", "sum")},
-        ),
+        grouped_agg(ds, ["n_chars"], {"n": ("n_chars", "size")}),
         "length histogram",  # O(distinct lengths) driver fold
     )
     # a length's rank offset: the count of every longer document

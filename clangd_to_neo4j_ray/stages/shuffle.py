@@ -24,10 +24,10 @@ the CPUs, and the block count of every exchange output (an iterative
 algorithm's round state included) is P whatever the input's fan-out.
 
 It is exactly the "hash-partition by key" layout the north_rule's salted
-groupby calls for: every key lands in one bucket, head keys are pre-shrunk
-by the per-batch partial aggregation upstream (each block contributes at
-most one row per key), so bucket sizes stay bounded by #blocks x
-keys/bucket.
+groupby calls for: every key lands in one bucket, and ``grouped_agg`` (and
+``distinct``, one with no aggregate) combines each block before its
+exchange, so a head key sends at most one row per block and an
+aggregate's bucket sizes stay bounded by #blocks x keys/bucket.
 
 A caller that buckets its own rows (the joins' tagged envelope, the
 graph rounds' state) appends ``__bucket`` in its own map and runs the
@@ -388,12 +388,10 @@ def drop_empty_blocks(ds: ray.data.Dataset) -> ray.data.Dataset:
     )
 
 
-_POLARS_AGGS = {
-    "sum": lambda c: pl.col(c).sum(),
-    "min": lambda c: pl.col(c).min(),
-    "max": lambda c: pl.col(c).max(),
-    "size": lambda c: pl.len().cast(pl.Int64),
-    "mean": lambda c: pl.col(c).mean(),
+# How a bucket range merges the blocks' partials of each aggregate:
+# ``size`` is each block's ``count_all``, summed.
+_MERGE = {
+    "sum": pl.Expr.sum, "min": pl.Expr.min, "max": pl.Expr.max, "size": pl.Expr.sum,
 }
 
 
@@ -404,19 +402,29 @@ def grouped_agg(
     *,
     num_buckets: int | None = None,
 ) -> ray.data.Dataset:
-    """Bucketed named aggregation: ``spec`` maps output column ->
-    (input column, agg name in {sum,min,max,size,mean}).  Vectorized polars
-    aggregation per bucket range.
+    """Two-phase named aggregation: ``spec`` maps output column ->
+    (input column, agg name in {sum,min,max,size}).
+
+    Each block first combines to one row per key (one pyarrow
+    ``group_by(keys).aggregate``), so a head key sends at most one row
+    per block into the exchange; each bucket range then merges those
+    partials in polars.  An empty ``spec`` is ``distinct``.
     ``num_buckets=None`` auto-sizes from the input's size estimate."""
-    exprs = [
-        _POLARS_AGGS[fn](col).alias(out) for out, (col, fn) in spec.items()
+    names = list(spec)
+    merge = [_MERGE[fn](pl.col(out)).alias(out) for out, (_, fn) in spec.items()]
+    aggs = [
+        ([], "count_all") if fn == "size" else (col, fn) for col, fn in spec.values()
     ]
 
-    def per_bucket(batch: pa.Table) -> pa.Table:
-        out = pl.from_arrow(batch).group_by(keys, maintain_order=False).agg(exprs)
-        return _compat(out.select(keys + list(spec)).to_arrow())
+    def combine(batch: pa.Table) -> pa.Table:
+        return batch.group_by(keys).aggregate(aggs).rename_columns(keys + names)
 
-    return exchange(ds, keys, per_bucket, num_buckets)
+    def per_range(batch: pa.Table) -> pa.Table:
+        out = pl.from_arrow(batch).group_by(keys, maintain_order=False).agg(merge)
+        return _compat(out.select(keys + names).to_arrow())
+
+    pre = ds.map_batches(combine, batch_format="pyarrow")
+    return exchange(pre, keys, per_range, num_buckets)
 
 
 def distinct(
@@ -425,16 +433,7 @@ def distinct(
     *,
     num_buckets: int | None = None,
 ) -> ray.data.Dataset:
-    """Bucketed exact distinct on the key columns (D2/D3 analog).
-
-    The same unique runs per batch first (combiner), so a fact-key column
-    shrinks to its per-block distinct set before the exchange, and then
-    per bucket range."""
-
-    def unique(batch: pa.Table) -> pa.Table:
-        return _compat(
-            pl.from_arrow(batch).select(keys).unique(maintain_order=False).to_arrow()
-        )
-
-    pre = ds.map_batches(unique, batch_format="pyarrow")
-    return exchange(pre, keys, unique, num_buckets)
+    """Bucketed exact distinct on the key columns (D2/D3 analog): a
+    ``grouped_agg`` with no aggregate, so a fact-key column shrinks to
+    its per-block distinct set before the exchange."""
+    return grouped_agg(ds, keys, {}, num_buckets=num_buckets)

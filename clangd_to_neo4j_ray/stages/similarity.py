@@ -616,25 +616,14 @@ def kmeans_inertia(sf_dir: str) -> ray.data.Dataset:
     its integer mean.
 
     Output: (cluster, n_vecs, inertia, mean_dist2 = inertia // n_vecs).
-    Plan: rides the ``embed_kmeans`` final assignment scan; per-batch
-    partial (cluster, n, dist2-sum) rows bound the one extra exchange to
-    O(k) rows per block."""
+    Plan: rides the ``embed_kmeans`` final assignment scan; the per-block
+    combine of the one extra aggregate bounds its exchange to O(k) rows
+    per block."""
     from .shuffle import grouped_agg
 
     km = embed_kmeans(sf_dir)
-
-    def partials(batch: pa.Table) -> pa.Table:
-        return (
-            batch.select(["cluster", "dist2"])
-            .group_by(["cluster"])
-            .aggregate([([], "count_all"), ("dist2", "sum")])
-            .rename_columns(["cluster", "n_vecs", "inertia"])
-        )
-
     folded = grouped_agg(
-        km.map_batches(partials, batch_format="pyarrow"),
-        ["cluster"],
-        {"n_vecs": ("n_vecs", "sum"), "inertia": ("inertia", "sum")},
+        km, ["cluster"], {"n_vecs": ("dist2", "size"), "inertia": ("dist2", "sum")}
     )
 
     def finish(batch: pa.Table) -> pa.Table:
@@ -653,25 +642,13 @@ def kmeans_label_agreement(sf_dir: str) -> ray.data.Dataset:
     matrix).
 
     Output: (cluster, label, n_vecs).  Plan: the label column rides the
-    final assignment scan (``with_label`` — zero joins), and per-batch
-    partial counts bound the exchange to O(k x labels) rows per block."""
+    final assignment scan (``with_label`` — zero joins), and the count's
+    per-block combine bounds its exchange to O(k x labels) rows per
+    block."""
     from .shuffle import grouped_agg
 
     km = embed_kmeans(sf_dir, with_label=True)
-
-    def partials(batch: pa.Table) -> pa.Table:
-        return (
-            batch.select(["cluster", "label"])
-            .group_by(["cluster", "label"])
-            .aggregate([([], "count_all")])
-            .rename_columns(["cluster", "label", "n_vecs"])
-        )
-
-    return grouped_agg(
-        km.map_batches(partials, batch_format="pyarrow"),
-        ["cluster", "label"],
-        {"n_vecs": ("n_vecs", "sum")},
-    )
+    return grouped_agg(km, ["cluster", "label"], {"n_vecs": ("label", "size")})
 
 
 def _kmeans_oracle_sql() -> str:

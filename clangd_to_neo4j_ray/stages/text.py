@@ -95,29 +95,19 @@ def text_token_totals(sf_dir: str) -> ray.data.Dataset:
     Output: (source, lang, n_docs, n_tokens) — two-phase aggregation."""
     ds = _read_docs(sf_dir, ["doc_id", "text", "lang", "source"])
 
-    def partials(batch: pa.Table) -> pa.Table:
+    def doc_tokens(batch: pa.Table) -> pa.Table:
         _flat, _pos, parents = explode_tokens(batch)
         n_tokens = np.bincount(parents, minlength=len(batch)).astype(np.int64)
-        t = pa.table(
-            {
-                "source": batch["source"],
-                "lang": batch["lang"],
-                "docs": pa.array(np.ones(len(batch), dtype=np.int64)),
-                "toks": pa.array(n_tokens),
-            }
-        )
-        return (
-            t.group_by(["source", "lang"])
-            .aggregate([("docs", "sum"), ("toks", "sum")])
-            .rename_columns(["source", "lang", "docs", "toks"])
+        return pa.table(
+            {"source": batch["source"], "lang": batch["lang"], "toks": n_tokens}
         )
 
     from .shuffle import grouped_agg
 
     return grouped_agg(
-        ds.map_batches(partials, batch_format="pyarrow"),
+        ds.map_batches(doc_tokens, batch_format="pyarrow"),
         ["source", "lang"],
-        {"n_docs": ("docs", "sum"), "n_tokens": ("toks", "sum")},
+        {"n_docs": ("toks", "size"), "n_tokens": ("toks", "sum")},
     )
 
 
@@ -132,35 +122,25 @@ def vocab_top_tokens(sf_dir: str, *, k: int = VOCAB_K) -> ray.data.Dataset:
     count ties broken by ascending token (a total order, so the oracle's
     row_number() ordering matches exactly).
 
-    Plan (bounded at any corpus size): per-batch partial (source, tok)
-    counts via one Arrow group_by — the exchange ships each block's
-    DISTINCT vocabulary, not its token stream — then one bucketed
-    exchange summing counts per (source, tok), then ``grouped_head_n``
-    per-source top-k (its partial head-n bounds the final exchange to k
-    rows per source per block)."""
+    Plan (bounded at any corpus size): one (source, tok) count — its
+    per-block combine ships each block's DISTINCT vocabulary, not its
+    token stream — then ``grouped_head_n`` per-source top-k (its partial
+    head-n bounds the final exchange to k rows per source per block)."""
     from .packing import grouped_head_n
     from .shuffle import grouped_agg
 
     ds = _read_docs(sf_dir, ["text", "source"])
 
-    def partials(batch: pa.Table) -> pa.Table:
+    def tokens(batch: pa.Table) -> pa.Table:
         flat, _pos, parents = explode_tokens(batch)
-        t = pa.table(
-            {
-                "source": batch["source"].take(pa.array(parents)),
-                "tok": flat,
-            }
-        )
-        return (
-            t.group_by(["source", "tok"])
-            .aggregate([([], "count_all")])
-            .rename_columns(["source", "tok", "n"])
+        return pa.table(
+            {"source": batch["source"].take(pa.array(parents)), "tok": flat}
         )
 
     counts = grouped_agg(
-        ds.map_batches(partials, batch_format="pyarrow"),
+        ds.map_batches(tokens, batch_format="pyarrow"),
         ["source", "tok"],
-        {"n": ("n", "sum")},
+        {"n": ("tok", "size")},
     )
     return grouped_head_n(
         counts, "source", ["source", "n", "tok"], [True, False, True], k
@@ -175,32 +155,27 @@ def langid_confusion(sf_dir: str) -> ray.data.Dataset:
     ``clangd_symbol_nodes_builder.py`` kind counts).
 
     Output: (lang, lang_guess, n_docs).  Plan: the guess is computed
-    batch-local exactly as ``text_langid`` does, then pre-aggregated to
-    (lang, guess) partial counts inside the same ``map_batches`` — the
-    exchange ships O(langs x 2) rows per block, never per-doc rows."""
+    batch-local exactly as ``text_langid`` does, then one (lang, guess)
+    count, whose per-block combine ships O(langs x 2) rows per block
+    into the exchange, never per-doc rows."""
     from .shuffle import grouped_agg
 
     ds = _read_docs(sf_dir, ["text", "lang"])
     stop_arr = pa.array(STOPWORDS, type=pa.string())
 
-    def partials(batch: pa.Table) -> pa.Table:
+    def guesses(batch: pa.Table) -> pa.Table:
         flat, _pos, parents = explode_tokens(batch)
         is_stop = pc.is_in(flat, value_set=stop_arr).to_numpy(zero_copy_only=False)
         n_stop = np.bincount(parents[is_stop], minlength=len(batch))
         guess = np.where(n_stop >= LANGID_MIN_STOPWORDS, "en", "other")
-        t = pa.table(
+        return pa.table(
             {"lang": batch["lang"], "lang_guess": pa.array(guess, type=pa.string())}
-        )
-        return (
-            t.group_by(["lang", "lang_guess"])
-            .aggregate([([], "count_all")])
-            .rename_columns(["lang", "lang_guess", "n_docs"])
         )
 
     return grouped_agg(
-        ds.map_batches(partials, batch_format="pyarrow"),
+        ds.map_batches(guesses, batch_format="pyarrow"),
         ["lang", "lang_guess"],
-        {"n_docs": ("n_docs", "sum")},
+        {"n_docs": ("lang_guess", "size")},
     )
 
 
@@ -217,13 +192,13 @@ def trending_tokens(sf_dir: str, *, k: int = TREND_K) -> ray.data.Dataset:
     Output: (minute, tok, n, n_prev, delta) — ``minute`` is the epoch
     minute index of ``warc_ts``, top-k per minute by (n desc, tok asc).
 
-    Plan (single-exchange lag, no self-join): each batch emits its
-    partial (minute, tok) counts TWICE — once under the bucket's own key
-    carrying ``n``, once under ``minute+1`` carrying ``n_prev`` — so one
-    ``grouped_agg`` exchange sums both columns and the previous-minute
-    lag falls out without a second pass over the counts (a self-join on
-    ``minute-1`` would execute the upstream count plan twice and pay a
-    second all-to-all).  Carrier-only rows (token absent from the current
+    Plan (single-exchange lag, no self-join): each token is emitted
+    TWICE — once under its own minute carrying ``n``, once under
+    ``minute+1`` carrying ``n_prev`` — so one ``grouped_agg`` (whose
+    per-block combine ships each block's distinct (minute, tok) rows)
+    sums both columns and the previous-minute lag falls out without a
+    second pass over the counts (a self-join on ``minute-1`` would
+    execute the upstream count plan twice and pay a second all-to-all).  Carrier-only rows (token absent from the current
     minute, n == 0) are dropped after the exchange; ``grouped_head_n``
     then bounds the final top-k exchange to k rows per minute per block."""
     from ..sources.pages import documents_as_pages
@@ -232,33 +207,22 @@ def trending_tokens(sf_dir: str, *, k: int = TREND_K) -> ray.data.Dataset:
 
     pages = documents_as_pages(sf_dir)
 
-    def partials(batch: pa.Table) -> pa.Table:
+    def tokens(batch: pa.Table) -> pa.Table:
         minute = pc.divide(
             pc.cast(batch["warc_ts"], pa.int64()), 60_000_000
         )  # us -> epoch minute
         flat, _pos, parents = explode_tokens(batch)
-        t = pa.table({"minute": minute.take(pa.array(parents)), "tok": flat})
-        cnt = (
-            t.group_by(["minute", "tok"])
-            .aggregate([([], "count_all")])
-            .rename_columns(["minute", "tok", "n"])
-        )
-        zeros = pa.array(np.zeros(len(cnt), dtype=np.int64))
-        cur = pa.table(
-            {"minute": cnt["minute"], "tok": cnt["tok"], "n": cnt["n"], "n_prev": zeros}
-        )
+        minute = minute.take(pa.array(parents))
+        ones = pa.array(np.ones(len(flat), dtype=np.int64))
+        zeros = pa.array(np.zeros(len(flat), dtype=np.int64))
+        cur = pa.table({"minute": minute, "tok": flat, "n": ones, "n_prev": zeros})
         prv = pa.table(
-            {
-                "minute": pc.add(cnt["minute"], 1),
-                "tok": cnt["tok"],
-                "n": zeros,
-                "n_prev": cnt["n"],
-            }
+            {"minute": pc.add(minute, 1), "tok": flat, "n": zeros, "n_prev": ones}
         )
         return pa.concat_tables([cur, prv])
 
     counts = grouped_agg(
-        pages.map_batches(partials, batch_format="pyarrow"),
+        pages.map_batches(tokens, batch_format="pyarrow"),
         ["minute", "tok"],
         {"n": ("n", "sum"), "n_prev": ("n_prev", "sum")},
     )
@@ -669,21 +633,14 @@ def source_mix_weights(sf_dir: str) -> pa.Table:
 
     ds = _read_docs(sf_dir, ["doc_id", "text", "source"])
 
-    def partials(batch: pa.Table) -> pa.Table:
+    def doc_tokens(batch: pa.Table) -> pa.Table:
         _flat, _pos, parents = explode_tokens(batch)
         n_tokens = np.bincount(parents, minlength=len(batch)).astype(np.int64)
-        t = pa.table(
-            {"source": batch["source"], "toks": pa.array(n_tokens)}
-        )
-        return (
-            t.group_by("source")
-            .aggregate([("toks", "sum")])
-            .rename_columns(["source", "toks"])
-        )
+        return pa.table({"source": batch["source"], "toks": n_tokens})
 
     per_src = collect(
         grouped_agg(
-            ds.map_batches(partials, batch_format="pyarrow"),
+            ds.map_batches(doc_tokens, batch_format="pyarrow"),
             ["source"],
             {"n_tokens": ("toks", "sum")},
         ),
@@ -740,26 +697,14 @@ def source_lang_mix(sf_dir: str) -> ray.data.Dataset:
 
     Output: (source, lang, n_docs, share_permille).
 
-    Plan: zero joins — per-batch (source, lang) partial counts, ONE
-    exchange, then the per-source total rides a second pass over the
-    O(sources x langs) folded rows (bounded, so the window-style share
-    is computed in one bucketed group per source)."""
+    Plan: zero joins — one (source, lang) count, then the per-source
+    total rides a second pass over the O(sources x langs) folded rows
+    (bounded, so the window-style share is computed in one bucketed
+    group per source)."""
     from .shuffle import _compat, exchange, grouped_agg
 
     ds = _read_docs(sf_dir, ["source", "lang"])
-
-    def partials(batch: pa.Table) -> pa.Table:
-        return (
-            batch.group_by(["source", "lang"])
-            .aggregate([([], "count_all")])
-            .rename_columns(["source", "lang", "n_docs"])
-        )
-
-    counts = grouped_agg(
-        ds.map_batches(partials, batch_format="pyarrow"),
-        ["source", "lang"],
-        {"n_docs": ("n_docs", "sum")},
-    )
+    counts = grouped_agg(ds, ["source", "lang"], {"n_docs": ("lang", "size")})
 
     def share(t: pa.Table) -> pa.Table:
         total = pl.col("n_docs").sum().over("source")
@@ -780,31 +725,26 @@ def doc_length_hist(sf_dir: str) -> ray.data.Dataset:
     exponent field vs the oracle's printf('%b') digit count, the
     ``events_interarrival`` discipline).
 
-    Plan: zero joins — per-batch partial (source, bucket) counts via one
-    Arrow group_by, one exchange of O(sources x 64) rows per block."""
+    Plan: zero joins — one (source, bucket) count, whose per-block
+    combine makes its exchange O(sources x 64) rows per block."""
     from .shuffle import grouped_agg
 
     ds = _read_docs(sf_dir, ["source", "n_chars"])
 
-    def partials(batch: pa.Table) -> pa.Table:
+    def buckets(batch: pa.Table) -> pa.Table:
         n1 = batch["n_chars"].to_numpy(zero_copy_only=False) + 1
         bucket = np.frexp(n1.astype(np.float64))[1] - 1
-        t = pa.table(
+        return pa.table(
             {
                 "source": batch["source"],
                 "len_bucket": pa.array(bucket.astype(np.int64)),
             }
         )
-        return (
-            t.group_by(["source", "len_bucket"])
-            .aggregate([([], "count_all")])
-            .rename_columns(["source", "len_bucket", "n_docs"])
-        )
 
     return grouped_agg(
-        ds.map_batches(partials, batch_format="pyarrow"),
+        ds.map_batches(buckets, batch_format="pyarrow"),
         ["source", "len_bucket"],
-        {"n_docs": ("n_docs", "sum")},
+        {"n_docs": ("len_bucket", "size")},
     )
 
 
@@ -818,26 +758,14 @@ def source_length_quantiles(sf_dir: str) -> ray.data.Dataset:
     at rank ceil(q*n) (1-based), so the result is integer-exact and
     deterministic under duplicate lengths.
 
-    Plan: per-batch partial (source, n_chars) value counts — the exchange
-    ships each block's distinct lengths per source, not rows — one
-    bucketed exchange keyed on source, then a vectorized per-source
+    Plan: one (source, n_chars) value count — its per-block combine
+    ships each block's distinct lengths per source, not rows — then one
+    bucketed exchange keyed on source, and a vectorized per-source
     cumsum pick inside the bucket."""
     from .shuffle import _compat, exchange, grouped_agg
 
     ds = _read_docs(sf_dir, ["source", "n_chars"])
-
-    def partials(batch: pa.Table) -> pa.Table:
-        return (
-            batch.group_by(["source", "n_chars"])
-            .aggregate([([], "count_all")])
-            .rename_columns(["source", "n_chars", "n"])
-        )
-
-    counts = grouped_agg(
-        ds.map_batches(partials, batch_format="pyarrow"),
-        ["source", "n_chars"],
-        {"n": ("n", "sum")},
-    )
+    counts = grouped_agg(ds, ["source", "n_chars"], {"n": ("n_chars", "size")})
 
     def pick(t: pa.Table) -> pa.Table:
         df = pl.from_arrow(t).sort("source", "n_chars").with_columns(
@@ -867,8 +795,8 @@ def source_overlap(sf_dir: str, *, k: int = FINGERPRINT_K) -> ray.data.Dataset:
     the exchange ships each block's shingle VOCABULARY per source, not the
     occurrence stream), one bucketed exchange keyed on the shingle, then a
     per-bucket vectorized self-merge expands each shingle's source set
-    into ordered pairs and pre-counts them; a final O(sources^2)-row
-    ``grouped_agg`` sums the partials.  Per-shingle pair fan-out is
+    into ordered pairs; a final ``grouped_agg`` counts them (its per-block
+    combine ships O(sources^2) rows per block).  Per-shingle pair fan-out is
     bounded by #sources^2 regardless of how many documents share the
     shingle (sets are deduplicated before pairing), so there is no hot-key
     blowup and no df cap is needed — unlike the doc-level inverted index."""
@@ -885,20 +813,15 @@ def source_overlap(sf_dir: str, *, k: int = FINGERPRINT_K) -> ray.data.Dataset:
 
     distinct_pairs = ds.map_batches(partials, batch_format="pyarrow")
 
-    def pair_counts(t: pa.Table) -> pa.Table:
+    def source_pairs(t: pa.Table) -> pa.Table:
         d = pl.from_arrow(t).select("s", "source").unique()
         m = d.join(d, on="s", suffix="_b")
         m = m.filter(pl.col("source") < pl.col("source_b"))
-        out = m.group_by(source_a="source", source_b="source_b").agg(
-            n_shared=pl.len().cast(pl.Int64)
-        )
-        return _compat(out.to_arrow())
+        return _compat(m.select(source_a="source", source_b="source_b").to_arrow())
 
-    partial_counts = exchange(distinct_pairs, ["s"], pair_counts)
+    pairs = exchange(distinct_pairs, ["s"], source_pairs)
     return grouped_agg(
-        partial_counts,
-        ["source_a", "source_b"],
-        {"n_shared": ("n_shared", "sum")},
+        pairs, ["source_a", "source_b"], {"n_shared": ("source_b", "size")}
     )
 
 

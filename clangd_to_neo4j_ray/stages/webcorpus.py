@@ -420,9 +420,9 @@ def host_age_profile(sf_dir: str) -> ray.data.Dataset:
     Output: (host, first_minute, last_minute, n_pages) — minutes are
     epoch minute indexes of ``warc_ts``.
 
-    Plan: zero joins — per-batch (host, min, max, count) partials via one
-    Arrow group_by over the pages adapter, one O(hosts)-rows-per-block
-    exchange folding min/min, max/max, sum."""
+    Plan: zero joins — one (host) min/max/count aggregate over the pages
+    adapter, whose per-block combine makes its exchange O(hosts) rows per
+    block."""
     import pyarrow.compute as _pc
 
     from ..sources.pages import documents_as_pages
@@ -430,25 +430,20 @@ def host_age_profile(sf_dir: str) -> ray.data.Dataset:
 
     pages = documents_as_pages(sf_dir)
 
-    def partials(batch: pa.Table) -> pa.Table:
+    def minutes(batch: pa.Table) -> pa.Table:
         host = _pc.replace_substring_regex(
             batch["url"], r"^https://([^/]+)/.*$", r"\1"
         )
         minute = _pc.divide(_pc.cast(batch["warc_ts"], pa.int64()), 60_000_000)
-        t = pa.table({"host": host, "minute": minute})
-        return (
-            t.group_by(["host"])
-            .aggregate([("minute", "min"), ("minute", "max"), ([], "count_all")])
-            .rename_columns(["host", "first_minute", "last_minute", "n_pages"])
-        )
+        return pa.table({"host": host, "minute": minute})
 
     return grouped_agg(
-        pages.map_batches(partials, batch_format="pyarrow"),
+        pages.map_batches(minutes, batch_format="pyarrow"),
         ["host"],
         {
-            "first_minute": ("first_minute", "min"),
-            "last_minute": ("last_minute", "max"),
-            "n_pages": ("n_pages", "sum"),
+            "first_minute": ("minute", "min"),
+            "last_minute": ("minute", "max"),
+            "n_pages": ("minute", "size"),
         },
     )
 

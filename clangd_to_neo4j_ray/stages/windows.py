@@ -39,27 +39,17 @@ def events_tumbling(sf_dir: str) -> ray.data.Dataset:
     2 dp at the end (single final rounding, matching the oracle)."""
     ds = _read_events(sf_dir, ["user_id", "ts", "value"])
 
-    def partials(batch: pa.Table) -> pa.Table:
+    def windows(batch: pa.Table) -> pa.Table:
         ts = batch["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
         win = (ts // TUMBLE_US) * TUMBLE_US
-        t = pa.table(
-            {
-                "user_id": batch["user_id"],
-                "window_start_us": pa.array(win, type=pa.int64()),
-                "n": pa.array(np.ones(len(batch), dtype=np.int64)),
-                "v": batch["value"],
-            }
-        )
-        return (
-            t.group_by(["user_id", "window_start_us"])
-            .aggregate([("n", "sum"), ("v", "sum")])
-            .rename_columns(["user_id", "window_start_us", "n", "v"])
+        return batch.append_column(
+            "window_start_us", pa.array(win, type=pa.int64())
         )
 
     agg = grouped_agg(
-        ds.map_batches(partials, batch_format="pyarrow"),
+        ds.map_batches(windows, batch_format="pyarrow"),
         ["user_id", "window_start_us"],
-        {"n_events": ("n", "sum"), "sum_value": ("v", "sum")},
+        {"n_events": ("value", "size"), "sum_value": ("value", "sum")},
     )
     return agg.map_batches(
         lambda t: round_col(t, "sum_value", 2), batch_format="pyarrow"
@@ -79,30 +69,24 @@ def events_hopping(sf_dir: str) -> ray.data.Dataset:
     Output: (user_id, window_start_us, n_events, sum_value)."""
     ds = _read_events(sf_dir, ["user_id", "ts", "value"])
 
-    def partials(batch: pa.Table) -> pa.Table:
+    def windows(batch: pa.Table) -> pa.Table:
         n = len(batch)
         ts = batch["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
         idx = np.repeat(np.arange(n), N_HOPS)
         k = np.tile(np.arange(N_HOPS, dtype=np.int64), n)
         win = ((ts[idx] // HOP_US) - k) * HOP_US
-        t = pa.table(
+        return pa.table(
             {
                 "user_id": batch["user_id"].take(pa.array(idx)),
                 "window_start_us": pa.array(win, type=pa.int64()),
-                "n": pa.array(np.ones(len(idx), dtype=np.int64)),
-                "v": batch["value"].take(pa.array(idx)),
+                "value": batch["value"].take(pa.array(idx)),
             }
-        )
-        return (
-            t.group_by(["user_id", "window_start_us"])
-            .aggregate([("n", "sum"), ("v", "sum")])
-            .rename_columns(["user_id", "window_start_us", "n", "v"])
         )
 
     agg = grouped_agg(
-        ds.map_batches(partials, batch_format="pyarrow"),
+        ds.map_batches(windows, batch_format="pyarrow"),
         ["user_id", "window_start_us"],
-        {"n_events": ("n", "sum"), "sum_value": ("v", "sum")},
+        {"n_events": ("value", "size"), "sum_value": ("value", "sum")},
     )
     return agg.map_batches(
         lambda t: round_col(t, "sum_value", 2), batch_format="pyarrow"
@@ -230,9 +214,9 @@ def events_interarrival(sf_dir: str) -> ray.data.Dataset:
     bucketed exchange keyed on user_id, then per bucket a single
     vectorized polars sort + shift computes every user's gaps (exact:
     all rows of a user land in one bucket; (ts, event_id) is a total
-    order); per-bucket partial (type, bucket) counts make the second
+    order); the (type, bucket) count's own per-block combine makes its
     exchange O(types x 64) rows per block."""
-    from .shuffle import _compat, exchange, grouped_agg
+    from .shuffle import exchange
 
     ds = _read_events(sf_dir, ["user_id", "ts", "event_id", "event_type"])
 
@@ -259,22 +243,17 @@ def events_interarrival(sf_dir: str) -> ray.data.Dataset:
         # floor(log2(x)) exactly: frexp exposes the float64 exponent field
         # (values < 2^53, so the conversion is lossless)
         bucket = np.frexp(gap_sec1.astype(np.float64))[1] - 1
-        out = pa.table(
+        return pa.table(
             {
                 "event_type": pa.array(g["event_type"].to_list(), type=pa.string()),
                 "gap_bucket": pa.array(bucket.astype(np.int64)),
             }
         )
-        return _compat(
-            out.group_by(["event_type", "gap_bucket"])
-            .aggregate([([], "count_all")])
-            .rename_columns(["event_type", "gap_bucket", "n_gaps"])
-        )
 
     mapped = ds.map_batches(to_us, batch_format="pyarrow")
-    partials = exchange(mapped, ["user_id"], per_bucket)
+    gaps = exchange(mapped, ["user_id"], per_bucket)
     return grouped_agg(
-        partials, ["event_type", "gap_bucket"], {"n_gaps": ("n_gaps", "sum")}
+        gaps, ["event_type", "gap_bucket"], {"n_gaps": ("gap_bucket", "size")}
     )
 
 
@@ -290,43 +269,25 @@ def events_daily_delta(sf_dir: str) -> ray.data.Dataset:
     absent), ``delta = n - n_prev``.
 
     Plan: the single-exchange lag idiom (``trending_tokens``): each
-    batch's partial (type, day) counts are emitted twice — once under
-    their own day, once under ``day+1`` as n_prev carriers — so ONE
-    grouped_agg recovers the lag; carrier-only rows (no events that day)
-    drop after the exchange.  O(types x days) rows per block."""
-    from .shuffle import grouped_agg
-
+    event is emitted twice — under its own day carrying ``n``, under
+    ``day+1`` as an n_prev carrier — so ONE grouped_agg recovers the lag;
+    carrier-only rows (no events that day) drop after the exchange.
+    O(types x days) rows per block after the aggregate's own combine."""
     ds = _read_events(sf_dir, ["ts", "event_type"])
 
-    def partials(batch: pa.Table) -> pa.Table:
+    def days(batch: pa.Table) -> pa.Table:
         day = pc.divide(batch["ts"].cast(pa.int64()), DAY_US)
-        t = pa.table({"event_type": batch["event_type"], "day": day})
-        cnt = (
-            t.group_by(["event_type", "day"])
-            .aggregate([([], "count_all")])
-            .rename_columns(["event_type", "day", "n"])
-        )
-        zeros = pa.array(np.zeros(len(cnt), dtype=np.int64))
-        cur = pa.table(
-            {
-                "event_type": cnt["event_type"],
-                "day": cnt["day"],
-                "n": cnt["n"],
-                "n_prev": zeros,
-            }
-        )
+        ones = pa.array(np.ones(len(batch), dtype=np.int64))
+        zeros = pa.array(np.zeros(len(batch), dtype=np.int64))
+        t = batch["event_type"]
+        cur = pa.table({"event_type": t, "day": day, "n": ones, "n_prev": zeros})
         prv = pa.table(
-            {
-                "event_type": cnt["event_type"],
-                "day": pc.add(cnt["day"], 1),
-                "n": zeros,
-                "n_prev": cnt["n"],
-            }
+            {"event_type": t, "day": pc.add(day, 1), "n": zeros, "n_prev": ones}
         )
         return pa.concat_tables([cur, prv])
 
     counts = grouped_agg(
-        ds.map_batches(partials, batch_format="pyarrow"),
+        ds.map_batches(days, batch_format="pyarrow"),
         ["event_type", "day"],
         {"n": ("n", "sum"), "n_prev": ("n_prev", "sum")},
     )
@@ -347,24 +308,14 @@ def events_top_users(sf_dir: str, *, k: int = TOP_USERS_K) -> ray.data.Dataset:
 
     Output: (event_type, user_id, n_events) — ties by ascending user_id.
 
-    Plan: per-batch (type, user) partial counts, one exchange completing
-    them, then the bounded-reducer ``grouped_head_n`` per type (each
-    block ships at most k rows per type into the final exchange)."""
+    Plan: one (type, user) count, then the bounded-reducer
+    ``grouped_head_n`` per type (each block ships at most k rows per type
+    into the final exchange)."""
     from .packing import grouped_head_n
 
     ds = _read_events(sf_dir, ["event_type", "user_id"])
-
-    def partials(batch: pa.Table) -> pa.Table:
-        return (
-            batch.group_by(["event_type", "user_id"])
-            .aggregate([([], "count_all")])
-            .rename_columns(["event_type", "user_id", "n_events"])
-        )
-
     counts = grouped_agg(
-        ds.map_batches(partials, batch_format="pyarrow"),
-        ["event_type", "user_id"],
-        {"n_events": ("n_events", "sum")},
+        ds, ["event_type", "user_id"], {"n_events": ("user_id", "size")}
     )
     return grouped_head_n(
         counts,
@@ -399,8 +350,9 @@ def events_watermark_lateness(sf_dir: str) -> ray.data.Dataset:
     (O(shards) rows to the driver — the packing carry fold); the driver's
     prefix maxima broadcast; pass 2 is ONE shard-keyed bucketed exchange
     where each shard runs a vectorized running-max seeded by its carry
-    and pre-counts lateness per type.  No step ever orders more than one
-    shard; the tagged scan is materialized once and feeds both passes."""
+    and flags late events, counted per type by one ``grouped_agg``.  No
+    step ever orders more than one shard; the tagged scan is materialized
+    once and feeds both passes."""
     from ..functions.duck import sql_over
     from .shuffle import _compat, exchange, grouped_agg
 
@@ -416,21 +368,8 @@ def events_watermark_lateness(sf_dir: str) -> ray.data.Dataset:
         )
 
     tagged = ds.map_batches(tag, batch_format="pyarrow").materialize()
-
-    def shard_max(batch: pa.Table) -> pa.Table:
-        return (
-            batch.select(["shard", "ts_us"])
-            .group_by(["shard"])
-            .aggregate([("ts_us", "max")])
-            .rename_columns(["shard", "ts_max"])
-        )
-
     folded = collect(
-        grouped_agg(
-            tagged.map_batches(shard_max, batch_format="pyarrow"),
-            ["shard"],
-            {"ts_max": ("ts_max", "max")},
-        ),
+        grouped_agg(tagged, ["shard"], {"ts_max": ("ts_us", "max")}),
         "watermark carry fold",  # <= 256 rows
     )
     # each shard's carry: the max event time of every shard before it
@@ -451,18 +390,14 @@ def events_watermark_lateness(sf_dir: str) -> ray.data.Dataset:
         wm = pl.max_horizontal(
             pl.col("ts_us").cum_max().shift(1).over("shard"), "carry"
         ).fill_null(_SENTINEL)
-        late = df.select("event_type", late=pl.col("ts_us") < wm - WATERMARK_DELAY_US)
-        out = late.group_by("event_type").agg(
-            pl.len().cast(pl.Int64).alias("n_events"),
-            pl.col("late").sum().cast(pl.Int64).alias("n_late"),
-        )
-        return _compat(out.to_arrow())
+        late = (pl.col("ts_us") < wm - WATERMARK_DELAY_US).cast(pl.Int64)
+        return _compat(df.select("event_type", late=late).to_arrow())
 
-    partials = exchange(tagged, ["shard"], per_bucket)
+    flags = exchange(tagged, ["shard"], per_bucket)
     return grouped_agg(
-        partials,
+        flags,
         ["event_type"],
-        {"n_events": ("n_events", "sum"), "n_late": ("n_late", "sum")},
+        {"n_events": ("late", "size"), "n_late": ("late", "sum")},
     )
 
 
@@ -542,7 +477,7 @@ def events_funnel(sf_dir: str) -> pa.Table:
     and emits 3 partial step counts; the O(steps) fold and the
     conversion division finish on the driver.  Returns an eager Table
     (registry contract for bounded driver-finished aggregates)."""
-    from .shuffle import _compat, exchange
+    from .shuffle import exchange
 
     ds = _read_events(sf_dir, ["user_id", "ts", "event_type"])
     s1, s2, s3 = FUNNEL_STEPS
@@ -613,25 +548,10 @@ def events_type_stats(sf_dir: str) -> ray.data.Dataset:
     shuffle-free via the two-level (type, user) partial aggregation."""
     ds = _read_events(sf_dir, ["event_type", "user_id", "value"])
 
-    def partials(batch: pa.Table) -> pa.Table:
-        t = pa.table(
-            {
-                "event_type": batch["event_type"],
-                "user_id": batch["user_id"],
-                "n": pa.array(np.ones(len(batch), dtype=np.int64)),
-                "v": batch["value"],
-            }
-        )
-        return (
-            t.group_by(["event_type", "user_id"])
-            .aggregate([("n", "sum"), ("v", "sum")])
-            .rename_columns(["event_type", "user_id", "n", "v"])
-        )
-
     per_user = grouped_agg(
-        ds.map_batches(partials, batch_format="pyarrow"),
+        ds,
         ["event_type", "user_id"],
-        {"n": ("n", "sum"), "v": ("v", "sum")},
+        {"n": ("value", "size"), "v": ("value", "sum")},
     )
     agg = grouped_agg(
         per_user,
@@ -657,28 +577,17 @@ def events_props_stats(sf_dir: str) -> ray.data.Dataset:
 
     ds = _read_events(sf_dir, ["event_type", "props"])
 
-    def partials(batch: pa.Table) -> pa.Table:
+    def parse(batch: pa.Table) -> pa.Table:
         ks = np.fromiter(
             (json.loads(p)["k"] for p in batch["props"].to_pylist()),
             dtype=np.int64,
         )
-        t = pa.table(
-            {
-                "event_type": batch["event_type"],
-                "n": pa.array(np.ones(len(batch), dtype=np.int64)),
-                "k": pa.array(ks),
-            }
-        )
-        return (
-            t.group_by("event_type")
-            .aggregate([("n", "sum"), ("k", "sum")])
-            .rename_columns(["event_type", "n", "k"])
-        )
+        return pa.table({"event_type": batch["event_type"], "k": pa.array(ks)})
 
     return grouped_agg(
-        ds.map_batches(partials, batch_format="pyarrow"),
+        ds.map_batches(parse, batch_format="pyarrow"),
         ["event_type"],
-        {"n_events": ("n", "sum"), "sum_k": ("k", "sum")},
+        {"n_events": ("k", "size"), "sum_k": ("k", "sum")},
     )
 
 

@@ -10,8 +10,9 @@ checkpoint's concurrency/force knobs, the graph layer's per-table
 exchanges and writers, Dataset-to-driver collections outside the one
 bounded drain (``joins.drain`` / ``joins.collect``), all-to-alls
 outside the one exchange (``shuffle.exchange``), a second join envelope
-path, pandas hops in the engine and readers of Ray's internal block
-bundles outside ``shuffle.py`` must not come back."""
+path, pandas hops in the engine, readers of Ray's internal block
+bundles outside ``shuffle.py`` and hand-written per-block combiners of a
+``grouped_agg`` or ``distinct`` must not come back."""
 
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ BANNED = (
     "broadcast_bytes_limit", "GRAFT_BROADCAST_BYTES", "BOILERPLATE_SET_CAP_BYTES",
     "_drain(", "salted_group_sum", "state_blocks", "bucketed_group_agg",
     "grouped_sum", "_scan_token", "build_token_index", "_EDGE_PUNCT",
-    "asof_join", "_static_schema", "emit_all", "SCHEMA_BUCKET",
+    "asof_join", "_static_schema", "emit_all", "SCHEMA_BUCKET", "_POLARS_AGGS",
 )
 PACKAGE = sorted((REPO / "clangd_to_neo4j_ray").rglob("*.py"))
 
@@ -206,4 +207,49 @@ def test_one_helper_reads_the_block_bundles():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Attribute) and node.attr in BLOCK_READERS:
                 hits.append(f"{path.relative_to(REPO)}:{node.lineno}: {node.attr}")
+    assert hits == []
+
+
+def _literal_keys(node: ast.expr) -> tuple | None:
+    """The key columns a literal ``"k"`` or ``["k1", "k2"]`` names."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return (node.value,)
+    if isinstance(node, (ast.List, ast.Tuple)) and all(
+        isinstance(e, ast.Constant) for e in node.elts
+    ):
+        return tuple(e.value for e in node.elts)
+    return None
+
+
+def test_aggregates_combine_their_own_blocks():
+    """``grouped_agg`` (and ``distinct``, a ``grouped_agg`` with no
+    aggregate) combines each block itself, so no top-level function of
+    ``stages/`` or ``pipelines/`` that calls ``grouped_agg(ds, K, ...)``
+    or ``distinct(ds, K)`` with literal keys K also writes the
+    ``.group_by(K).aggregate(...)`` that only repeats that combine."""
+    hits = []
+    for sub in ("stages", "pipelines"):
+        for path in sorted((REPO / "clangd_to_neo4j_ray" / sub).glob("*.py")):
+            for fn in ast.parse(path.read_text()).body:
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                aggregated, combined = set(), set()
+                for node in ast.walk(fn):
+                    if not isinstance(node, ast.Call):
+                        continue
+                    f = node.func
+                    name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                    if name in ("grouped_agg", "distinct") and len(node.args) >= 2:
+                        aggregated.add(_literal_keys(node.args[1]))
+                    elif (
+                        name == "aggregate"
+                        and isinstance(f, ast.Attribute)
+                        and isinstance(f.value, ast.Call)
+                        and isinstance(f.value.func, ast.Attribute)
+                        and f.value.func.attr == "group_by"
+                        and f.value.args
+                    ):
+                        combined.add(_literal_keys(f.value.args[0]))
+                if (aggregated & combined) - {None}:
+                    hits.append(f"{path.stem}.{fn.name}")
     assert hits == []

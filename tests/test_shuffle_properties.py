@@ -81,6 +81,51 @@ def test_distinct_matches_pandas(rows, buckets):
     assert len(got) == len(got_set)  # no duplicates survive
 
 
+def test_grouped_agg_combines_each_block_before_the_exchange(monkeypatch):
+    """``grouped_agg`` and ``distinct`` are two-phase by themselves: a head
+    key with 1,000 rows in each of 4 blocks sends at most one row per
+    block into the exchange, and the merged result is exact."""
+    from collections import Counter
+
+    from clangd_to_neo4j_ray.stages import shuffle
+
+    blocks = [
+        pa.table(
+            {
+                "k": ["head"] * 1000 + [f"tail{b}"],
+                "v": list(range(b * 1000, (b + 1) * 1000)) + [-b],
+            }
+        )
+        for b in range(4)
+    ]
+    rows = [r for t in blocks for r in zip(t["k"].to_pylist(), t["v"].to_pylist())]
+    by_key: dict[str, list[int]] = {}
+    for k, v in rows:
+        by_key.setdefault(k, []).append(v)
+
+    seen: list[Counter] = []
+    real_exchange = shuffle.exchange
+
+    def recording_exchange(ds, keys, reducer, num_buckets=None):
+        ds = ds.materialize()
+        seen.append(Counter(r["k"] for r in ds.take_all()))
+        return real_exchange(ds, keys, reducer, num_buckets)
+
+    monkeypatch.setattr(shuffle, "exchange", recording_exchange)
+    cases = [
+        ({"s": ("v", "sum")}, lambda vs: {"s": sum(vs)}),
+        ({"mn": ("v", "min"), "mx": ("v", "max")}, lambda vs: {"mn": min(vs), "mx": max(vs)}),
+        ({"n": ("v", "size")}, lambda vs: {"n": len(vs)}),
+        ({}, lambda vs: {}),
+    ]
+    for spec, ref in cases:
+        ds = ray.data.from_arrow(blocks)
+        out = grouped_agg(ds, ["k"], spec) if spec else distinct(ds, ["k"])
+        got = {r["k"]: {c: r[c] for c in spec} for r in out.take_all()}
+        assert got == {k: ref(vs) for k, vs in by_key.items()}, spec
+        assert seen[-1]["head"] <= len(blocks), (spec, seen[-1])
+
+
 def test_stable_hash_pinned_values():
     """Bucket assignment must be a PINNED algorithm, not a library hash:
     these exact values must never change across dependency upgrades
